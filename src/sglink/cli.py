@@ -28,7 +28,7 @@ from .moves import MoveRecord, apply_move, format_move, parse_move, walk_steps
 from .moves import canonical_diagram as _canonical
 from .moves import _record as _move_record
 from .sgd import parse_sgd, serialize_sgd, validate
-from .smith import IntMatrix, smith_normal_form
+from .smith import IntMatrix, lk_invariant, smith_normal_form
 
 DEFAULT_SEED = 1729
 SCHEMA = 1
@@ -40,8 +40,15 @@ EXIT_IO = 3
 EXIT_SELFCHECK = 4
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SgdParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_diagram(path: str, check: bool = True):
-    return parse_sgd(Path(path).read_text(encoding="utf-8"), check=check)
+    return parse_sgd(_read_text(path), check=check)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -73,7 +80,7 @@ def cmd_invariant(args) -> int:
     d = _read_diagram(args.path)
     require_two_components(d)
     mat = linking_matrix(d)
-    inv = diagram_invariant(d)
+    inv = lk_invariant(mat.to_int_matrix())
     if args.json:
         payload = {
             "schema": SCHEMA,
@@ -81,7 +88,7 @@ def cmd_invariant(args) -> int:
             "matrix": [list(r) for r in mat.entries],
             "divisors": list(inv.divisors),
             "invariant": "0" if inv.is_zero else "chain",
-            "over_under_consistent": over_under_consistent(d),
+            "over_under_consistent": over_under_consistent(d, mat.basis1, mat.basis2),
         }
         if args.show_basis:
             payload["basis1"] = _basis_json(mat.basis1)
@@ -143,7 +150,7 @@ def cmd_perturb(args) -> int:
     if args.replay:
         def steps():
             cur = d
-            for line in Path(args.replay).read_text(encoding="utf-8").splitlines():
+            for line in _read_text(args.replay).splitlines():
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
@@ -184,7 +191,7 @@ def cmd_perturb(args) -> int:
 
 
 def _read_matrix(path: str) -> IntMatrix:
-    tokens = Path(path).read_text(encoding="utf-8").split()
+    tokens = _read_text(path).split()
     if len(tokens) < 2:
         raise SgdParseError("matrix file needs a 'rows cols' header")
     try:
@@ -286,6 +293,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except SelfCheckError as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SELFCHECK
+    except Exception as exc:  # a crash must never read as "inequivalent"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SELFCHECK
 
 

@@ -5,6 +5,11 @@ a basis is given by the fundamental cycles of any spanning tree: one cycle
 per non-tree edge, consisting of that edge plus the unique tree path
 closing it up.  Cycles are integer coefficient vectors over the edges of
 one component, with the boundary-zero property checkable vertex by vertex.
+
+A basis costs one breadth-first search over the tree edges, which records
+each vertex's parent edge and depth; each fundamental cycle is then read
+off by walking the two endpoints of its edge up to their common ancestor,
+so the whole basis is linear in its support.
 """
 
 from __future__ import annotations
@@ -72,6 +77,25 @@ def _adjacency(d: Diagram, edge_ids) -> dict[str, list[tuple[str, str]]]:
     return adj
 
 
+def _bfs(adj: dict[str, list[tuple[str, str]]], root: str):
+    """Breadth-first search from ``root``, neighbors in ascending edge-id
+    order.  Returns the discovery edges in order and, for every reached
+    vertex, its (parent edge id, parent vertex, depth); the root maps to
+    (None, None, 0)."""
+    parent: dict[str, tuple[str | None, str | None, int]] = {root: (None, None, 0)}
+    queue = deque([root])
+    found: list[str] = []
+    while queue:
+        v = queue.popleft()
+        depth = parent[v][2] + 1
+        for eid, other in adj.get(v, ()):
+            if other not in parent:
+                parent[other] = (eid, v, depth)
+                found.append(eid)
+                queue.append(other)
+    return found, parent
+
+
 def spanning_tree(d: Diagram, component: int) -> list[str]:
     """Deterministic spanning tree of one component, as an edge-id list.
 
@@ -80,19 +104,7 @@ def spanning_tree(d: Diagram, component: int) -> list[str]:
     returned in discovery order.
     """
     comp = d.component(component)
-    adj = _adjacency(d, comp.edge_ids)
-    root = comp.vertices[0]
-    seen = {root}
-    queue = deque([root])
-    tree: list[str] = []
-    while queue:
-        v = queue.popleft()
-        for eid, other in adj.get(v, ()):
-            if other not in seen:
-                seen.add(other)
-                tree.append(eid)
-                queue.append(other)
-    return tree
+    return _bfs(_adjacency(d, comp.edge_ids), comp.vertices[0])[0]
 
 
 def random_spanning_tree(d: Diagram, component: int, rng: random.Random) -> list[str]:
@@ -118,33 +130,6 @@ def random_spanning_tree(d: Diagram, component: int, rng: random.Random) -> list
     return tree
 
 
-def _tree_path(d: Diagram, tree_adj, start: str, goal: str) -> list[tuple[str, str]]:
-    """Unique tree path as (edge id, from-vertex) steps from start to goal."""
-    if start == goal:
-        return []
-    prev: dict[str, tuple[str, str]] = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        v = queue.popleft()
-        for eid, other in tree_adj.get(v, ()):
-            if other not in seen:
-                seen.add(other)
-                prev[other] = (eid, v)
-                if other == goal:
-                    queue.clear()
-                    break
-                queue.append(other)
-    steps = []
-    v = goal
-    while v != start:
-        eid, u = prev[v]
-        steps.append((eid, u))
-        v = u
-    steps.reverse()
-    return steps
-
-
 def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -> CycleBasis:
     """Fundamental cycle basis of one component.
 
@@ -162,17 +147,35 @@ def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -
         raise DomainError("tree edges must be distinct edges of the component")
     if len(tree) != len(comp.vertices) - 1:
         raise DomainError("not a spanning tree: wrong edge count")
-    tree_adj = _adjacency(d, tree)
+    _, parent = _bfs(_adjacency(d, tree), comp.vertices[0])
+    if len(parent) != len(comp.vertices):
+        raise DomainError("not a spanning tree: it does not reach every vertex")
 
+    edge_map = d.edge_map
     cycles = []
     for eid in comp.edge_ids:
         if eid in tree_set:
             continue
-        e = d.edge_map[eid]
+        e = edge_map[eid]
+        # The tree path from head to tail: up from the head to the common
+        # ancestor, then down to the tail.  An edge is +1 when the path
+        # runs along it from its tail to its head.
+        up: list[tuple[str, int]] = []
+        down: list[tuple[str, int]] = []
+        u, v = e.head, e.tail
+        du, dv = parent[u][2], parent[v][2]
+        while u != v:
+            if du >= dv:
+                tid, pu, _ = parent[u]
+                up.append((tid, 1 if edge_map[tid].tail == u else -1))
+                u, du = pu, du - 1
+            else:
+                tid, pv, _ = parent[v]
+                down.append((tid, 1 if edge_map[tid].tail == pv else -1))
+                v, dv = pv, dv - 1
         coeffs = {eid: 1}
-        for tid, from_v in _tree_path(d, tree_adj, e.head, e.tail):
-            t = d.edge_map[tid]
-            coeffs[tid] = 1 if t.tail == from_v else -1
+        coeffs.update(up)
+        coeffs.update(reversed(down))
         cycles.append(Cycle(component, coeffs))
     return CycleBasis(component, tuple(tree), tuple(cycles))
 

@@ -6,6 +6,15 @@ weighted bilinearly by the cycle coefficients.  On realizable diagrams this
 equals the symmetric count with the roles reversed, which makes the
 over/under comparison a cheap realizability smoke test.  Zero-rank
 components yield 0 x n or m x 0 matrices, not errors.
+
+Every count goes through one kernel.  Each list of cycles becomes a sparse
+incidence, edge id -> [(cycle index, coefficient)], and one pass over the
+crossings sums the crossing signs per (over edge, under edge) pair.  Each
+pair then adds its sign sum times the outer product of the two edges'
+incidence entries, into the over count and, when asked, into the under
+count with the roles of the edges swapped.  The cost is linear in the
+crossings plus the work of those outer products, never a rescan of the
+crossings per cycle pair.
 """
 
 from __future__ import annotations
@@ -41,32 +50,52 @@ class LinkingMatrix:
         return IntMatrix(self.rows, self.cols, self.entries)
 
 
-def _check_cycle(d: Diagram, c: Cycle) -> None:
-    comp = d.component(c.component)
-    support = set(c.coeffs)
-    if not support <= set(comp.edge_ids):
-        stray = sorted(support - set(comp.edge_ids))
-        raise DomainError(f"cycle support {stray} lies outside component {c.component}")
-
-
-def _signed_count(d: Diagram, z: Cycle, w: Cycle, z_over: bool) -> int:
+def _check_cycles(d: Diagram, z: Cycle, w: Cycle) -> None:
     if z.component == w.component:
         raise DomainError("cycles must lie in distinct components")
-    _check_cycle(d, z)
-    _check_cycle(d, w)
-    total = 0
+    for c in (z, w):
+        stray = sorted(set(c.coeffs) - set(d.component(c.component).edge_ids))
+        if stray:
+            raise DomainError(f"cycle support {stray} lies outside component {c.component}")
+
+
+def _incidence(cycles) -> dict[str, list[tuple[int, int]]]:
+    """Sparse edge id -> [(cycle index, coefficient)] over a list of cycles."""
+    inc: dict[str, list[tuple[int, int]]] = {}
+    for k, z in enumerate(cycles):
+        for eid, a in z.coeffs.items():
+            if a:
+                inc.setdefault(eid, []).append((k, a))
+    return inc
+
+
+def _add_outer(mat: list[list[int]], s: int, zs, ws) -> None:
+    """mat += s * (outer product of two incidence entries), when both exist."""
+    if zs and ws:
+        for i, a in zs:
+            row, sa = mat[i], s * a
+            for j, b in ws:
+                row[j] += sa * b
+
+
+def _linking_counts(d: Diagram, cycles1, cycles2, with_under: bool = False):
+    """Over count L[i][j] = sum of sign * z_i[over edge] * w_j[under edge]
+    over all crossings, and with ``with_under`` also the under count, the
+    same sum with the two edges' roles swapped (None otherwise)."""
+    inc1, inc2 = _incidence(cycles1), _incidence(cycles2)
+    pair_sign: dict[tuple[str, str], int] = {}
     for c in d.crossings:
-        over_eid = c.over[0]
-        under_eid = c.under[0]
-        if z_over:
-            a = z.coeffs.get(over_eid, 0)
-            b = w.coeffs.get(under_eid, 0)
-        else:
-            a = z.coeffs.get(under_eid, 0)
-            b = w.coeffs.get(over_eid, 0)
-        if a and b:
-            total += c.sign * a * b
-    return total
+        key = (c.over[0], c.under[0])
+        pair_sign[key] = pair_sign.get(key, 0) + c.sign
+    n = len(cycles2)
+    over = [[0] * n for _ in cycles1]
+    under = [[0] * n for _ in cycles1] if with_under else None
+    for (o, u), s in pair_sign.items():
+        if s:
+            _add_outer(over, s, inc1.get(o), inc2.get(u))
+            if with_under:
+                _add_outer(under, s, inc1.get(u), inc2.get(o))
+    return over, under
 
 
 def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
@@ -77,18 +106,31 @@ def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
     component.  Defined as the over-crossing count (not half the total), so
     it is integer valued on any combinatorial input.
     """
-    return _signed_count(d, z, w, z_over=True)
+    _check_cycles(d, z, w)
+    return _linking_counts(d, (z,), (w,))[0][0][0]
 
 
 def linking_number_under(d: Diagram, z: Cycle, w: Cycle) -> int:
     """Same count with z passing under w; equal to linking_number on
     realizable diagrams."""
-    return _signed_count(d, z, w, z_over=False)
+    _check_cycles(d, z, w)
+    return _linking_counts(d, (z,), (w,), with_under=True)[1][0][0]
 
 
 def require_two_components(d: Diagram) -> None:
     if len(d.components) != 2:
         raise DomainError(f"diagram has {len(d.components)} components, expected 2")
+
+
+def _bases(d: Diagram, basis1: CycleBasis | None, basis2: CycleBasis | None):
+    require_two_components(d)
+    if basis1 is None:
+        basis1 = cycle_basis(d, 1)
+    if basis2 is None:
+        basis2 = cycle_basis(d, 2)
+    if basis1.component != 1 or basis2.component != 2:
+        raise DomainError("bases must belong to components 1 and 2 in that order")
+    return basis1, basis2
 
 
 def linking_matrix(
@@ -102,45 +144,27 @@ def linking_matrix(
     example over a randomized spanning tree) let callers confirm that the
     divisor chain does not depend on the choice.
     """
-    require_two_components(d)
-    if basis1 is None:
-        basis1 = cycle_basis(d, 1)
-    if basis2 is None:
-        basis2 = cycle_basis(d, 2)
-    if basis1.component != 1 or basis2.component != 2:
-        raise DomainError("bases must belong to components 1 and 2 in that order")
-    m, n = len(basis1.cycles), len(basis2.cycles)
-    entries = [[0] * n for _ in range(m)]
-    # One pass over the crossings; each inter-component crossing contributes
-    # a rank-1 increment over the basis coefficient vectors of its two edges.
-    for c in d.crossings:
-        over_eid, under_eid = c.over[0], c.under[0]
-        for i, z in enumerate(basis1.cycles):
-            a = z.coeffs.get(over_eid, 0)
-            if not a:
-                continue
-            row = entries[i]
-            for j, w in enumerate(basis2.cycles):
-                b = w.coeffs.get(under_eid, 0)
-                if b:
-                    row[j] += c.sign * a * b
-    return LinkingMatrix(m, n, tuple(tuple(r) for r in entries), basis1, basis2)
+    basis1, basis2 = _bases(d, basis1, basis2)
+    over, _ = _linking_counts(d, basis1.cycles, basis2.cycles)
+    return LinkingMatrix(len(basis1.cycles), len(basis2.cycles),
+                         tuple(tuple(r) for r in over), basis1, basis2)
 
 
-def over_under_consistent(d: Diagram) -> bool:
+def over_under_consistent(
+    d: Diagram,
+    basis1: CycleBasis | None = None,
+    basis2: CycleBasis | None = None,
+) -> bool:
     """True when over- and under-counts agree on every basis cycle pair.
 
     A necessary condition for realizability; canonical diagrams and
-    everything the move engine produces satisfy it.
+    everything the move engine produces satisfy it.  The bases default as
+    in :func:`linking_matrix`, so a caller holding its bases passes them
+    instead of having them rebuilt.
     """
-    require_two_components(d)
-    basis1 = cycle_basis(d, 1)
-    basis2 = cycle_basis(d, 2)
-    for z in basis1.cycles:
-        for w in basis2.cycles:
-            if linking_number(d, z, w) != linking_number_under(d, z, w):
-                return False
-    return True
+    basis1, basis2 = _bases(d, basis1, basis2)
+    over, under = _linking_counts(d, basis1.cycles, basis2.cycles, with_under=True)
+    return over == under
 
 
 def diagram_invariant(d: Diagram) -> LkInvariant:

@@ -223,19 +223,22 @@ def canonical_diagram(m: int, n: int, chain: Sequence[int]) -> Diagram:
     return d
 
 
+# fewest parameters each move kind takes (split_vertex lists ends after three)
+_ARITY = {"crossing_change": 1, "clasp": 5, "contract_edge": 1, "split_vertex": 3}
+
+
 def _record(d: Diagram, kind: str, params: tuple[str, ...]) -> MoveRecord:
-    try:
-        if kind == "crossing_change":
-            c = d.crossing_map.get(params[0])
-            if c is None:
-                raise DomainError(f"unknown crossing {params[0]!r}")
-            preserving = d.component_of_edge(c.over[0]) == d.component_of_edge(c.under[0])
-        elif kind == "clasp":
-            preserving = d.component_of_edge(params[0]) == d.component_of_edge(params[2])
-        else:
-            preserving = True
-    except IndexError:
-        raise DomainError(f"move {kind!r} is missing parameters") from None
+    if len(params) < _ARITY.get(kind, 0):
+        raise DomainError(f"move {kind!r} is missing parameters")
+    if kind == "crossing_change":
+        c = d.crossing_map.get(params[0])
+        if c is None:
+            raise DomainError(f"unknown crossing {params[0]!r}")
+        preserving = d.component_of_edge(c.over[0]) == d.component_of_edge(c.under[0])
+    elif kind == "clasp":
+        preserving = d.component_of_edge(params[0]) == d.component_of_edge(params[2])
+    else:
+        preserving = True
     return MoveRecord(kind, params, preserving)
 
 
@@ -245,7 +248,11 @@ def apply_move(d: Diagram, move: MoveRecord) -> Diagram:
     if kind == "crossing_change":
         return crossing_change(d, p[0])
     if kind == "clasp":
-        return clasp(d, p[0], int(p[1]), p[2], int(p[3]), int(p[4]))
+        try:
+            pos_e, pos_f, eps = int(p[1]), int(p[3]), int(p[4])
+        except ValueError:
+            raise DomainError(f"bad clasp parameters {' '.join(p)!r}") from None
+        return clasp(d, p[0], pos_e, p[2], pos_f, eps)
     if kind == "contract_edge":
         return contract_edge(d, p[0])
     if kind == "split_vertex":

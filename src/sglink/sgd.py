@@ -27,7 +27,7 @@ diagrams produce identical bytes.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -218,7 +218,7 @@ def validate(d: Diagram, expected_components: int | None = None) -> list[Violati
                 refs[eid].append(idx)
     for eid in sorted(refs):
         indices = refs[eid]
-        dups = sorted({i for i in indices if indices.count(i) > 1})
+        dups = sorted(i for i, k in Counter(indices).items() if k > 1)
         if dups:
             out.append(
                 Violation("passage-duplicate", eid,
@@ -316,7 +316,7 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
                 if eid not in edge_ids:
                     raise SgdParseError(f"crossing references undeclared edge {eid!r}",
                                         lineno, eid_tok[1])
-                if not idx_tok[0].isdigit():
+                if not (idx_tok[0].isascii() and idx_tok[0].isdigit()):
                     raise SgdParseError(f"bad passage index {idx_tok[0]!r}", lineno, idx_tok[1])
                 refs.append((eid, int(idx_tok[0])))
             sign_tok, sign_col = toks[9]

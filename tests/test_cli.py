@@ -270,3 +270,44 @@ class TestSnf:
         assert payload["divisors"] == [2, 6]
         assert payload["D"] == [[2, 0], [0, 6]]
         assert len(payload["U"]) == 2 and len(payload["V"]) == 2
+
+
+class TestExitContract:
+    """Every input maps to 0/1/2/3/4 with one message line; no tracebacks."""
+
+    def test_unicode_digit_passage_index_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "sup.sgd"
+        p.write_text(HOPF_TEXT.replace("under b1 0", "under b1 \u00b2"), encoding="utf-8")
+        assert cli.main(["invariant", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "passage index" in err
+
+    @pytest.mark.parametrize("command", ["validate", "invariant", "perturb", "snf"])
+    def test_non_utf8_input_exit_3(self, tmp_path, capsys, command):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"sgd 1\nvertex caf\xe9\n")
+        assert cli.main([command, str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_non_utf8_replay_exit_3(self, hopf_file, tmp_path, capsys):
+        replay = tmp_path / "moves.txt"
+        replay.write_bytes(b"crossing_change x\xff\n")
+        assert cli.main(["perturb", hopf_file, "--replay", str(replay)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_clasp_replay_exit_2(self, hopf_file, tmp_path, capsys):
+        for line in ("clasp a1 x b1 0 1", "clasp a1 0 b1 0", "contract_edge", "split_vertex u1"):
+            replay = tmp_path / "moves.txt"
+            replay.write_text(line + "\n")
+            assert cli.main(["perturb", hopf_file, "--replay", str(replay)]) == 2, line
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_unexpected_exception_exit_4(self, hopf_file, monkeypatch, capsys):
+        def crash(d, check=True):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_read_diagram", crash)
+        assert cli.main(["invariant", hopf_file]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"

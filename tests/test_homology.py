@@ -19,6 +19,12 @@ THETA = parse_sgd("sgd 1\nvertex a\nvertex b\nedge e1 a b\nedge e2 a b\nedge e3 
 
 PATH = parse_sgd("sgd 1\nvertex a\nvertex b\nvertex c\nedge e1 a b\nedge e2 b c\n")
 
+# a triangle a-b-c with a pendant edge c-d and a loop at d
+KITE = parse_sgd(
+    "sgd 1\nvertex a\nvertex b\nvertex c\nvertex d\n"
+    "edge e1 a b\nedge e2 b c\nedge e3 c a\nedge e4 c d\nedge e5 d d\n"
+)
+
 
 class TestSpanningTree:
     def test_bouquet_has_empty_tree(self):
@@ -98,6 +104,21 @@ class TestCycleBasis:
             cycle_basis(TRIANGLE, 1, tree=["e1"])  # too few edges
         with pytest.raises(DomainError):
             cycle_basis(TRIANGLE, 1, tree=["e1", "e1"])  # repeated
+
+    def test_tree_with_a_cycle_is_rejected(self):
+        # right size, but the three triangle edges never reach d
+        with pytest.raises(DomainError, match="not a spanning tree"):
+            cycle_basis(KITE, 1, tree=["e1", "e2", "e3"])
+
+    def test_tree_with_a_loop_is_rejected(self):
+        with pytest.raises(DomainError, match="not a spanning tree"):
+            cycle_basis(KITE, 1, tree=["e1", "e2", "e5"])
+
+    def test_explicit_tree_gives_its_own_basis(self):
+        basis = cycle_basis(KITE, 1, tree=["e2", "e3", "e4"])
+        assert basis.tree_edges == ("e2", "e3", "e4")
+        # e1 runs a->b; the tree path back is b->c along e2, c->a along e3
+        assert [c.coeffs for c in basis.cycles] == [{"e1": 1, "e2": 1, "e3": 1}, {"e5": 1}]
 
     def test_random_tree_bases_are_cycles(self):
         rng = random.Random(13)

@@ -1,10 +1,14 @@
 """Linking numbers, the linking matrix, and the over/under smoke test."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from gen import random_canonical
+import sglink.cli as cli
+import sglink.linking as linking
+from gen import random_canonical, random_diagram
 from sglink import (
     Cycle,
     DomainError,
@@ -115,3 +119,94 @@ class TestOverUnder:
         assert linking_number(d, Z, W) == 1
         assert linking_number_under(d, Z, W) == 0
         assert not over_under_consistent(d)
+
+
+def brute_counts(d, basis1, basis2):
+    """Over and under matrices by the per-pair definition: for each (z, w),
+    sum sign * z[over] * w[under] (resp. z[under] * w[over]) over all
+    crossings."""
+    def count(z, w, z_over):
+        total = 0
+        for c in d.crossings:
+            a_eid, b_eid = (c.over[0], c.under[0]) if z_over else (c.under[0], c.over[0])
+            total += c.sign * z.coeff(a_eid) * w.coeff(b_eid)
+        return total
+
+    over = [[count(z, w, True) for w in basis2.cycles] for z in basis1.cycles]
+    under = [[count(z, w, False) for w in basis2.cycles] for z in basis1.cycles]
+    return over, under
+
+
+def two_component_diagrams(rng, count):
+    out = []
+    while len(out) < count:
+        d = random_diagram(rng, max_vertices=6, max_edges=12, max_crossings=24)
+        if len(d.components) == 2:
+            out.append(d)
+    for _ in range(count):
+        out.append(random_canonical(rng, max_rank=4, walk_steps=rng.choice((5, 30))))
+    return out
+
+
+class TestKernelAgainstDefinition:
+    def test_matrix_and_over_under_match_brute_force(self):
+        rng = random.Random(41)
+        disagreements = 0
+        for d in two_component_diagrams(rng, 60):
+            trees = [(None, None),
+                     (random_spanning_tree(d, 1, rng), random_spanning_tree(d, 2, rng))]
+            for t1, t2 in trees:
+                b1, b2 = cycle_basis(d, 1, tree=t1), cycle_basis(d, 2, tree=t2)
+                over, under = brute_counts(d, b1, b2)
+                mat = linking_matrix(d, b1, b2)
+                assert [list(r) for r in mat.entries] == over
+                assert over_under_consistent(d, b1, b2) == (over == under)
+                if t1 is None:
+                    assert over_under_consistent(d) == (over == under)
+                disagreements += over != under
+        # the sample must exercise both answers of the over/under check
+        assert disagreements > 0
+
+    def test_single_cycle_counts_match_brute_force(self):
+        rng = random.Random(42)
+        for d in two_component_diagrams(rng, 20):
+            b1, b2 = cycle_basis(d, 1), cycle_basis(d, 2)
+            over, under = brute_counts(d, b1, b2)
+            for i, z in enumerate(b1.cycles):
+                for j, w in enumerate(b2.cycles):
+                    assert linking_number(d, z, w) == over[i][j]
+                    assert linking_number_under(d, z, w) == under[i][j]
+
+    def test_explicit_bases_must_match_components(self):
+        b1, b2 = cycle_basis(HOPF, 1), cycle_basis(HOPF, 2)
+        with pytest.raises(DomainError):
+            over_under_consistent(HOPF, b2, b1)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestInvariantCommand:
+    def test_builds_bases_and_matrix_once(self, monkeypatch, capsys):
+        calls = {"cycle_basis": 0, "linking_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(linking, "cycle_basis", counted("cycle_basis", linking.cycle_basis))
+        lm = counted("linking_matrix", linking.linking_matrix)
+        monkeypatch.setattr(linking, "linking_matrix", lm)
+        monkeypatch.setattr(cli, "linking_matrix", lm)
+        path = str(DATA / "walked_8_8.sgd")
+        assert cli.main(["invariant", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["over_under_consistent"] is True
+        assert calls == {"cycle_basis": 2, "linking_matrix": 1}
+
+    def test_show_basis_json_matches_golden(self, capsys):
+        # walked_8_8.sgd: canonical 8 8 1 1 2 2 4 4 8 8 after 200 perturb steps
+        assert cli.main(["invariant", str(DATA / "walked_8_8.sgd"), "--json", "--show-basis"]) == 0
+        golden = (DATA / "walked_8_8.show_basis.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden

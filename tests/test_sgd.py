@@ -71,6 +71,8 @@ class TestParse:
             ("sgd 1\nvertex a\nedge e a a\ncrossing x over e 0 under f 0 sign +\n", "undeclared edge"),
             ("sgd 1\nvertex a\nedge e a a\ncrossing x over e 0 under e 1 sign *\n", "sign"),
             ("sgd 1\nvertex a\nedge e a a\ncrossing x over e ? under e 1 sign +\n", "passage index"),
+            ("sgd 1\nvertex a\nedge e a a\ncrossing x over e \u00b2 under e 1 sign +\n", "passage index"),
+            ("sgd 1\nvertex a\nedge e a a\ncrossing x over e \u0663 under e 1 sign +\n", "passage index"),
             ("sgd 1\nvertex a-b\n", "identifier"),
             ("sgd 1\nfoo a\n", "unknown declaration"),
             ("sgd 1\nvertex\n", "expected"),
@@ -146,6 +148,21 @@ class TestValidate:
         }
         for code, diagram in cases.items():
             assert code in [v.code for v in validate(diagram)], code
+
+    def test_duplicate_and_gap_messages(self):
+        edge = Edge("e", "v", "v")
+        dup = Diagram(("v",), (edge,), (
+            Crossing("x1", ("e", 2), ("e", 0), 1),
+            Crossing("x2", ("e", 2), ("e", 0), 1),
+            Crossing("x3", ("e", 1), ("e", 3), 1),
+        ))
+        assert [v.message for v in validate(dup)] == [
+            "edge 'e' passage indices used twice: [0, 2]"
+        ]
+        gap = Diagram(("v",), (edge,), (Crossing("x", ("e", 3), ("e", 0), 1),))
+        assert [v.message for v in validate(gap)] == [
+            "edge 'e' passage indices [0, 3] are not 0..1"
+        ]
 
     def test_component_count_check(self):
         three = parse_sgd("sgd 1\nvertex a\nvertex b\nvertex c\n")
