@@ -56,7 +56,6 @@ def _fresh_ids(prefix: str, taken: set[str], count: int) -> list[str]:
         cand = f"{prefix}{k}"
         if cand not in taken:
             out.append(cand)
-            taken = taken | {cand}
         k += 1
     return out
 
@@ -211,16 +210,21 @@ def canonical_diagram(m: int, n: int, chain: Sequence[int]) -> Diagram:
     wa, wb = len(str(max(m, 1))), len(str(max(n, 1)))
     loops_a = [f"a{str(i + 1).zfill(wa)}" for i in range(m)]
     loops_b = [f"b{str(j + 1).zfill(wb)}" for j in range(n)]
-    d = Diagram(
+    # clasp t (counted over the whole chain), the j-th on loop pair i, is
+    # crossings x{2t+1} (a_i over b_i at passage 2j) and x{2t+2} (b_i over
+    # a_i at passage 2j+1): what clasping each loop pair at its end gives
+    crossings = []
+    for a, b, di in zip(loops_a, loops_b, chain):
+        for p in range(0, 2 * di, 2):
+            t = len(crossings)
+            crossings.append(Crossing(f"x{t + 1}", (a, p), (b, p), 1))
+            crossings.append(Crossing(f"x{t + 2}", (b, p + 1), (a, p + 1), 1))
+    return Diagram(
         ("u1", "u2"),
         tuple(Edge(eid, "u1", "u1") for eid in loops_a)
         + tuple(Edge(eid, "u2", "u2") for eid in loops_b),
+        tuple(crossings),
     )
-    for i, di in enumerate(chain):
-        for _ in range(di):
-            d = clasp(d, loops_a[i], d.passage_count(loops_a[i]),
-                      loops_b[i], d.passage_count(loops_b[i]), 1)
-    return d
 
 
 # fewest parameters each move kind takes (split_vertex lists ends after three)

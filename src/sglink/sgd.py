@@ -339,13 +339,17 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
 
 
 def serialize_sgd(d: Diagram) -> str:
-    """Canonical SGD text for a diagram; equal diagrams yield identical bytes."""
+    """Canonical SGD text for a diagram; equal diagrams yield identical bytes.
+
+    Vertices, edges and crossings are written in the order the diagram
+    holds them, which ``Diagram`` normalises to sorted order by id.
+    """
     lines = [SGD_HEADER]
-    for v in sorted(d.vertices):
+    for v in d.vertices:
         lines.append(f"vertex {v}")
-    for e in sorted(d.edges, key=lambda e: e.id):
+    for e in d.edges:
         lines.append(f"edge {e.id} {e.tail} {e.head}")
-    for c in sorted(d.crossings, key=lambda c: c.id):
+    for c in d.crossings:
         sign = "+" if c.sign > 0 else "-"
         lines.append(
             f"crossing {c.id} over {c.over[0]} {c.over[1]} "

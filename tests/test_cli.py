@@ -5,7 +5,7 @@ import json
 import pytest
 
 import sglink.cli as cli
-from sglink import canonical_diagram, random_homotopy_walk, serialize_sgd
+from sglink import canonical_diagram, parse_sgd, random_homotopy_walk, serialize_sgd
 
 HOPF_TEXT = serialize_sgd(canonical_diagram(1, 1, (1,)))
 SPLIT_TEXT = serialize_sgd(canonical_diagram(1, 1, ()))
@@ -156,6 +156,19 @@ class TestCanonical:
         assert cli.main(["canonical", "2", "2", "1", "6", "--out", str(p)]) == 0
         assert cli.main(["invariant", str(p)]) == 0
         assert capsys.readouterr().out.strip() == "1 6"
+
+    def test_long_clasp_chain_is_linear(self, tmp_path, capsys):
+        # a builder that re-clasps the whole diagram per clasp runs for minutes here
+        p = tmp_path / "long.sgd"
+        assert cli.main(["canonical", "1", "1", "20000", "--out", str(p)]) == 0
+        d = parse_sgd(p.read_text())  # raises on any violation
+        assert len(d.crossings) == 40000
+        for loop in ("a1", "b1"):
+            passages = sorted(idx for c in d.crossings for eid, idx in (c.over, c.under)
+                              if eid == loop)
+            assert passages == list(range(40000))
+        assert cli.main(["invariant", str(p)]) == 0
+        assert capsys.readouterr().out == "20000\n"
 
     def test_divisibility_violation_exit_2(self, capsys):
         assert cli.main(["canonical", "2", "2", "2", "3"]) == 2

@@ -1,0 +1,180 @@
+"""Fuzzing the CLI's exit-code contract.
+
+Whatever the input -- SGD text, a matrix file, a ``--replay`` move list or
+``canonical`` arguments -- ``sglink`` must exit 0, 1, 2 or 3, never with a
+traceback, and write nothing to stderr but ``error:`` lines.  Exit 4 means
+an internal failure, so any input that reaches it is a bug in the program.
+Inputs are valid files with random edits as well as arbitrary text.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import sglink.cli as cli
+from sglink import canonical_diagram, random_homotopy_walk, serialize_sgd
+from sglink.moves import format_move
+
+FUZZ = settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+_start = canonical_diagram(2, 2, (1, 2))
+_walked, _walk_moves = random_homotopy_walk(_start, 12, 3)
+SGD_SEEDS = [serialize_sgd(d) for d in (
+    canonical_diagram(1, 1, (1,)), canonical_diagram(2, 3, (1, 2)), _start, _walked)]
+# the walk that made SEED3 from SEED2, so an unedited replay succeeds there
+REPLAY_SEED = "".join(f"{format_move(r)}\n" for r in _walk_moves)
+MATRIX_SEEDS = ["2 2\n4 2\n2 4\n", "3 2\n1 0\n0 6\n0 0\n", "1 1\n7\n"]
+
+TOKENS = st.sampled_from([
+    "", "0", "1", "2", "-1", "+", "-", "+1", "x1", "x2", "a1", "b1", "u1", "u2",
+    "a1.tail", "b1.head", "over", "under", "sign", "vertex", "edge", "crossing",
+    "clasp", "crossing_change", "contract_edge", "split_vertex", "sgd", "#",
+    "x999", "\t", "\x00",
+]) | st.text(max_size=6)
+# stand-ins for a number: other integers, non-ASCII digits, and int() spellings
+NUMBERS = st.sampled_from([
+    "²", "٣", "１", "-1", "+1", "1_0", "007", "99999999999999999999", "1e3", "0x1",
+]) | st.integers(-3, 1000).map(str)
+
+
+@st.composite
+def mutated(draw, seeds):
+    """A seed text with a few random line and token edits."""
+    seed = draw(st.sampled_from(seeds))
+    lines = seed.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(
+            ["drop", "dup", "swap", "token", "retoken", "number", "insert"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            lines.insert(i, " ".join(draw(st.lists(TOKENS, max_size=10))))
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "number":
+            # any number past the header: passage indices, move positions, entries
+            spots = [(i, k) for i, line in enumerate(lines) if line != "sgd 1"
+                     for k, t in enumerate(line.split(" ")) if t.isascii() and t.isdigit()]
+            if spots:
+                i, k = draw(st.sampled_from(spots))
+                toks = lines[i].split(" ")
+                toks[k] = draw(NUMBERS)
+                lines[i] = " ".join(toks)
+        else:
+            # "retoken" reuses a token of the seed, which keeps more edits valid
+            toks = lines[i].split(" ")
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(
+                st.sampled_from(seed.split()) if op == "retoken" else TOKENS)
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def edited(seeds):
+    return mutated(seeds).map(str.encode)
+
+
+ARBITRARY = st.text().map(str.encode) | st.binary(max_size=64)
+
+
+@st.composite
+def matrix_files(draw):
+    """A 'rows cols' header, either of which may be negative, and exactly
+    rows * cols integers of any size."""
+    rows, cols = draw(st.integers(-3, 5)), draw(st.integers(-3, 5))
+    size = max(rows * cols, 0)
+    entries = draw(st.lists(st.integers(), min_size=size, max_size=size))
+    return " ".join(map(str, [rows, cols] + entries)).encode()
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for k, text in enumerate(SGD_SEEDS):
+        (d / f"seed{k}.sgd").write_text(text)
+    return d
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (code, argv, err.getvalue())
+    for line in err.getvalue().splitlines():
+        assert line.startswith("error: "), (argv, err.getvalue())
+    return code
+
+
+def run_on(work, data, template):
+    """Write ``data`` to a file and run ``template``, where IN names that
+    file and SEEDk the k-th seed diagram."""
+    path = work / "input"
+    path.write_bytes(data)
+    names = {"IN": str(path)}
+    names.update((f"SEED{k}", str(work / f"seed{k}.sgd")) for k in range(len(SGD_SEEDS)))
+    return run_cli([names.get(a, a) for a in template])
+
+
+SGD_COMMANDS = [
+    ["validate", "IN"],
+    ["invariant", "IN"],
+    ["invariant", "IN", "--json", "--show-basis"],
+    ["invariant", "IN", "--show-matrix", "--show-basis"],
+    ["perturb", "IN", "--steps", "4", "--json"],
+    ["classify", "IN", "SEED0"],
+]
+REPLAY_COMMANDS = [["perturb", f"SEED{k}", "--replay", "IN", "--json"]
+                   for k in range(len(SGD_SEEDS))]
+SNF_COMMANDS = [["snf", "IN"], ["snf", "IN", "--json"]]
+
+
+@settings(FUZZ, max_examples=500)
+@given(data=edited(SGD_SEEDS), command=st.sampled_from(SGD_COMMANDS))
+def test_sgd_input(work, data, command):
+    run_on(work, data, command)
+
+
+@FUZZ
+@given(
+    data=edited(MATRIX_SEEDS) | matrix_files(),
+    command=st.sampled_from(SNF_COMMANDS),
+)
+def test_matrix_input(work, data, command):
+    run_on(work, data, command)
+
+
+@FUZZ
+@given(data=edited([REPLAY_SEED, "clasp a1 0 b1 0 1\n"]), command=st.sampled_from(REPLAY_COMMANDS))
+def test_replay_input(work, data, command):
+    run_on(work, data, command)
+
+
+@FUZZ
+@given(data=ARBITRARY,
+       command=st.sampled_from(SGD_COMMANDS + REPLAY_COMMANDS + SNF_COMMANDS))
+def test_arbitrary_bytes(work, data, command):
+    run_on(work, data, command)
+
+
+@FUZZ
+@given(
+    m=st.integers(-3, 12),
+    n=st.integers(-3, 12),
+    divisors=st.lists(st.integers(-3, 40), max_size=6),
+)
+def test_canonical_arguments(work, m, n, divisors):
+    out = str(work / "canonical.sgd")
+    code = run_cli(["canonical", str(m), str(n)] + [str(x) for x in divisors] + ["--out", out])
+    if code == 0:
+        assert run_cli(["validate", out]) == 0

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from gen import divisor_chains, random_canonical, random_chain
+from gen import divisor_chains, random_canonical, random_chain, random_diagram
 from sglink import (
     Cycle,
     Diagram,
     DomainError,
+    Edge,
     LkInvariant,
     apply_move,
     canonical_diagram,
@@ -24,11 +25,31 @@ from sglink import (
     parse_sgd,
     rank,
     random_homotopy_walk,
+    serialize_sgd,
     split_vertex,
 )
 from sglink.moves import format_move, parse_move, walk_steps
 
 HOPF = canonical_diagram(1, 1, (1,))
+
+
+def reference_canonical(m, n, chain):
+    """The canonical diagram built clasp by clasp, each at the end of its
+    loops: the construction ``canonical_diagram`` must reproduce exactly.
+    Quadratic in the number of clasps, so keep inputs small."""
+    wa, wb = len(str(max(m, 1))), len(str(max(n, 1)))
+    loops_a = [f"a{str(i + 1).zfill(wa)}" for i in range(m)]
+    loops_b = [f"b{str(j + 1).zfill(wb)}" for j in range(n)]
+    d = Diagram(
+        ("u1", "u2"),
+        tuple(Edge(eid, "u1", "u1") for eid in loops_a)
+        + tuple(Edge(eid, "u2", "u2") for eid in loops_b),
+    )
+    for i, di in enumerate(chain):
+        for _ in range(di):
+            d = clasp(d, loops_a[i], d.passage_count(loops_a[i]),
+                      loops_b[i], d.passage_count(loops_b[i]), 1)
+    return d
 
 
 def pendant_split(d, vid="u1"):
@@ -224,6 +245,25 @@ class TestCanonical:
         assert all(mat.entries[i][i] == 1 for i in range(11))
         assert diagram_invariant(d) == LkInvariant.chain(*[1] * 11)
 
+    def test_matches_clasp_by_clasp_reference(self):
+        rng = random.Random(43)
+        cases = {
+            (11, 11, (1,) * 11),  # two-digit loop names are zero padded
+            (12, 10, (1, 2, 2, 4)),
+            (3, 2, (5, 10)),  # ids x10 and up sort between x1 and x2
+            (1, 1, (6,)),
+            (0, 0, ()),
+            (4, 0, ()),
+        }
+        for k in (1, 2, 9, 50, 137, 300):
+            cases.add((1, 1, (k,)))
+        for _ in range(60):
+            m, n = rng.randint(0, 12), rng.randint(0, 12)
+            cases.add((m, n, random_chain(rng, min(m, n))))
+        for m, n, chain in sorted(cases):
+            got = serialize_sgd(canonical_diagram(m, n, chain))
+            assert got == serialize_sgd(reference_canonical(m, n, chain)), (m, n, chain)
+
 
 class TestWalk:
     def test_zero_steps(self):
@@ -274,6 +314,25 @@ class TestWalk:
             assert (kind, params) == (rec.kind, rec.params)
             cur = apply_move(cur, rec)
         assert cur == final
+
+    def test_random_diagrams_keep_invariant_and_replay(self):
+        rng = random.Random(53)
+        walked = 0
+        while walked < 40:
+            d = random_diagram(rng)
+            if len(d.components) != 2:
+                continue
+            walked += 1
+            inv = diagram_invariant(d)
+            records = []
+            for rec, step in walk_steps(d, 20, rng.randrange(2**32)):
+                assert rec.homotopy_preserving
+                assert diagram_invariant(step) == inv, format_move(rec)
+                records.append(rec)
+            cur = d
+            for rec in records:
+                cur = apply_move(cur, rec)
+            assert cur == step
 
     def test_walk_preserves_realizability(self):
         d = canonical_diagram(2, 2, (2, 2))
