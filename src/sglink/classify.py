@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .homology import rank
 from .linking import diagram_invariant, require_two_components
@@ -58,9 +57,8 @@ class Verdict:
         )
 
 
-@lru_cache(maxsize=1024)
 def _profile(d: Diagram) -> tuple[tuple[int, int], LkInvariant]:
-    """Ranks and invariant of a diagram; cached since diagrams are immutable."""
+    """Ranks and invariant of a diagram."""
     require_two_components(d)
     return (rank(d, 1), rank(d, 2)), diagram_invariant(d)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from .classify import Result, classify, handlebody_mode
 from .errors import DomainError, SelfCheckError, SgdParseError
 from .homology import CycleBasis, rank
-from .linking import diagram_invariant, linking_matrix, over_under_consistent, require_two_components
+from .linking import linking_matrix, over_under_consistent, require_two_components
 from .moves import MoveRecord, apply_move, format_move, parse_move, walk_steps
 from .moves import canonical_diagram as _canonical
 from .moves import _record as _move_record
@@ -142,10 +142,20 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _write_moves(path: str, move_lines: list[str]) -> None:
+    Path(path).write_text("".join(f"{ln}\n" for ln in move_lines), encoding="utf-8")
+
+
 def cmd_perturb(args) -> int:
+    # Each step redoes only what its move can change.  The matrix is rebuilt
+    # from all the crossings, over the previous step's bases while the vertex
+    # and edge tuples are unchanged (the bases depend on nothing else), and a
+    # verified SNF runs only when the matrix changed.  A failed self-check
+    # still writes --moves-out, up to and including the failing move.
     d = _read_diagram(args.path)
     require_two_components(d)
-    inv = diagram_invariant(d)
+    mat = linking_matrix(d)
+    inv = lk_invariant(mat.to_int_matrix())
 
     if args.replay:
         def steps():
@@ -164,19 +174,34 @@ def cmd_perturb(args) -> int:
 
     records: list[MoveRecord] = []
     final = d
-    for rec, final in walk:
-        records.append(rec)
-        new_inv = diagram_invariant(final)
-        if rec.homotopy_preserving and new_inv != inv:
-            raise SelfCheckError(
-                f"invariant changed from {inv} to {new_inv} "
-                f"after homotopy-preserving move {format_move(rec)}"
-            )
-        inv = new_inv
+    try:
+        for rec, step in walk:
+            records.append(rec)
+            if step.vertices == final.vertices and step.edges == final.edges:
+                new_mat = linking_matrix(step, mat.basis1, mat.basis2)
+            else:
+                new_mat = linking_matrix(step)
+            if new_mat.entries == mat.entries:
+                new_inv = inv
+            else:
+                new_inv = lk_invariant(new_mat.to_int_matrix())
+            if rec.homotopy_preserving and new_inv != inv:
+                raise SelfCheckError(
+                    f"invariant changed from {inv} to {new_inv} "
+                    f"after homotopy-preserving move {format_move(rec)}"
+                )
+            final, mat, inv = step, new_mat, new_inv
+    except SelfCheckError:
+        if args.moves_out:
+            try:
+                _write_moves(args.moves_out, [format_move(r) for r in records])
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+        raise
 
     move_lines = [format_move(r) for r in records]
     if args.moves_out:
-        Path(args.moves_out).write_text("".join(f"{ln}\n" for ln in move_lines), encoding="utf-8")
+        _write_moves(args.moves_out, move_lines)
     if args.json:
         print(json.dumps({
             "schema": SCHEMA,

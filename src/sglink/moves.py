@@ -160,9 +160,10 @@ def split_vertex(
     the new edge runs from ``vid`` to ``new_vid``, so contracting it undoes
     the split.
     """
-    if vid not in set(d.vertices):
+    vertices = set(d.vertices)
+    if vid not in vertices:
         raise DomainError(f"unknown vertex {vid!r}")
-    if new_vid in set(d.vertices):
+    if new_vid in vertices:
         raise DomainError(f"vertex id {new_vid!r} already in use")
     if new_eid in d.edge_map:
         raise DomainError(f"edge id {new_eid!r} already in use")
@@ -262,7 +263,8 @@ def apply_move(d: Diagram, move: MoveRecord) -> Diagram:
     if kind == "split_vertex":
         vid, new_vid, new_eid = p[0], p[1], p[2]
         part2 = [tuple(tok.split(".", 1)) for tok in p[3:]]
-        part1 = [end for end in _ends_at(d, vid) if end not in set(part2)]
+        moved = set(part2)
+        part1 = [end for end in _ends_at(d, vid) if end not in moved]
         return split_vertex(d, vid, part1, part2, new_vid, new_eid)
     raise DomainError(f"unknown move kind {kind!r}")
 

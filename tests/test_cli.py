@@ -1,11 +1,18 @@
 """CLI subcommands and the exit-code contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import sglink.cli as cli
-from sglink import canonical_diagram, parse_sgd, random_homotopy_walk, serialize_sgd
+import sglink.linking as linking
+import sglink.moves as moves
+import sglink.smith as smith
+from sglink import canonical_diagram, linking_matrix, parse_sgd, random_homotopy_walk, serialize_sgd
+from sglink.moves import MoveRecord, apply_move, walk_steps
+
+DATA = Path(__file__).parent / "data"
 
 HOPF_TEXT = serialize_sgd(canonical_diagram(1, 1, (1,)))
 SPLIT_TEXT = serialize_sgd(canonical_diagram(1, 1, ()))
@@ -222,13 +229,103 @@ class TestPerturb:
         assert len(payload["moves"]) == 5
         assert payload["sgd"].startswith("sgd 1\n")
 
-    def test_internal_failure_exit_4(self, hopf_file, monkeypatch, capsys):
-        from sglink.smith import LkInvariant
+    def test_mislabelled_inter_component_clasp_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a walk step that links the two components but claims to preserve
+        # the invariant: the graph is unchanged, so the bases are reused,
+        # and the rebuilt matrix must still show the change
+        real_walk = cli.walk_steps
 
-        fakes = iter([LkInvariant.zero()] + [LkInvariant.chain(9)] * 100)
-        monkeypatch.setattr(cli, "diagram_invariant", lambda d: next(fakes))
-        assert cli.main(["perturb", hopf_file, "--steps", "3"]) == 4
+        def walk(d, steps, seed):
+            cur = d
+            for rec, cur in real_walk(d, steps, seed):
+                yield rec, cur
+            bad = MoveRecord("clasp", ("a1", "0", "b1", "0", "1"), True)
+            yield bad, apply_move(cur, bad)
+
+        monkeypatch.setattr(cli, "walk_steps", walk)
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(canonical_diagram(2, 2, (1, 2))))
+        # a --moves-out that cannot be written does not hide the failure
+        unwritable = tmp_path / "missing" / "moves.txt"
+        assert cli.main(["perturb", str(src), "--steps", "10", "--seed", "3",
+                         "--moves-out", str(unwritable)]) == 4
+        err = capsys.readouterr().err
+        assert "self-check failed" in err and "clasp a1 0 b1 0 1" in err
+        assert err.startswith("error: ")
+
+    def test_crossing_change_flipping_another_crossing_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a crossing change that flips an inter-component crossing instead
+        # of the one it names: only a matrix rebuilt from the crossings
+        # catches it.  The failing walk leaves a --moves-out file whose
+        # replay fails the same way.
+        real = moves.crossing_change
+
+        def flip_inter(d, xid):
+            return real(d, next(c.id for c in d.crossings
+                                if d.component_of_edge(c.over[0]) != d.component_of_edge(c.under[0])))
+
+        monkeypatch.setattr(moves, "crossing_change", flip_inter)
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(canonical_diagram(3, 3, (1, 2, 4))))
+        recorded = tmp_path / "moves.txt"
+        assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7",
+                         "--moves-out", str(recorded)]) == 4
+        err = capsys.readouterr().err
+        assert "self-check failed" in err
+        lines = recorded.read_text().splitlines()
+        assert lines == ["clasp b3 1 b1 2 1", "crossing_change x15"]
+        assert f"move {lines[-1]}" in err
+        assert cli.main(["perturb", str(src), "--replay", str(recorded)]) == 4
         assert "self-check failed" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert cli.main(["perturb", str(src), "--replay", str(recorded)]) == 0
+
+    def test_golden_walk_and_replay(self, tmp_path, capsys):
+        # perturb_3_3.json: canonical 3 3 1 2 4, then perturb --steps 200 --seed 7 --json
+        golden = (DATA / "perturb_3_3.json").read_text(encoding="utf-8")
+        src = tmp_path / "c.sgd"
+        assert cli.main(["canonical", "3", "3", "1", "2", "4", "--out", str(src)]) == 0
+        assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
+        assert capsys.readouterr().out == golden
+        recorded = tmp_path / "moves.txt"
+        assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7",
+                         "--moves-out", str(recorded), "--out", str(tmp_path / "o.sgd")]) == 0
+        assert cli.main(["perturb", str(src), "--replay", str(recorded), "--json"]) == 0
+        replayed, expected = json.loads(capsys.readouterr().out), json.loads(golden)
+        assert replayed["sgd"] == expected["sgd"]
+        assert replayed["moves"] == expected["moves"]
+
+    def test_redoes_only_what_each_move_changed(self, tmp_path, monkeypatch, capsys):
+        # one SNF for the start plus one per step whose matrix changed; one
+        # pair of bases for the start plus one per step that changed the graph
+        d = canonical_diagram(3, 3, (1, 2, 4))
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(d))
+        matrix_steps = graph_steps = 0
+        prev, prev_entries = d, linking_matrix(d).entries
+        for _, cur in walk_steps(d, 200, 7):
+            entries = linking_matrix(cur).entries
+            matrix_steps += entries != prev_entries
+            graph_steps += (cur.vertices, cur.edges) != (prev.vertices, prev.edges)
+            prev, prev_entries = cur, entries
+
+        calls = {"smith_normal_form": 0, "cycle_basis": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(smith, "smith_normal_form")
+        counted(linking, "cycle_basis")
+        assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
+        capsys.readouterr()
+        assert calls == {"smith_normal_form": 1 + matrix_steps,
+                         "cycle_basis": 2 * (1 + graph_steps)}
+        assert 0 < matrix_steps < 200 and 0 < graph_steps < 200
 
     def test_bad_seed_exit_2(self, hopf_file):
         assert cli.main(["perturb", hopf_file, "--seed", "-1"]) == 2
