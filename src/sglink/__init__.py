@@ -35,7 +35,6 @@ from .smith import (
     IntMatrix,
     LkInvariant,
     SnfCertificate,
-    active_backend,
     divisors_via_minors,
     lk_invariant,
     random_unimodular,

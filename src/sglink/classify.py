@@ -26,9 +26,6 @@ __all__ = ["Result", "Verdict", "classify", "handlebody_mode"]
 class Result(Enum):
     EQUIVALENT = "equivalent"
     INEQUIVALENT = "inequivalent"
-    # Reserved for forward compatibility; the decision procedure never
-    # emits it, since rank mismatch already certifies inequivalence.
-    HYPOTHESIS_VIOLATED = "hypothesis-violated"
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,6 @@ class Verdict:
         head = {
             Result.EQUIVALENT: f"Equivalent (pairing: {self.pairing})",
             Result.INEQUIVALENT: f"Inequivalent (obstruction: {self.obstruction})",
-            Result.HYPOTHESIS_VIOLATED: "Hypothesis violated",
         }[self.result]
         return (
             f"{head}\n"

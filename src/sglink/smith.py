@@ -2,35 +2,19 @@
 
 Every reduction returns a full certificate (U, D, V with U*M*V = D) built
 from elementary row/column operations only: swaps, negations, and adding an
-integer multiple of one row/column to another.  Arithmetic is exact; the
-pure-Python path uses unbounded ints.  When the compiled kernel
-(``sglink._snfcore``) is importable, inputs whose intermediates fit in 64-bit
-machine words run through it and fall back to the pure path on overflow, so
-results never silently wrap.  Set the environment variable ``SGLINK_PURE``
-to skip the compiled kernel entirely.
+integer multiple of one row/column to another.  Arithmetic is exact
+(unbounded Python ints), and every certificate is re-verified before it is
+returned.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
 from .errors import DomainError, SelfCheckError
-
-if os.environ.get("SGLINK_PURE"):
-    _native = None
-else:
-    try:
-        from . import _snfcore as _native
-    except ImportError:
-        _native = None
-
-# Entries above this bound go straight to the pure path; the kernel itself
-# guards every intermediate against the same limit.
-_I64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -116,9 +100,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
-    def max_abs(self) -> int:
-        return max((abs(x) for row in self.entries for x in row), default=0)
-
 
 @dataclass(frozen=True)
 class SnfCertificate:
@@ -169,9 +150,8 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
     """In-place SNF on ``a``; returns (U, V) as lists accumulating the ops.
 
     Pivot choice is the smallest nonzero absolute value in the remaining
-    submatrix, ties broken lexicographically by position.  The compiled
-    kernel implements this exact sequence of operations, so both backends
-    produce identical certificates.
+    submatrix, ties broken lexicographically by position, so a given input
+    always yields the same sequence of operations and the same certificate.
     """
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -261,23 +241,6 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
     return u, v
 
 
-def _snf_python(mat: IntMatrix) -> SnfCertificate:
-    a = mat.to_lists()
-    u, v = _snf_reduce(a, mat.rows, mat.cols)
-    return _package(mat, a, u, v)
-
-
-def _snf_native(mat: IntMatrix) -> SnfCertificate:
-    d_flat, u_flat, v_flat = _native.snf_i64(
-        [x for row in mat.entries for x in row], mat.rows, mat.cols
-    )
-    m, n = mat.rows, mat.cols
-    a = [d_flat[i * n:(i + 1) * n] for i in range(m)]
-    u = [u_flat[i * m:(i + 1) * m] for i in range(m)]
-    v = [v_flat[i * n:(i + 1) * n] for i in range(n)]
-    return _package(mat, a, u, v)
-
-
 def _package(mat: IntMatrix, a, u, v) -> SnfCertificate:
     divisors = tuple(a[i][i] for i in range(min(mat.rows, mat.cols)) if a[i][i] != 0)
     cert = SnfCertificate(
@@ -290,34 +253,15 @@ def _package(mat: IntMatrix, a, u, v) -> SnfCertificate:
     return cert
 
 
-def smith_normal_form(mat: IntMatrix, backend: str = "auto") -> SnfCertificate:
+def smith_normal_form(mat: IntMatrix) -> SnfCertificate:
     """Reduce ``mat`` to Smith normal form and return a verified certificate.
 
-    ``backend`` is "auto" (compiled kernel when available and safe, pure
-    Python otherwise), "python", or "native".  With "auto" the kernel's
-    overflow guard triggers a transparent fallback; with "native" an
-    OverflowError propagates.  The certificate is verified before being
-    returned, so a successful call is self-checking.
+    The certificate is verified before being returned, so a successful call
+    is self-checking.
     """
-    if backend == "python":
-        return _snf_python(mat)
-    if backend == "native":
-        if _native is None:
-            raise DomainError("compiled kernel is not available")
-        return _snf_native(mat)
-    if backend != "auto":
-        raise DomainError(f"unknown backend {backend!r}")
-    if _native is not None and mat.max_abs() <= _I64_SAFE:
-        try:
-            return _snf_native(mat)
-        except OverflowError:
-            pass
-    return _snf_python(mat)
-
-
-def active_backend() -> str:
-    """Name of the backend "auto" will try first."""
-    return "python" if _native is None else "native"
+    a = mat.to_lists()
+    u, v = _snf_reduce(a, mat.rows, mat.cols)
+    return _package(mat, a, u, v)
 
 
 def verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
@@ -379,10 +323,9 @@ def divisors_via_minors(mat: IntMatrix) -> list[int]:
     return out
 
 
-def lk_invariant(mat: IntMatrix, backend: str = "auto") -> LkInvariant:
+def lk_invariant(mat: IntMatrix) -> LkInvariant:
     """Divisor-chain invariant of an integer matrix (zero when the chain is empty)."""
-    divisors = smith_normal_form(mat, backend=backend).divisors
-    return LkInvariant(divisors)
+    return LkInvariant(smith_normal_form(mat).divisors)
 
 
 def random_unimodular(size: int, seed: int, ops: int = 30) -> IntMatrix:

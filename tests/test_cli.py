@@ -381,6 +381,13 @@ class TestSnf:
         assert payload["D"] == [[2, 0], [0, 6]]
         assert len(payload["U"]) == 2 and len(payload["V"]) == 2
 
+    def test_certificates_match_golden(self, tmp_path, capsys):
+        # snf_certificates.json: matrix file text and the exact `snf --json` stdout
+        for case in json.loads((DATA / "snf_certificates.json").read_text(encoding="utf-8")):
+            path = self.write(tmp_path, case["matrix"])
+            assert cli.main(["snf", path, "--json"]) == 0, case["name"]
+            assert capsys.readouterr().out == case["stdout"], case["name"]
+
 
 class TestExitContract:
     """Every input maps to 0/1/2/3/4 with one message line; no tracebacks."""

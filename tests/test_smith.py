@@ -93,6 +93,10 @@ class TestSmithNormalForm:
         assert cert.divisors == ()
         assert (cert.U.rows, cert.U.cols) == (0, 0)
         assert cert.V.entries == IntMatrix.identity(3).entries
+        cert = smith_normal_form(IntMatrix.zeros(3, 0))
+        assert cert.divisors == ()
+        assert (cert.U.rows, cert.U.cols) == (3, 3)
+        assert (cert.V.rows, cert.V.cols) == (0, 0)
 
     def test_certificates_random(self):
         rng = random.Random(42)
@@ -139,6 +143,11 @@ class TestSmithNormalForm:
         bad_d = IntMatrix.from_rows([[1, 0], [0, 5]])
         with pytest.raises(SelfCheckError):
             verify_certificate(m, SnfCertificate(cert.U, bad_d, cert.V, (1, 5)))
+        # U @ M @ V == D holds here, so only the unimodularity check can object.
+        zero = IntMatrix.zeros(2, 2)
+        scaled = rows([2, 0], [0, 1])
+        with pytest.raises(SelfCheckError, match="unimodular"):
+            verify_certificate(zero, SnfCertificate(scaled, zero, IntMatrix.identity(2), ()))
 
 
 class TestMinorOracle:
