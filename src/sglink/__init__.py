@@ -9,7 +9,7 @@ vertex splittings (``moves``), which is what the classifier relies on
 (``classify``).
 """
 
-from .classify import Result, Verdict, classify, handlebody_mode
+from .classify import Result, Verdict, classify
 from .errors import DomainError, SelfCheckError, SgdParseError, SglinkError
 from .homology import Cycle, CycleBasis, boundary, cycle_basis, rank, spanning_tree
 from .linking import (
@@ -17,7 +17,6 @@ from .linking import (
     diagram_invariant,
     linking_matrix,
     linking_number,
-    linking_number_under,
     over_under_consistent,
 )
 from .moves import (

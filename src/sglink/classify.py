@@ -5,9 +5,8 @@ related by the implemented move set exactly when their divisor-chain
 invariants agree, so the decision reduces to comparing ranks and chains.
 Rank mismatch already certifies inequivalence: every generating move
 preserves component ranks.  The divisor chain is transpose invariant, so
-trying the swapped component pairing costs nothing; handlebody mode shares
-the decision procedure and merely relabels ranks as genera (a diagram read
-as the spine of a handlebody pair).
+trying the swapped component pairing costs nothing.  Read as spines of
+handlebody pairs, the same verdict describes its ranks as genera.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .linking import diagram_invariant, require_two_components
 from .sgd import Diagram
 from .smith import LkInvariant
 
-__all__ = ["Result", "Verdict", "classify", "handlebody_mode"]
+__all__ = ["Result", "Verdict", "classify"]
 
 
 class Result(Enum):
@@ -39,7 +38,7 @@ class Verdict:
     obstruction: str | None  # "rank" | "divisors" | None
 
     def describe(self, handlebody: bool = False) -> str:
-        label = "genus" if handlebody else "rank"
+        label = "genera" if handlebody else "ranks"
         (m, n), (m2, n2) = self.ranks
         a, b = self.invariants
         head = {
@@ -48,8 +47,8 @@ class Verdict:
         }[self.result]
         return (
             f"{head}\n"
-            f"  A: {label}s ({m}, {n}), invariant {a}\n"
-            f"  B: {label}s ({m2}, {n2}), invariant {b}"
+            f"  A: {label} ({m}, {n}), invariant {a}\n"
+            f"  B: {label} ({m2}, {n2}), invariant {b}"
         )
 
 
@@ -81,12 +80,3 @@ def classify(d: Diagram, d2: Diagram, ordered: bool = False) -> Verdict:
     if inv == inv2:
         return Verdict(Result.EQUIVALENT, matched[0], ranks, (inv, inv2), None)
     return Verdict(Result.INEQUIVALENT, "none", ranks, (inv, inv2), "divisors")
-
-
-def handlebody_mode(d: Diagram, d2: Diagram) -> Verdict:
-    """Classification of the diagrams read as spines of handlebody pairs.
-
-    Identical decision procedure to unordered :func:`classify`; the genus
-    of each handlebody is the rank of its spine component.
-    """
-    return classify(d, d2, ordered=False)

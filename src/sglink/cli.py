@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .classify import Result, classify, handlebody_mode
+from .classify import Result, classify
 from .errors import DomainError, SelfCheckError, SgdParseError
 from .homology import CycleBasis, rank
 from .linking import linking_matrix, over_under_consistent, require_two_components
@@ -88,7 +88,7 @@ def cmd_invariant(args) -> int:
             "matrix": [list(r) for r in mat.entries],
             "divisors": list(inv.divisors),
             "invariant": "0" if inv.is_zero else "chain",
-            "over_under_consistent": over_under_consistent(d, mat.basis1, mat.basis2),
+            "over_under_consistent": over_under_consistent(d, mat),
         }
         if args.show_basis:
             payload["basis1"] = _basis_json(mat.basis1)
@@ -114,7 +114,7 @@ def cmd_classify(args) -> int:
     b = _read_diagram(args.path_b)
     require_two_components(a)
     require_two_components(b)
-    verdict = handlebody_mode(a, b) if args.handlebody else classify(a, b, ordered=args.ordered)
+    verdict = classify(a, b, ordered=args.ordered)
     if args.json:
         print(json.dumps({
             "schema": SCHEMA,
@@ -140,6 +140,12 @@ def _check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise DomainError("seed must fit in 64 unsigned bits")
     return seed
+
+
+def _check_steps(steps: int) -> int:
+    if steps < 0:
+        raise DomainError("steps must be nonnegative")
+    return steps
 
 
 def _write_moves(path: str, move_lines: list[str]) -> None:
@@ -170,7 +176,7 @@ def cmd_perturb(args) -> int:
                 yield rec, cur
         walk = steps()
     else:
-        walk = walk_steps(d, args.steps, _check_seed(args.seed))
+        walk = walk_steps(d, _check_steps(args.steps), _check_seed(args.seed))
 
     records: list[MoveRecord] = []
     final = d

@@ -6,10 +6,12 @@ per non-tree edge, consisting of that edge plus the unique tree path
 closing it up.  Cycles are integer coefficient vectors over the edges of
 one component, with the boundary-zero property checkable vertex by vertex.
 
-A basis costs one breadth-first search over the tree edges, which records
-each vertex's parent edge and depth; each fundamental cycle is then read
-off by walking the two endpoints of its edge up to their common ancestor,
-so the whole basis is linear in its support.
+A basis costs one breadth-first search, which records each vertex's
+parent edge and depth: over the component's edges for the default tree,
+whose discovery edges are that tree, or over the edges of a given tree.
+Each fundamental cycle is then read off by walking the two endpoints of
+its edge up to their common ancestor, so the whole basis is linear in its
+support.
 """
 
 from __future__ import annotations
@@ -141,13 +143,16 @@ def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -
     """
     comp = d.component(component)
     if tree is None:
-        tree = spanning_tree(d, component)
+        tree, parent = _bfs(_adjacency(d, comp.edge_ids), comp.vertices[0])
+    else:
+        parent = None
     tree_set = set(tree)
     if len(tree_set) != len(tree) or not tree_set <= set(comp.edge_ids):
         raise DomainError("tree edges must be distinct edges of the component")
     if len(tree) != len(comp.vertices) - 1:
         raise DomainError("not a spanning tree: wrong edge count")
-    _, parent = _bfs(_adjacency(d, tree), comp.vertices[0])
+    if parent is None:
+        _, parent = _bfs(_adjacency(d, tree), comp.vertices[0])
     if len(parent) != len(comp.vertices):
         raise DomainError("not a spanning tree: it does not reach every vertex")
 

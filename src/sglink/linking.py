@@ -2,19 +2,17 @@
 
 The linking number of cycles z and w in distinct components is the signed
 count of crossings where a z-supported edge passes over a w-supported edge,
-weighted bilinearly by the cycle coefficients.  On realizable diagrams this
-equals the symmetric count with the roles reversed, which makes the
-over/under comparison a cheap realizability smoke test.  Zero-rank
-components yield 0 x n or m x 0 matrices, not errors.
+weighted bilinearly by the cycle coefficients.  On realizable diagrams it
+is symmetric, lk(z, w) = lk(w, z), which makes the over/under comparison a
+cheap realizability smoke test.  Zero-rank components yield 0 x n or m x 0
+matrices, not errors.
 
 Every count goes through one kernel.  Each list of cycles becomes a sparse
 incidence, edge id -> [(cycle index, coefficient)], and one pass over the
 crossings sums the crossing signs per (over edge, under edge) pair.  Each
 pair then adds its sign sum times the outer product of the two edges'
-incidence entries, into the over count and, when asked, into the under
-count with the roles of the edges swapped.  The cost is linear in the
-crossings plus the work of those outer products, never a rescan of the
-crossings per cycle pair.
+incidence entries.  The cost is linear in the crossings plus the work of
+those outer products, never a rescan of the crossings per cycle pair.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .smith import IntMatrix, LkInvariant, lk_invariant
 __all__ = [
     "LinkingMatrix",
     "linking_number",
-    "linking_number_under",
     "linking_matrix",
     "over_under_consistent",
     "diagram_invariant",
@@ -78,24 +75,20 @@ def _add_outer(mat: list[list[int]], s: int, zs, ws) -> None:
                 row[j] += sa * b
 
 
-def _linking_counts(d: Diagram, cycles1, cycles2, with_under: bool = False):
-    """Over count L[i][j] = sum of sign * z_i[over edge] * w_j[under edge]
-    over all crossings, and with ``with_under`` also the under count, the
-    same sum with the two edges' roles swapped (None otherwise)."""
+def _linking_counts(d: Diagram, cycles1, cycles2) -> list[list[int]]:
+    """L[i][j] = sum of sign * z_i[over edge] * w_j[under edge] over all
+    crossings."""
     inc1, inc2 = _incidence(cycles1), _incidence(cycles2)
     pair_sign: dict[tuple[str, str], int] = {}
     for c in d.crossings:
         key = (c.over[0], c.under[0])
         pair_sign[key] = pair_sign.get(key, 0) + c.sign
     n = len(cycles2)
-    over = [[0] * n for _ in cycles1]
-    under = [[0] * n for _ in cycles1] if with_under else None
+    counts = [[0] * n for _ in cycles1]
     for (o, u), s in pair_sign.items():
         if s:
-            _add_outer(over, s, inc1.get(o), inc2.get(u))
-            if with_under:
-                _add_outer(under, s, inc1.get(u), inc2.get(o))
-    return over, under
+            _add_outer(counts, s, inc1.get(o), inc2.get(u))
+    return counts
 
 
 def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
@@ -107,30 +100,12 @@ def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
     it is integer valued on any combinatorial input.
     """
     _check_cycles(d, z, w)
-    return _linking_counts(d, (z,), (w,))[0][0][0]
-
-
-def linking_number_under(d: Diagram, z: Cycle, w: Cycle) -> int:
-    """Same count with z passing under w; equal to linking_number on
-    realizable diagrams."""
-    _check_cycles(d, z, w)
-    return _linking_counts(d, (z,), (w,), with_under=True)[1][0][0]
+    return _linking_counts(d, (z,), (w,))[0][0]
 
 
 def require_two_components(d: Diagram) -> None:
     if len(d.components) != 2:
         raise DomainError(f"diagram has {len(d.components)} components, expected 2")
-
-
-def _bases(d: Diagram, basis1: CycleBasis | None, basis2: CycleBasis | None):
-    require_two_components(d)
-    if basis1 is None:
-        basis1 = cycle_basis(d, 1)
-    if basis2 is None:
-        basis2 = cycle_basis(d, 2)
-    if basis1.component != 1 or basis2.component != 2:
-        raise DomainError("bases must belong to components 1 and 2 in that order")
-    return basis1, basis2
 
 
 def linking_matrix(
@@ -144,27 +119,32 @@ def linking_matrix(
     example over a randomized spanning tree) let callers confirm that the
     divisor chain does not depend on the choice.
     """
-    basis1, basis2 = _bases(d, basis1, basis2)
-    over, _ = _linking_counts(d, basis1.cycles, basis2.cycles)
+    require_two_components(d)
+    if basis1 is None:
+        basis1 = cycle_basis(d, 1)
+    if basis2 is None:
+        basis2 = cycle_basis(d, 2)
+    if basis1.component != 1 or basis2.component != 2:
+        raise DomainError("bases must belong to components 1 and 2 in that order")
+    over = _linking_counts(d, basis1.cycles, basis2.cycles)
     return LinkingMatrix(len(basis1.cycles), len(basis2.cycles),
                          tuple(tuple(r) for r in over), basis1, basis2)
 
 
-def over_under_consistent(
-    d: Diagram,
-    basis1: CycleBasis | None = None,
-    basis2: CycleBasis | None = None,
-) -> bool:
-    """True when over- and under-counts agree on every basis cycle pair.
+def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
+    """True when lk(z, w) = lk(w, z) for every basis cycle pair.
 
     A necessary condition for realizability; canonical diagrams and
-    everything the move engine produces satisfy it.  The bases default as
-    in :func:`linking_matrix`, so a caller holding its bases passes them
-    instead of having them rebuilt.
+    everything the move engine produces satisfy it.  ``mat`` is the
+    diagram's linking matrix, built over the default bases when omitted;
+    it is compared with the transpose of the count over its bases swapped.
     """
-    basis1, basis2 = _bases(d, basis1, basis2)
-    over, under = _linking_counts(d, basis1.cycles, basis2.cycles, with_under=True)
-    return over == under
+    require_two_components(d)
+    if mat is None:
+        mat = linking_matrix(d)
+    swapped = _linking_counts(d, mat.basis2.cycles, mat.basis1.cycles)
+    under = IntMatrix(mat.cols, mat.rows, tuple(map(tuple, swapped))).transpose()
+    return mat.entries == under.entries
 
 
 def diagram_invariant(d: Diagram) -> LkInvariant:

@@ -163,14 +163,13 @@ class Diagram:
         return self.components[index - 1]
 
 
-def validate(d: Diagram, expected_components: int | None = None) -> list[Violation]:
+def validate(d: Diagram) -> list[Violation]:
     """Check every diagram invariant; an empty list means the diagram is valid.
 
     Violations are data, not errors.  Codes: ``bad-identifier``,
     ``duplicate-id``, ``dangling-vertex``, ``dangling-edge``,
-    ``crossing-degenerate``, ``bad-sign``, ``passage-duplicate``,
-    ``passage-gap``, and ``component-count`` when ``expected_components``
-    is given.
+    ``crossing-degenerate``, ``bad-sign``, ``passage-duplicate`` and
+    ``passage-gap``.
     """
     out: list[Violation] = []
     for token in (*d.vertices, *(e.id for e in d.edges), *(c.id for c in d.crossings)):
@@ -229,11 +228,6 @@ def validate(d: Diagram, expected_components: int | None = None) -> list[Violati
                 Violation("passage-gap", eid,
                           f"edge {eid!r} passage indices {sorted(indices)} are not 0..{len(indices) - 1}")
             )
-    if expected_components is not None and len(d.components) != expected_components:
-        out.append(
-            Violation("component-count", "",
-                      f"diagram has {len(d.components)} components, expected {expected_components}")
-        )
     return out
 
 

@@ -241,18 +241,6 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
     return u, v
 
 
-def _package(mat: IntMatrix, a, u, v) -> SnfCertificate:
-    divisors = tuple(a[i][i] for i in range(min(mat.rows, mat.cols)) if a[i][i] != 0)
-    cert = SnfCertificate(
-        U=IntMatrix.from_rows(u, cols=mat.rows),
-        D=IntMatrix.from_rows(a, cols=mat.cols),
-        V=IntMatrix.from_rows(v, cols=mat.cols),
-        divisors=divisors,
-    )
-    verify_certificate(mat, cert)
-    return cert
-
-
 def smith_normal_form(mat: IntMatrix) -> SnfCertificate:
     """Reduce ``mat`` to Smith normal form and return a verified certificate.
 
@@ -261,7 +249,14 @@ def smith_normal_form(mat: IntMatrix) -> SnfCertificate:
     """
     a = mat.to_lists()
     u, v = _snf_reduce(a, mat.rows, mat.cols)
-    return _package(mat, a, u, v)
+    cert = SnfCertificate(
+        U=IntMatrix.from_rows(u, cols=mat.rows),
+        D=IntMatrix.from_rows(a, cols=mat.cols),
+        V=IntMatrix.from_rows(v, cols=mat.cols),
+        divisors=tuple(a[i][i] for i in range(min(mat.rows, mat.cols)) if a[i][i] != 0),
+    )
+    verify_certificate(mat, cert)
+    return cert
 
 
 def verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:

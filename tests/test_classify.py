@@ -10,7 +10,6 @@ from sglink import (
     Result,
     canonical_diagram,
     classify,
-    handlebody_mode,
     parse_sgd,
     random_homotopy_walk,
 )
@@ -79,16 +78,25 @@ class TestClassify:
 
 class TestHandlebodyMode:
     def test_hopf_vs_split_spines(self):
-        v = handlebody_mode(HOPF, SPLIT)
+        v = classify(HOPF, SPLIT)
         assert v.result is Result.INEQUIVALENT
         assert v.obstruction == "divisors"
-        assert "genus" in v.describe(handlebody=True)
+        assert v.describe(handlebody=True).splitlines() == [
+            "Inequivalent (obstruction: divisors)",
+            "  A: genera (1, 1), invariant 1",
+            "  B: genera (1, 1), invariant 0",
+        ]
 
     def test_self_equivalence(self):
-        assert handlebody_mode(HOPF, HOPF).result is Result.EQUIVALENT
+        # the graph reading of the same verdict prints ranks
+        assert classify(HOPF, HOPF).describe().splitlines() == [
+            "Equivalent (pairing: ordered)",
+            "  A: ranks (1, 1), invariant 1",
+            "  B: ranks (1, 1), invariant 1",
+        ]
 
     def test_two_walks_from_same_seed_diagram(self):
         d = canonical_diagram(2, 3, (2, 4))
         a, _ = random_homotopy_walk(d, 30, 5)
         b, _ = random_homotopy_walk(d, 30, 6)
-        assert handlebody_mode(a, b).result is Result.EQUIVALENT
+        assert classify(a, b).result is Result.EQUIVALENT

@@ -152,6 +152,25 @@ class TestClassify:
         capsys.readouterr()
         assert cli.main(["classify", str(a), str(b), "--ordered"]) == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--handlebody"]])
+    def test_ordered_flag_holds_under_both_readings(self, tmp_path, capsys, extra):
+        a = tmp_path / "a.sgd"
+        b = tmp_path / "b.sgd"
+        a.write_text(serialize_sgd(canonical_diagram(1, 2, (1,))))
+        b.write_text(serialize_sgd(canonical_diagram(2, 1, (1,))))
+        assert cli.main(["classify", str(a), str(b), "--ordered", "--json", *extra]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["obstruction"] == "rank"
+        assert payload["pairing"] == "none"
+
+    def test_handlebody_text_prints_genera(self, hopf_file, split_file, capsys):
+        assert cli.main(["classify", hopf_file, split_file, "--handlebody"]) == 1
+        assert capsys.readouterr().out == (
+            "Inequivalent (obstruction: divisors)\n"
+            "  A: genera (1, 1), invariant 1\n"
+            "  B: genera (1, 1), invariant 0\n"
+        )
+
 
 class TestCanonical:
     def test_stdout_matches_golden(self, capsys):
@@ -412,6 +431,10 @@ class TestExitContract:
         replay.write_bytes(b"crossing_change x\xff\n")
         assert cli.main(["perturb", hopf_file, "--replay", str(replay)]) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_steps_exit_2(self, hopf_file, capsys):
+        assert cli.main(["perturb", hopf_file, "--steps", "-5"]) == 2
+        assert capsys.readouterr().err == "error: steps must be nonnegative\n"
 
     def test_malformed_clasp_replay_exit_2(self, hopf_file, tmp_path, capsys):
         for line in ("clasp a1 x b1 0 1", "clasp a1 0 b1 0", "contract_edge", "split_vertex u1"):

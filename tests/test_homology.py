@@ -120,6 +120,21 @@ class TestCycleBasis:
         # e1 runs a->b; the tree path back is b->c along e2, c->a along e3
         assert [c.coeffs for c in basis.cycles] == [{"e1": 1, "e2": 1, "e3": 1}, {"e5": 1}]
 
+    def test_default_tree_matches_spanning_tree(self):
+        # the default path takes the tree and the parents from one BFS
+        rng = random.Random(15)
+        for _ in range(60):
+            d = random_diagram(rng)
+            for comp in d.components:
+                assert cycle_basis(d, comp.index) == cycle_basis(
+                    d, comp.index, tree=spanning_tree(d, comp.index))
+
+    def test_default_path_checks_the_tree(self):
+        # edge e reaches the undeclared vertex w: one tree edge, one vertex
+        d = Diagram(("v",), (Edge("e", "v", "w"),))
+        with pytest.raises(DomainError, match="wrong edge count"):
+            cycle_basis(d, 1)
+
     def test_random_tree_bases_are_cycles(self):
         rng = random.Random(13)
         for _ in range(20):

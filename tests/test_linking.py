@@ -18,7 +18,6 @@ from sglink import (
     diagram_invariant,
     linking_matrix,
     linking_number,
-    linking_number_under,
     over_under_consistent,
     parse_sgd,
 )
@@ -40,7 +39,7 @@ class TestLinkingNumber:
         assert linking_number(HOPF, Z, W) == 1
 
     def test_hopf_under_count_agrees(self):
-        assert linking_number_under(HOPF, Z, W) == 1
+        assert linking_number(HOPF, W, Z) == 1
 
     def test_zero_cycle(self):
         assert linking_number(HOPF, Cycle(1, {}), W) == 0
@@ -110,6 +109,10 @@ class TestOverUnder:
     def test_realizable_examples(self):
         assert over_under_consistent(HOPF)
         assert over_under_consistent(canonical_diagram(3, 2, (2, 4)))
+        # m x 0 and 0 x n matrices compare with their swapped count's transpose
+        for m, n in ((2, 0), (0, 3), (0, 0)):
+            d = canonical_diagram(m, n, ())
+            assert over_under_consistent(d, linking_matrix(d))
 
     def test_single_crossing_is_inconsistent(self):
         d = parse_sgd(
@@ -117,8 +120,9 @@ class TestOverUnder:
             "crossing x1 over e1 0 under e2 0 sign +\n"
         )
         assert linking_number(d, Z, W) == 1
-        assert linking_number_under(d, Z, W) == 0
+        assert linking_number(d, W, Z) == 0
         assert not over_under_consistent(d)
+        assert not over_under_consistent(d, linking_matrix(d))
 
 
 def brute_counts(d, basis1, basis2):
@@ -160,7 +164,7 @@ class TestKernelAgainstDefinition:
                 over, under = brute_counts(d, b1, b2)
                 mat = linking_matrix(d, b1, b2)
                 assert [list(r) for r in mat.entries] == over
-                assert over_under_consistent(d, b1, b2) == (over == under)
+                assert over_under_consistent(d, mat) == (over == under)
                 if t1 is None:
                     assert over_under_consistent(d) == (over == under)
                 disagreements += over != under
@@ -170,17 +174,20 @@ class TestKernelAgainstDefinition:
     def test_single_cycle_counts_match_brute_force(self):
         rng = random.Random(42)
         for d in two_component_diagrams(rng, 20):
-            b1, b2 = cycle_basis(d, 1), cycle_basis(d, 2)
-            over, under = brute_counts(d, b1, b2)
-            for i, z in enumerate(b1.cycles):
-                for j, w in enumerate(b2.cycles):
-                    assert linking_number(d, z, w) == over[i][j]
-                    assert linking_number_under(d, z, w) == under[i][j]
+            trees = [(None, None),
+                     (random_spanning_tree(d, 1, rng), random_spanning_tree(d, 2, rng))]
+            for t1, t2 in trees:
+                b1, b2 = cycle_basis(d, 1, tree=t1), cycle_basis(d, 2, tree=t2)
+                over, under = brute_counts(d, b1, b2)
+                for i, z in enumerate(b1.cycles):
+                    for j, w in enumerate(b2.cycles):
+                        assert linking_number(d, z, w) == over[i][j]
+                        assert linking_number(d, w, z) == under[i][j]
 
     def test_explicit_bases_must_match_components(self):
         b1, b2 = cycle_basis(HOPF, 1), cycle_basis(HOPF, 2)
         with pytest.raises(DomainError):
-            over_under_consistent(HOPF, b2, b1)
+            linking_matrix(HOPF, b2, b1)
 
 
 DATA = Path(__file__).parent / "data"

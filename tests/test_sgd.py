@@ -164,12 +164,6 @@ class TestValidate:
             "edge 'e' passage indices [0, 3] are not 0..1"
         ]
 
-    def test_component_count_check(self):
-        three = parse_sgd("sgd 1\nvertex a\nvertex b\nvertex c\n")
-        codes = [v.code for v in validate(three, expected_components=2)]
-        assert codes == ["component-count"]
-        assert validate(three) == []
-
 
 class TestComponents:
     def test_order_by_smallest_vertex(self):
