@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .homology import rank
-from .linking import diagram_invariant, require_two_components
+from .linking import linking_matrix
 from .sgd import Diagram
-from .smith import LkInvariant
+from .smith import LkInvariant, lk_invariant
 
 __all__ = ["Result", "Verdict", "classify"]
 
@@ -53,9 +52,9 @@ class Verdict:
 
 
 def _profile(d: Diagram) -> tuple[tuple[int, int], LkInvariant]:
-    """Ranks and invariant of a diagram."""
-    require_two_components(d)
-    return (rank(d, 1), rank(d, 2)), diagram_invariant(d)
+    """Ranks and invariant of a diagram, both read off its linking matrix."""
+    mat = linking_matrix(d)
+    return (mat.rows, mat.cols), lk_invariant(mat)
 
 
 def classify(d: Diagram, d2: Diagram, ordered: bool = False) -> Verdict:

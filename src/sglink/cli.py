@@ -5,8 +5,10 @@ Subcommands: ``validate``, ``invariant``, ``classify``, ``canonical``,
 
     0  success / equivalent
     1  inequivalent
-    2  domain violation (bad component count, divisibility, invariants)
-    3  I/O or parse failure
+    2  domain violation (bad component count, divisibility, a bad perturb
+       seed, step count or move; the structural violations ``validate`` lists)
+    3  I/O or parse failure, a structurally invalid diagram included
+       when any other command reads it
     4  internal self-check failure (signals a bug)
 
 JSON output carries ``"schema": 1``.  Randomized subcommands take a seed
@@ -22,11 +24,10 @@ from pathlib import Path
 
 from .classify import Result, classify
 from .errors import DomainError, SelfCheckError, SgdParseError
-from .homology import CycleBasis, rank
-from .linking import linking_matrix, over_under_consistent, require_two_components
-from .moves import MoveRecord, apply_move, format_move, parse_move, walk_steps
+from .homology import CycleBasis
+from .linking import linking_matrix, over_under_consistent
+from .moves import MoveRecord, format_move, replay_steps, walk_steps
 from .moves import canonical_diagram as _canonical
-from .moves import _record as _move_record
 from .sgd import parse_sgd, serialize_sgd, validate
 from .smith import IntMatrix, lk_invariant, smith_normal_form
 
@@ -78,9 +79,8 @@ def _basis_json(basis: CycleBasis) -> dict:
 
 def cmd_invariant(args) -> int:
     d = _read_diagram(args.path)
-    require_two_components(d)
     mat = linking_matrix(d)
-    inv = lk_invariant(mat.to_int_matrix())
+    inv = lk_invariant(mat)
     if args.json:
         payload = {
             "schema": SCHEMA,
@@ -112,8 +112,6 @@ def cmd_invariant(args) -> int:
 def cmd_classify(args) -> int:
     a = _read_diagram(args.path_a)
     b = _read_diagram(args.path_b)
-    require_two_components(a)
-    require_two_components(b)
     verdict = classify(a, b, ordered=args.ordered)
     if args.json:
         print(json.dumps({
@@ -159,22 +157,11 @@ def cmd_perturb(args) -> int:
     # verified SNF runs only when the matrix changed.  A failed self-check
     # still writes --moves-out, up to and including the failing move.
     d = _read_diagram(args.path)
-    require_two_components(d)
     mat = linking_matrix(d)
-    inv = lk_invariant(mat.to_int_matrix())
+    inv = lk_invariant(mat)
 
     if args.replay:
-        def steps():
-            cur = d
-            for line in _read_text(args.replay).splitlines():
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                kind, params = parse_move(line)
-                rec = _move_record(cur, kind, params)
-                cur = apply_move(cur, rec)
-                yield rec, cur
-        walk = steps()
+        walk = replay_steps(d, _read_text(args.replay))
     else:
         walk = walk_steps(d, _check_steps(args.steps), _check_seed(args.seed))
 
@@ -190,7 +177,7 @@ def cmd_perturb(args) -> int:
             if new_mat.entries == mat.entries:
                 new_inv = inv
             else:
-                new_inv = lk_invariant(new_mat.to_int_matrix())
+                new_inv = lk_invariant(new_mat)
             if rec.homotopy_preserving and new_inv != inv:
                 raise SelfCheckError(
                     f"invariant changed from {inv} to {new_inv} "
@@ -209,14 +196,14 @@ def cmd_perturb(args) -> int:
     if args.moves_out:
         _write_moves(args.moves_out, move_lines)
     if args.json:
-        print(json.dumps({
+        text = json.dumps({
             "schema": SCHEMA,
             "invariant": str(inv),
             "moves": move_lines,
             "sgd": serialize_sgd(final),
-        }))
-        return EXIT_OK
-    text = serialize_sgd(final) + "".join(f"# move {ln}\n" for ln in move_lines)
+        }) + "\n"
+    else:
+        text = serialize_sgd(final) + "".join(f"# move {ln}\n" for ln in move_lines)
     _emit(text, args.out)
     return EXIT_OK
 

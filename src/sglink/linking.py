@@ -34,17 +34,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LinkingMatrix:
-    """Pairwise linking numbers of the two components' basis cycles."""
+class LinkingMatrix(IntMatrix):
+    """Pairwise linking numbers of the two components' basis cycles: an
+    integer matrix that also carries the bases its rows and columns index."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
     basis1: CycleBasis
     basis2: CycleBasis
-
-    def to_int_matrix(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, self.entries)
 
 
 def _check_cycles(d: Diagram, z: Cycle, w: Cycle) -> None:
@@ -149,4 +144,4 @@ def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
 
 def diagram_invariant(d: Diagram) -> LkInvariant:
     """Divisor-chain invariant of a two-component diagram."""
-    return lk_invariant(linking_matrix(d).to_int_matrix())
+    return lk_invariant(linking_matrix(d))

@@ -31,6 +31,7 @@ __all__ = [
     "canonical_diagram",
     "random_homotopy_walk",
     "walk_steps",
+    "replay_steps",
     "apply_move",
     "format_move",
     "parse_move",
@@ -334,6 +335,21 @@ def walk_steps(d: Diagram, steps: int, seed: int) -> Iterator[tuple[MoveRecord, 
         move = None
         while move is None:
             move = _sample_move(cur, rng)
+        cur = apply_move(cur, move)
+        yield move, cur
+
+
+def replay_steps(d: Diagram, text: str) -> Iterator[tuple[MoveRecord, Diagram]]:
+    """Yield (record, diagram) after each move of a move list, one move per
+    line as :func:`format_move` writes it; ``#`` comments and blank lines
+    are skipped.  Lines are parsed lazily, so the moves before a bad line
+    are all applied first."""
+    cur = d
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        move = _record(cur, *parse_move(line))
         cur = apply_move(cur, move)
         yield move, cur
 

@@ -231,10 +231,18 @@ def validate(d: Diagram) -> list[Violation]:
     return out
 
 
-def _check_id(token: str, line: int, col: int) -> str:
-    if not _ID_RE.match(token):
-        raise SgdParseError(f"bad identifier {token!r}", line, col)
-    return token
+def _error(message: str, raw: str, lineno: int, k: int) -> SgdParseError:
+    """The error for token ``k`` of a rejected line.  Tokens carry no
+    positions, so the column is worked out here, from that one line (a
+    comment only follows the tokens that count)."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(raw)]
+    return SgdParseError(message, lineno, starts[k] + 1)
+
+
+def _check_id(words: list[str], k: int, raw: str, lineno: int) -> str:
+    if not _ID_RE.match(words[k]):
+        raise _error(f"bad identifier {words[k]!r}", raw, lineno, k)
+    return words[k]
 
 
 def parse_sgd(text: str, check: bool = True) -> Diagram:
@@ -246,84 +254,77 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
     their violations raised; pass ``check=False`` to obtain the raw diagram
     for use with :func:`validate`.
     """
-    vertices: list[str] = []
-    edges: list[Edge] = []
-    crossings: list[Crossing] = []
-    vertex_ids: set[str] = set()
-    edge_ids: set[str] = set()
-    crossing_ids: set[str] = set()
+    # declarations so far, keyed by id in file order
+    vertices: dict[str, None] = {}
+    edges: dict[str, Edge] = {}
+    crossings: dict[str, Crossing] = {}
     saw_header = False
     section = "vertex"  # advances vertex -> edge -> crossing
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(body)]
-        if not toks:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
         if not saw_header:
-            if [t for t, _ in toks] != SGD_HEADER.split():
-                raise SgdParseError(f"expected header {SGD_HEADER!r}", lineno, toks[0][1])
+            if words != SGD_HEADER.split():
+                raise _error(f"expected header {SGD_HEADER!r}", raw, lineno, 0)
             saw_header = True
             continue
-        kind, kind_col = toks[0]
-        words = [t for t, _ in toks]
+        kind = words[0]
 
         if kind == "vertex":
             if section != "vertex":
-                raise SgdParseError("vertex declared after edges or crossings", lineno, kind_col)
+                raise _error("vertex declared after edges or crossings", raw, lineno, 0)
             if len(words) != 2:
-                raise SgdParseError("expected: vertex <vid>", lineno, kind_col)
-            vid = _check_id(toks[1][0], lineno, toks[1][1])
-            if vid in vertex_ids:
-                raise SgdParseError(f"duplicate vertex id {vid!r}", lineno, toks[1][1])
-            vertex_ids.add(vid)
-            vertices.append(vid)
+                raise _error("expected: vertex <vid>", raw, lineno, 0)
+            vid = _check_id(words, 1, raw, lineno)
+            if vid in vertices:
+                raise _error(f"duplicate vertex id {vid!r}", raw, lineno, 1)
+            vertices[vid] = None
         elif kind == "edge":
             if section == "crossing":
-                raise SgdParseError("edge declared after crossings", lineno, kind_col)
+                raise _error("edge declared after crossings", raw, lineno, 0)
             section = "edge"
             if len(words) != 4:
-                raise SgdParseError("expected: edge <eid> <tail> <head>", lineno, kind_col)
-            eid = _check_id(toks[1][0], lineno, toks[1][1])
-            if eid in edge_ids:
-                raise SgdParseError(f"duplicate edge id {eid!r}", lineno, toks[1][1])
-            tail = _check_id(toks[2][0], lineno, toks[2][1])
-            head = _check_id(toks[3][0], lineno, toks[3][1])
-            for vid, col in ((tail, toks[2][1]), (head, toks[3][1])):
-                if vid not in vertex_ids:
-                    raise SgdParseError(f"edge references undeclared vertex {vid!r}", lineno, col)
-            edge_ids.add(eid)
-            edges.append(Edge(eid, tail, head))
+                raise _error("expected: edge <eid> <tail> <head>", raw, lineno, 0)
+            eid = _check_id(words, 1, raw, lineno)
+            if eid in edges:
+                raise _error(f"duplicate edge id {eid!r}", raw, lineno, 1)
+            tail = _check_id(words, 2, raw, lineno)
+            head = _check_id(words, 3, raw, lineno)
+            for k in (2, 3):
+                if words[k] not in vertices:
+                    raise _error(f"edge references undeclared vertex {words[k]!r}", raw, lineno, k)
+            edges[eid] = Edge(eid, tail, head)
         elif kind == "crossing":
             section = "crossing"
             if len(words) != 10 or words[2] != "over" or words[5] != "under" or words[8] != "sign":
-                raise SgdParseError(
+                raise _error(
                     "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->",
-                    lineno, kind_col,
+                    raw, lineno, 0,
                 )
-            xid = _check_id(toks[1][0], lineno, toks[1][1])
-            if xid in crossing_ids:
-                raise SgdParseError(f"duplicate crossing id {xid!r}", lineno, toks[1][1])
+            xid = _check_id(words, 1, raw, lineno)
+            if xid in crossings:
+                raise _error(f"duplicate crossing id {xid!r}", raw, lineno, 1)
             refs = []
-            for eid_tok, idx_tok in ((toks[3], toks[4]), (toks[6], toks[7])):
-                eid = _check_id(eid_tok[0], lineno, eid_tok[1])
-                if eid not in edge_ids:
-                    raise SgdParseError(f"crossing references undeclared edge {eid!r}",
-                                        lineno, eid_tok[1])
-                if not (idx_tok[0].isascii() and idx_tok[0].isdigit()):
-                    raise SgdParseError(f"bad passage index {idx_tok[0]!r}", lineno, idx_tok[1])
-                refs.append((eid, int(idx_tok[0])))
-            sign_tok, sign_col = toks[9]
-            if sign_tok not in ("+", "-"):
-                raise SgdParseError(f"bad sign {sign_tok!r}, expected + or -", lineno, sign_col)
-            crossing_ids.add(xid)
-            crossings.append(Crossing(xid, refs[0], refs[1], 1 if sign_tok == "+" else -1))
+            for k in (3, 6):
+                eid = _check_id(words, k, raw, lineno)
+                if eid not in edges:
+                    raise _error(f"crossing references undeclared edge {eid!r}", raw, lineno, k)
+                idx = words[k + 1]
+                if not (idx.isascii() and idx.isdigit()):
+                    raise _error(f"bad passage index {idx!r}", raw, lineno, k + 1)
+                refs.append((eid, int(idx)))
+            sign = words[9]
+            if sign not in ("+", "-"):
+                raise _error(f"bad sign {sign!r}, expected + or -", raw, lineno, 9)
+            crossings[xid] = Crossing(xid, refs[0], refs[1], 1 if sign == "+" else -1)
         else:
-            raise SgdParseError(f"unknown declaration {kind!r}", lineno, kind_col)
+            raise _error(f"unknown declaration {kind!r}", raw, lineno, 0)
 
     if not saw_header:
         raise SgdParseError(f"missing header {SGD_HEADER!r}", 1, 1)
-    d = Diagram(tuple(vertices), tuple(edges), tuple(crossings))
+    d = Diagram(tuple(vertices), tuple(edges.values()), tuple(crossings.values()))
     if check:
         problems = validate(d)
         if problems:

@@ -248,6 +248,15 @@ class TestPerturb:
         assert len(payload["moves"]) == 5
         assert payload["sgd"].startswith("sgd 1\n")
 
+    def test_json_out_writes_the_stdout_bytes(self, hopf_file, tmp_path, capsys):
+        args = ["perturb", hopf_file, "--steps", "5", "--json"]
+        assert cli.main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "perturbed.json"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+
     def test_mislabelled_inter_component_clasp_exit_4(self, tmp_path, monkeypatch, capsys):
         # a walk step that links the two components but claims to preserve
         # the invariant: the graph is unchanged, so the bases are reused,
