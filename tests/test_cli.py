@@ -409,6 +409,17 @@ class TestSnf:
         assert payload["D"] == [[2, 0], [0, 6]]
         assert len(payload["U"]) == 2 and len(payload["V"]) == 2
 
+    @pytest.mark.parametrize("header, transform", [("0 1500", "V"), ("1500 0", "U")])
+    def test_empty_matrix_is_not_cubic_in_declared_width(self, tmp_path, capsys, header, transform):
+        # a determinant that eliminates the identity transform in full runs for minutes at this width
+        path = self.write(tmp_path, header + "\n")
+        assert cli.main(["snf", path]) == 0
+        assert capsys.readouterr().out == "\n"
+        assert cli.main(["snf", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["divisors"] == []
+        assert payload[transform] == [[int(i == j) for j in range(1500)] for i in range(1500)]
+
     def test_certificates_match_golden(self, tmp_path, capsys):
         # snf_certificates.json: matrix file text and the exact `snf --json` stdout
         for case in json.loads((DATA / "snf_certificates.json").read_text(encoding="utf-8")):

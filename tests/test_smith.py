@@ -41,26 +41,75 @@ class TestIntMatrix:
         rng = random.Random(11)
 
         def cofactor(m):
-            n = m.rows
+            n = len(m)
             if n == 0:
                 return 1
-            if n == 1:
-                return m.entries[0][0]
-            total = 0
-            for j in range(n):
-                sub = IntMatrix.from_rows(
-                    [[m.entries[i][t] for t in range(n) if t != j] for i in range(1, n)],
-                    cols=n - 1,
-                )
-                total += (-1) ** j * m.entries[0][j] * cofactor(sub)
-            return total
+            return sum((-1) ** j * m[0][j] * cofactor([r[:j] + r[j + 1:] for r in m[1:]])
+                       for j in range(n) if m[0][j])
 
-        for _ in range(60):
-            n = rng.randint(0, 5)
-            m = IntMatrix.from_rows(
-                [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], cols=n
-            )
-            assert m.det() == cofactor(m)
+        def square(n, pick):
+            return [[pick() for _ in range(n)] for _ in range(n)]
+
+        corpus = []
+        for _ in range(60):  # dense, entries up to 9
+            corpus.append(square(rng.randint(0, 5), lambda: rng.randint(-9, 9)))
+        for _ in range(80):  # mostly zero, entries in {0, +-1, +-2}
+            corpus.append(square(rng.randint(1, 6), lambda: rng.choice((0,) * 6 + (1, -1, 2, -2))))
+        for _ in range(40):  # zero leading entries: every early pivot needs a row swap
+            n = rng.randint(2, 6)
+            m = square(n, lambda: rng.choice((0, 0, 1, -1, 2)))
+            for i in range(n - 1):
+                m[i][: n - 1 - i] = [0] * (n - 1 - i)
+            corpus.append(m)
+        for _ in range(40):  # singular: a zero column, or a row built from two others
+            n = rng.randint(2, 6)
+            m = square(n, lambda: rng.choice((0, 0, 1, -1, 2, -3)))
+            if rng.random() < 0.5:
+                j = rng.randrange(n)
+                for r in m:
+                    r[j] = 0
+            else:
+                i, a, b = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+                m[i] = [x - 2 * y for x, y in zip(m[a], m[b])]
+            corpus.append(m)
+        for seed in range(40):  # unimodular, with non-unit leading minors
+            corpus.append(random_unimodular(rng.randint(1, 6), seed=seed).to_lists())
+
+        for m in corpus:
+            assert IntMatrix.from_rows(m, cols=len(m)).det() == cofactor(m), m
+
+    def test_matmul_matches_triple_loop(self):
+        rng = random.Random(12)
+
+        def naive(a, b):
+            return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+                    for i in range(len(a))]
+
+        def mixed(rows, cols):
+            # each row is sparse or dense on its own, and some sit at exactly half nonzero
+            out = []
+            for _ in range(rows):
+                density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+                row = [rng.choice((1, -1, 2, -7, 10**20)) if rng.random() < density else 0
+                       for _ in range(cols)]
+                if cols and rng.random() < 0.3:
+                    row = [rng.randint(1, 5) if t < cols // 2 else 0 for t in range(cols)]
+                    rng.shuffle(row)
+                out.append(row)
+            return out
+
+        for _ in range(120):
+            m, k, n = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+            a, b = mixed(m, k), mixed(k, n)
+            prod = IntMatrix.from_rows(a, cols=k) @ IntMatrix.from_rows(b, cols=n)
+            assert (prod.rows, prod.cols) == (m, n)
+            assert prod.to_lists() == naive(a, b)
+        for m, k, n in ((0, 3, 4), (3, 4, 0), (4, 0, 3), (0, 0, 2), (2, 0, 0)):
+            a = IntMatrix.from_rows(mixed(m, k), cols=k)
+            b = IntMatrix.from_rows(mixed(k, n), cols=n)
+            prod = a @ b
+            assert (prod.rows, prod.cols) == (m, n)
+            assert prod.entries == IntMatrix.zeros(m, n).entries
 
     def test_shape_errors(self):
         with pytest.raises(DomainError):
@@ -148,6 +197,15 @@ class TestSmithNormalForm:
         scaled = rows([2, 0], [0, 1])
         with pytest.raises(SelfCheckError, match="unimodular"):
             verify_certificate(zero, SnfCertificate(scaled, zero, IntMatrix.identity(2), ()))
+        # The same fault deep in a large certificate: every Bareiss step before
+        # the last one meets only zeros below the pivot, and it is still caught.
+        zero = IntMatrix.zeros(32, 32)
+        ident = IntMatrix.identity(32)
+        scaled = IntMatrix.from_rows(ident.to_lists()[:-1] + [[0] * 31 + [2]])
+        with pytest.raises(SelfCheckError, match="unimodular"):
+            verify_certificate(zero, SnfCertificate(scaled, zero, ident, ()))
+        with pytest.raises(SelfCheckError, match="unimodular"):
+            verify_certificate(zero, SnfCertificate(ident, zero, scaled, ()))
 
 
 class TestMinorOracle:
