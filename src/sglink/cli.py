@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .classify import Result, classify
 from .errors import DomainError, SelfCheckError, SgdParseError
 from .homology import CycleBasis
-from .linking import linking_matrix, over_under_consistent
+from .linking import linking_matrix, matrix_from_pairs, over_under_consistent
 from .moves import MoveRecord, format_move, replay_steps, walk_steps
 from .moves import canonical_diagram as _canonical
 from .sgd import parse_sgd, serialize_sgd, validate
@@ -151,11 +152,15 @@ def _write_moves(path: str, move_lines: list[str]) -> None:
 
 
 def cmd_perturb(args) -> int:
-    # Each step redoes only what its move can change.  The matrix is rebuilt
-    # from all the crossings, over the previous step's bases while the vertex
-    # and edge tuples are unchanged (the bases depend on nothing else), and a
-    # verified SNF runs only when the matrix changed.  A failed self-check
-    # still writes --moves-out, up to and including the failing move.
+    # The walk drives one moves.WalkState, which keeps the sign sums of the
+    # inter-component crossing pairs current as its moves change them.  The
+    # matrix is read off those sums again only after a step that changed the
+    # graph or one of the sums (the state's revision), over bases rebuilt
+    # only for a component whose graph or number changed, and a verified
+    # SNF runs only when the matrix changed.  At the end the matrix is
+    # rebuilt from scratch over the final diagram's crossings and must equal
+    # the running one.  A failed self-check still writes --moves-out, up to
+    # and including the failing move.
     d = _read_diagram(args.path)
     mat = linking_matrix(d)
     inv = lk_invariant(mat)
@@ -166,24 +171,27 @@ def cmd_perturb(args) -> int:
         walk = walk_steps(d, _check_steps(args.steps), _check_seed(args.seed))
 
     records: list[MoveRecord] = []
-    final = d
+    state, seen = None, 0
     try:
-        for rec, step in walk:
+        for rec, state in walk:
             records.append(rec)
-            if step.vertices == final.vertices and step.edges == final.edges:
-                new_mat = linking_matrix(step, mat.basis1, mat.basis2)
-            else:
-                new_mat = linking_matrix(step)
-            if new_mat.entries == mat.entries:
-                new_inv = inv
-            else:
-                new_inv = lk_invariant(new_mat)
+            if state.revision == seen:
+                continue  # same graph and sums: the same matrix
+            seen = state.revision
+            new_mat = matrix_from_pairs(state.pair_signs, state.basis(1), state.basis(2))
+            new_inv = inv if new_mat.entries == mat.entries else lk_invariant(new_mat)
             if rec.homotopy_preserving and new_inv != inv:
                 raise SelfCheckError(
                     f"invariant changed from {inv} to {new_inv} "
                     f"after homotopy-preserving move {format_move(rec)}"
                 )
-            final, mat, inv = step, new_mat, new_inv
+            mat, inv = new_mat, new_inv
+        final = d if state is None else state.diagram()
+        if linking_matrix(final, mat.basis1, mat.basis2).entries != mat.entries:
+            raise SelfCheckError(
+                "the linking matrix kept along the walk differs from the one "
+                "rebuilt from the final diagram's crossings"
+            )
     except SelfCheckError:
         if args.moves_out:
             try:
@@ -226,19 +234,39 @@ def _read_matrix(path: str) -> IntMatrix:
     ))
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift the interpreter's int/str digit limit for the block, and put the
+    old limit back after it.  The limit is process wide, and ``main`` runs
+    in process in tests and benchmarks, so it is lifted only to print
+    results: SNF transforms can pass it however small the input is, while
+    input parsing keeps it (converting a long decimal is quadratic)."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_snf(args) -> int:
     mat = _read_matrix(args.path)
     cert = smith_normal_form(mat)  # verified internally before returning
-    if args.json:
-        print(json.dumps({
-            "schema": SCHEMA,
-            "divisors": list(cert.divisors),
-            "D": cert.D.to_lists(),
-            "U": cert.U.to_lists(),
-            "V": cert.V.to_lists(),
-        }))
-    else:
-        print(" ".join(str(x) for x in cert.divisors))
+    with _any_int_digits():
+        if args.json:
+            text = json.dumps({
+                "schema": SCHEMA,
+                "divisors": list(cert.divisors),
+                "D": cert.D.to_lists(),
+                "U": cert.U.to_lists(),
+                "V": cert.V.to_lists(),
+            })
+        else:
+            text = " ".join(str(x) for x in cert.divisors)
+    print(text)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .sgd import Diagram
+from .sgd import Diagram, Edge
 
 __all__ = [
     "Cycle",
@@ -30,6 +30,7 @@ __all__ = [
     "spanning_tree",
     "random_spanning_tree",
     "cycle_basis",
+    "fundamental_basis",
     "rank",
     "boundary",
 ]
@@ -66,10 +67,10 @@ class CycleBasis:
     cycles: tuple[Cycle, ...]
 
 
-def _adjacency(d: Diagram, edge_ids) -> dict[str, list[tuple[str, str]]]:
+def _adjacency(edge_map: Mapping[str, Edge], edge_ids) -> dict[str, list[tuple[str, str]]]:
     adj: dict[str, list[tuple[str, str]]] = {}
     for eid in edge_ids:
-        e = d.edge_map[eid]
+        e = edge_map[eid]
         if e.tail == e.head:
             continue  # loops never join distinct vertices
         adj.setdefault(e.tail, []).append((eid, e.head))
@@ -106,7 +107,7 @@ def spanning_tree(d: Diagram, component: int) -> list[str]:
     returned in discovery order.
     """
     comp = d.component(component)
-    return _bfs(_adjacency(d, comp.edge_ids), comp.vertices[0])[0]
+    return _bfs(_adjacency(d.edge_map, comp.edge_ids), comp.vertices[0])[0]
 
 
 def random_spanning_tree(d: Diagram, component: int, rng: random.Random) -> list[str]:
@@ -142,23 +143,35 @@ def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -
     be a spanning tree of the same component.
     """
     comp = d.component(component)
+    return fundamental_basis(component, comp.vertices, comp.edge_ids, d.edge_map, tree)
+
+
+def fundamental_basis(
+    component: int,
+    vertices: Sequence[str],
+    edge_ids: Sequence[str],
+    edge_map: Mapping[str, Edge],
+    tree: Sequence[str] | None = None,
+) -> CycleBasis:
+    """:func:`cycle_basis` of a component given by its sorted vertex and
+    edge ids and an edge id -> Edge map, for callers that keep a graph
+    without building a ``Diagram`` (the ``perturb`` walk)."""
     if tree is None:
-        tree, parent = _bfs(_adjacency(d, comp.edge_ids), comp.vertices[0])
+        tree, parent = _bfs(_adjacency(edge_map, edge_ids), vertices[0])
     else:
         parent = None
     tree_set = set(tree)
-    if len(tree_set) != len(tree) or not tree_set <= set(comp.edge_ids):
+    if len(tree_set) != len(tree) or not tree_set <= set(edge_ids):
         raise DomainError("tree edges must be distinct edges of the component")
-    if len(tree) != len(comp.vertices) - 1:
+    if len(tree) != len(vertices) - 1:
         raise DomainError("not a spanning tree: wrong edge count")
     if parent is None:
-        _, parent = _bfs(_adjacency(d, tree), comp.vertices[0])
-    if len(parent) != len(comp.vertices):
+        _, parent = _bfs(_adjacency(edge_map, tree), vertices[0])
+    if len(parent) != len(vertices):
         raise DomainError("not a spanning tree: it does not reach every vertex")
 
-    edge_map = d.edge_map
     cycles = []
-    for eid in comp.edge_ids:
+    for eid in edge_ids:
         if eid in tree_set:
             continue
         e = edge_map[eid]

@@ -7,12 +7,15 @@ is symmetric, lk(z, w) = lk(w, z), which makes the over/under comparison a
 cheap realizability smoke test.  Zero-rank components yield 0 x n or m x 0
 matrices, not errors.
 
-Every count goes through one kernel.  Each list of cycles becomes a sparse
-incidence, edge id -> [(cycle index, coefficient)], and one pass over the
-crossings sums the crossing signs per (over edge, under edge) pair.  Each
-pair then adds its sign sum times the outer product of the two edges'
-incidence entries.  The cost is linear in the crossings plus the work of
-those outer products, never a rescan of the crossings per cycle pair.
+Every count goes through one kernel in two parts.  :func:`pair_signs`
+makes one pass over the crossings and sums their signs per (over edge,
+under edge) pair.  :func:`matrix_from_pairs` turns each list of cycles into
+a sparse incidence, edge id -> [(cycle index, coefficient)], and adds each
+pair's sign sum times the outer product of the two edges' incidence
+entries.  The cost is linear in the crossings plus the work of those outer
+products, never a rescan of the crossings per cycle pair.  The ``perturb``
+walk keeps its own running pair sums (``moves.WalkState``) and reads its
+matrices off them with the same second part.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ __all__ = [
     "LinkingMatrix",
     "linking_number",
     "linking_matrix",
+    "matrix_from_pairs",
     "over_under_consistent",
+    "pair_signs",
     "diagram_invariant",
 ]
 
@@ -70,20 +75,29 @@ def _add_outer(mat: list[list[int]], s: int, zs, ws) -> None:
                 row[j] += sa * b
 
 
-def _linking_counts(d: Diagram, cycles1, cycles2) -> list[list[int]]:
-    """L[i][j] = sum of sign * z_i[over edge] * w_j[under edge] over all
-    crossings."""
-    inc1, inc2 = _incidence(cycles1), _incidence(cycles2)
-    pair_sign: dict[tuple[str, str], int] = {}
-    for c in d.crossings:
+def pair_signs(crossings) -> dict[tuple[str, str], int]:
+    """Sum of the crossing signs per (over edge, under edge) pair."""
+    sums: dict[tuple[str, str], int] = {}
+    for c in crossings:
         key = (c.over[0], c.under[0])
-        pair_sign[key] = pair_sign.get(key, 0) + c.sign
-    n = len(cycles2)
-    counts = [[0] * n for _ in cycles1]
-    for (o, u), s in pair_sign.items():
+        sums[key] = sums.get(key, 0) + c.sign
+    return sums
+
+
+def _counts_from_pairs(pairs, cycles1, cycles2) -> list[list[int]]:
+    """L[i][j] = sum over pairs (o, u) of sign sum * z_i[o] * w_j[u]."""
+    inc1, inc2 = _incidence(cycles1), _incidence(cycles2)
+    counts = [[0] * len(cycles2) for _ in cycles1]
+    for (o, u), s in pairs.items():
         if s:
             _add_outer(counts, s, inc1.get(o), inc2.get(u))
     return counts
+
+
+def _linking_counts(d: Diagram, cycles1, cycles2) -> list[list[int]]:
+    """L[i][j] = sum of sign * z_i[over edge] * w_j[under edge] over all
+    crossings."""
+    return _counts_from_pairs(pair_signs(d.crossings), cycles1, cycles2)
 
 
 def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
@@ -121,9 +135,17 @@ def linking_matrix(
         basis2 = cycle_basis(d, 2)
     if basis1.component != 1 or basis2.component != 2:
         raise DomainError("bases must belong to components 1 and 2 in that order")
-    over = _linking_counts(d, basis1.cycles, basis2.cycles)
+    return matrix_from_pairs(pair_signs(d.crossings), basis1, basis2)
+
+
+def matrix_from_pairs(pairs, basis1: CycleBasis, basis2: CycleBasis) -> LinkingMatrix:
+    """Linking matrix over two bases, read off per-pair sign sums as
+    :func:`pair_signs` makes them.  Pairs whose edges lie outside the two
+    bases' supports add nothing, so sums kept for inter-component pairs
+    only give the same matrix."""
+    over = _counts_from_pairs(pairs, basis1.cycles, basis2.cycles)
     return LinkingMatrix(len(basis1.cycles), len(basis2.cycles),
-                         tuple(tuple(r) for r in over), basis1, basis2)
+                         tuple(map(tuple, over)), basis1, basis2)
 
 
 def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:

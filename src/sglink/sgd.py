@@ -314,7 +314,11 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
                 idx = words[k + 1]
                 if not (idx.isascii() and idx.isdigit()):
                     raise _error(f"bad passage index {idx!r}", raw, lineno, k + 1)
-                refs.append((eid, int(idx)))
+                try:
+                    refs.append((eid, int(idx)))
+                except ValueError:  # past the interpreter's int/str digit limit
+                    raise _error(f"bad passage index of {len(idx)} digits",
+                                 raw, lineno, k + 1) from None
             sign = words[9]
             if sign not in ("+", "-"):
                 raise _error(f"bad sign {sign!r}, expected + or -", raw, lineno, 9)

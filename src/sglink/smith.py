@@ -274,10 +274,11 @@ def smith_normal_form(mat: IntMatrix) -> SnfCertificate:
     """
     a = mat.to_lists()
     u, v = _snf_reduce(a, mat.rows, mat.cols)
+    # the reduction's lists already hold ints: wrap them without converting
     cert = SnfCertificate(
-        U=IntMatrix.from_rows(u, cols=mat.rows),
-        D=IntMatrix.from_rows(a, cols=mat.cols),
-        V=IntMatrix.from_rows(v, cols=mat.cols),
+        U=IntMatrix(mat.rows, mat.rows, tuple(map(tuple, u))),
+        D=IntMatrix(mat.rows, mat.cols, tuple(map(tuple, a))),
+        V=IntMatrix(mat.cols, mat.cols, tuple(map(tuple, v))),
         divisors=tuple(a[i][i] for i in range(min(mat.rows, mat.cols)) if a[i][i] != 0),
     )
     verify_certificate(mat, cert)

@@ -8,6 +8,7 @@ deterministic end to end.
 
 import random
 from functools import lru_cache
+from importlib import import_module
 from pathlib import Path
 
 import sglink.cli as cli
@@ -33,6 +34,8 @@ from sglink.homology import Cycle
 from sglink.moves import random_homotopy_walk, walk_steps
 
 DATA = Path(__file__).parent / "data"
+# the module, not the function that ``sglink.classify`` names
+classify_module = import_module("sglink.classify")
 
 MAX_RANK = 4  # canonical enumeration bound
 MAX_DIVISOR = 12
@@ -167,7 +170,19 @@ def test_criterion_5_rank1_clasp_update():
     _report(5, "rank-1 clasp update, 200 clasps", failures)
 
 
-def test_criterion_6_separation():
+def test_criterion_6_separation(monkeypatch):
+    # classify works out both diagrams' ranks and invariant on every call,
+    # and each diagram here meets every other of its ranks; the real
+    # function runs once per diagram, memoised by diagram identity (the
+    # memo keeps each diagram, so no id is reused)
+    real, memo = classify_module._profile, {}
+
+    def profile(d):
+        if id(d) not in memo:
+            memo[id(d)] = (d, real(d))
+        return memo[id(d)][1]
+
+    monkeypatch.setattr(classify_module, "_profile", profile)
     by_ranks = {}
     for m, n, chain, d in _canonical_cases():
         by_ranks.setdefault((m, n), []).append((chain, d))
@@ -212,7 +227,7 @@ def test_criterion_8_realizability_smoke_test():
             failures.append(("canonical", m, n, chain))
     for i, (d, _expected, seed) in enumerate(_walk_cases()):
         for step_no, (_rec, step) in enumerate(walk_steps(d, WALK_STEPS, seed)):
-            if not over_under_consistent(step):
+            if not over_under_consistent(step.diagram()):
                 failures.append(("walk", i, step_no))
                 break
     for idx, (d, *_rest, d2) in enumerate(_clasp_cases()):

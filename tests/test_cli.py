@@ -1,6 +1,9 @@
 """CLI subcommands and the exit-code contract."""
 
 import json
+import random
+import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ import sglink.linking as linking
 import sglink.moves as moves
 import sglink.smith as smith
 from sglink import canonical_diagram, linking_matrix, parse_sgd, random_homotopy_walk, serialize_sgd
-from sglink.moves import MoveRecord, apply_move, walk_steps
+from sglink.moves import MoveRecord, walk_steps
 
 DATA = Path(__file__).parent / "data"
 
@@ -259,16 +262,16 @@ class TestPerturb:
 
     def test_mislabelled_inter_component_clasp_exit_4(self, tmp_path, monkeypatch, capsys):
         # a walk step that links the two components but claims to preserve
-        # the invariant: the graph is unchanged, so the bases are reused,
-        # and the rebuilt matrix must still show the change
+        # the invariant: the graph is unchanged, so the bases are kept, and
+        # the matrix read off the running sums must still show the change
         real_walk = cli.walk_steps
 
         def walk(d, steps, seed):
-            cur = d
-            for rec, cur in real_walk(d, steps, seed):
-                yield rec, cur
+            for rec, state in real_walk(d, steps, seed):
+                yield rec, state
             bad = MoveRecord("clasp", ("a1", "0", "b1", "0", "1"), True)
-            yield bad, apply_move(cur, bad)
+            state.apply(bad)
+            yield bad, state
 
         monkeypatch.setattr(cli, "walk_steps", walk)
         src = tmp_path / "c.sgd"
@@ -283,16 +286,18 @@ class TestPerturb:
 
     def test_crossing_change_flipping_another_crossing_exit_4(self, tmp_path, monkeypatch, capsys):
         # a crossing change that flips an inter-component crossing instead
-        # of the one it names: only a matrix rebuilt from the crossings
-        # catches it.  The failing walk leaves a --moves-out file whose
-        # replay fails the same way.
-        real = moves.crossing_change
+        # of the one it names: the record says the move preserves the
+        # invariant, and only the matrix read off the state's sign sums
+        # shows that it did not.  The failing walk leaves a --moves-out file
+        # whose replay fails the same way.
+        real = moves.WalkState.crossing_change
 
-        def flip_inter(d, xid):
-            return real(d, next(c.id for c in d.crossings
-                                if d.component_of_edge(c.over[0]) != d.component_of_edge(c.under[0])))
+        def flip_inter(state, xid):
+            d = state.diagram()
+            return real(state, next(c.id for c in d.crossings
+                                    if d.component_of_edge(c.over[0]) != d.component_of_edge(c.under[0])))
 
-        monkeypatch.setattr(moves, "crossing_change", flip_inter)
+        monkeypatch.setattr(moves.WalkState, "crossing_change", flip_inter)
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(canonical_diagram(3, 3, (1, 2, 4))))
         recorded = tmp_path / "moves.txt"
@@ -323,21 +328,59 @@ class TestPerturb:
         assert replayed["sgd"] == expected["sgd"]
         assert replayed["moves"] == expected["moves"]
 
+    def test_corrupted_running_sum_fails_the_final_check_exit_4(self, tmp_path, monkeypatch, capsys):
+        # one running inter-component sign sum negated after the first step,
+        # as a faulty move might leave it: the 1x1 matrix 3 reads -3, which
+        # has the same invariant, so every per-step check passes and only
+        # the matrix rebuilt from the final diagram's crossings catches it
+        real_walk = cli.walk_steps
+
+        def walk(d, steps, seed):
+            for n, (rec, state) in enumerate(real_walk(d, steps, seed)):
+                if n == 0:
+                    state.pair_signs["a1", "b1"] = -state.pair_signs["a1", "b1"]
+                    state.revision += 1
+                yield rec, state
+
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(canonical_diagram(1, 1, (3,))))
+        args = ["perturb", str(src), "--steps", "100", "--seed", "5"]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "walk_steps", walk)
+        recorded = tmp_path / "moves.txt"
+        assert cli.main(args + ["--moves-out", str(recorded)]) == 4
+        err = capsys.readouterr().err
+        assert err == ("self-check failed: the linking matrix kept along the walk differs "
+                       "from the one rebuilt from the final diagram's crossings\n")
+        assert len(recorded.read_text().splitlines()) == 100
+
     def test_redoes_only_what_each_move_changed(self, tmp_path, monkeypatch, capsys):
-        # one SNF for the start plus one per step whose matrix changed; one
-        # pair of bases for the start plus one per step that changed the graph
+        # one SNF for the start plus one per step whose matrix changed; the
+        # two default bases for the start, then, from the first step that
+        # changes the graph, one basis per component whose graph or number
+        # changed; one matrix from the crossings at the start and one at
+        # the end
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
-        matrix_steps = graph_steps = 0
+        matrix_steps = graph_steps = bases = 0
+        built = {}  # component number -> (vertices, edge ids) of its last basis
         prev, prev_entries = d, linking_matrix(d).entries
-        for _, cur in walk_steps(d, 200, 7):
+        for _, state in walk_steps(d, 200, 7):
+            cur = state.diagram()
             entries = linking_matrix(cur).entries
             matrix_steps += entries != prev_entries
-            graph_steps += (cur.vertices, cur.edges) != (prev.vertices, prev.edges)
+            if (cur.vertices, cur.edges) != (prev.vertices, prev.edges):
+                graph_steps += 1
+                for comp in cur.components:
+                    if built.get(comp.index) != (comp.vertices, comp.edge_ids):
+                        built[comp.index] = (comp.vertices, comp.edge_ids)
+                        bases += 1
             prev, prev_entries = cur, entries
 
-        calls = {"smith_normal_form": 0, "cycle_basis": 0}
+        calls = {"smith_normal_form": 0, "cycle_basis": 0, "fundamental_basis": 0,
+                 "linking_matrix": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -349,11 +392,29 @@ class TestPerturb:
 
         counted(smith, "smith_normal_form")
         counted(linking, "cycle_basis")
+        counted(moves, "fundamental_basis")
+        counted(cli, "linking_matrix")
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
         capsys.readouterr()
-        assert calls == {"smith_normal_form": 1 + matrix_steps,
-                         "cycle_basis": 2 * (1 + graph_steps)}
+        assert calls == {"smith_normal_form": 1 + matrix_steps, "cycle_basis": 2,
+                         "fundamental_basis": bases, "linking_matrix": 2}
         assert 0 < matrix_steps < 200 and 0 < graph_steps < 200
+        assert graph_steps < bases < 2 * graph_steps
+
+    def test_long_walk_replays_to_the_same_bytes(self, tmp_path, capsys):
+        # 20,000 steps took minutes when every step rebuilt the diagram and
+        # its matrix from all the crossings; no timing is asserted
+        src = tmp_path / "c.sgd"
+        assert cli.main(["canonical", "3", "3", "1", "2", "4", "--out", str(src)]) == 0
+        walked, recorded = tmp_path / "walked.sgd", tmp_path / "moves.txt"
+        assert cli.main(["perturb", str(src), "--steps", "20000", "--seed", "7",
+                         "--out", str(walked), "--moves-out", str(recorded)]) == 0
+        assert len(recorded.read_text(encoding="utf-8").splitlines()) == 20000
+        replayed = tmp_path / "replayed.sgd"
+        assert cli.main(["perturb", str(src), "--replay", str(recorded), "--out", str(replayed)]) == 0
+        assert walked.read_bytes() == replayed.read_bytes()
+        assert cli.main(["invariant", str(walked)]) == 0
+        assert capsys.readouterr().out == "1 2 4\n"
 
     def test_bad_seed_exit_2(self, hopf_file):
         assert cli.main(["perturb", hopf_file, "--seed", "-1"]) == 2
@@ -420,6 +481,33 @@ class TestSnf:
         assert payload["divisors"] == []
         assert payload[transform] == [[int(i == j) for j in range(1500)] for i in range(1500)]
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_results_past_the_int_digit_limit(self, tmp_path, capsys, flags):
+        # 200-digit entries grow transforms past the interpreter's int/str
+        # digit limit; the limit is lifted only to print them, and is back
+        # in place afterwards
+        rng = random.Random(71)
+        a, b, c, d = (rng.randrange(10**199, 10**200) for _ in range(4))
+        path = self.write(tmp_path, f"2 2\n{a} {b}\n{c} {d}\n")
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["snf", path, *flags]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        if flags:
+            sys.set_int_max_str_digits(0)
+            try:
+                payload = json.loads(out)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            divisors = payload["divisors"]
+            bits = max(abs(x).bit_length() for t in "UV" for row in payload[t] for x in row)
+            assert bits > 4300 * 3.33  # more than 4300 decimal digits
+        else:
+            divisors = [int(x) for x in out.split()]
+        d1, d2 = divisors
+        assert d1 == gcd(a, b, c, d)
+        assert d1 * d2 == abs(a * d - b * c)
+
     def test_certificates_match_golden(self, tmp_path, capsys):
         # snf_certificates.json: matrix file text and the exact `snf --json` stdout
         for case in json.loads((DATA / "snf_certificates.json").read_text(encoding="utf-8")):
@@ -437,6 +525,20 @@ class TestExitContract:
         assert cli.main(["invariant", str(p)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "passage index" in err
+
+    @pytest.mark.parametrize("command", ["validate", "invariant", "perturb"])
+    def test_passage_index_past_the_int_digit_limit_exit_3(self, tmp_path, capsys, command):
+        # int() refuses a decimal this long; such a file is a parse failure
+        long = "1" * 5001
+        text = HOPF_TEXT.replace("under b1 0", f"under b1 {long}")
+        p = tmp_path / "long.sgd"
+        p.write_text(text, encoding="utf-8")
+        assert cli.main([command, str(p)]) == 3
+        lines = text.splitlines()
+        row = next(i for i, ln in enumerate(lines) if long in ln)
+        col = lines[row].index(long) + 1
+        assert capsys.readouterr().err == (
+            f"error: line {row + 1}, col {col}: bad passage index of 5001 digits\n")
 
     @pytest.mark.parametrize("command", ["validate", "invariant", "perturb", "snf"])
     def test_non_utf8_input_exit_3(self, tmp_path, capsys, command):

@@ -54,9 +54,9 @@ def reference_canonical(m, n, chain):
 
 def pendant_split(d, vid="u1"):
     """Split off an empty part: adds a crossing-free pendant edge at vid."""
-    from sglink.moves import _ends_at
-
-    return split_vertex(d, vid, _ends_at(d, vid), [], "v9", "e9")
+    ends = [(e.id, end) for e in d.edges for end, v in (("tail", e.tail), ("head", e.head))
+            if v == vid]
+    return split_vertex(d, vid, ends, [], "v9", "e9")
 
 
 class TestCrossingChange:
@@ -278,7 +278,7 @@ class TestWalk:
             d = canonical_diagram(2, 2, chain)
             inv = diagram_invariant(d)
             for _rec, step in walk_steps(d, 25, rng.randrange(2**32)):
-                assert diagram_invariant(step) == inv
+                assert diagram_invariant(step.diagram()) == inv
 
     def test_seed_reproducibility(self):
         d = canonical_diagram(2, 2, (1, 6))
@@ -327,18 +327,18 @@ class TestWalk:
             records = []
             for rec, step in walk_steps(d, 20, rng.randrange(2**32)):
                 assert rec.homotopy_preserving
-                assert diagram_invariant(step) == inv, format_move(rec)
+                assert diagram_invariant(step.diagram()) == inv, format_move(rec)
                 records.append(rec)
             cur = d
             for rec in records:
                 cur = apply_move(cur, rec)
-            assert cur == step
+            assert cur == step.diagram()
 
     def test_walk_preserves_realizability(self):
         d = canonical_diagram(2, 2, (2, 2))
         for _rec, step in walk_steps(d, 40, 99):
             pass
-        assert over_under_consistent(step)
+        assert over_under_consistent(step.diagram())
 
 
 class TestFreshIds:
