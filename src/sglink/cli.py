@@ -20,13 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from .classify import Result, classify
 from .errors import DomainError, SelfCheckError, SgdParseError
 from .homology import CycleBasis
-from .linking import linking_matrix, matrix_from_pairs, over_under_consistent
+from .linking import linking_matrix, matrix_from_pairs, over_under_consistent, pair_signs
 from .moves import MoveRecord, format_move, replay_steps, walk_steps
 from .moves import canonical_diagram as _canonical
 from .sgd import parse_sgd, serialize_sgd, validate
@@ -153,14 +152,15 @@ def _write_moves(path: str, move_lines: list[str]) -> None:
 
 def cmd_perturb(args) -> int:
     # The walk drives one moves.WalkState, which keeps the sign sums of the
-    # inter-component crossing pairs current as its moves change them.  The
-    # matrix is read off those sums again only after a step that changed the
-    # graph or one of the sums (the state's revision), over bases rebuilt
-    # only for a component whose graph or number changed, and a verified
-    # SNF runs only when the matrix changed.  At the end the matrix is
-    # rebuilt from scratch over the final diagram's crossings and must equal
-    # the running one.  A failed self-check still writes --moves-out, up to
-    # and including the failing move.
+    # inter-component crossing pairs current as its moves change them.
+    # After each step the matrix is read off the state: off those sums, and
+    # again only after a step that changed the graph or one of the sums
+    # (the state's revision), over bases rebuilt only for a component whose
+    # graph or number changed; a verified SNF runs only when the matrix
+    # changed.  At the end the matrix is rebuilt from scratch over the final
+    # diagram's crossings, with the same kernel, and must equal the running
+    # one.  A failed self-check still writes --moves-out, up to and
+    # including the failing move.
     d = _read_diagram(args.path)
     mat = linking_matrix(d)
     inv = lk_invariant(mat)
@@ -171,14 +171,11 @@ def cmd_perturb(args) -> int:
         walk = walk_steps(d, _check_steps(args.steps), _check_seed(args.seed))
 
     records: list[MoveRecord] = []
-    state, seen = None, 0
+    state = None
     try:
         for rec, state in walk:
             records.append(rec)
-            if state.revision == seen:
-                continue  # same graph and sums: the same matrix
-            seen = state.revision
-            new_mat = matrix_from_pairs(state.pair_signs, state.basis(1), state.basis(2))
+            new_mat = linking_matrix(state)
             new_inv = inv if new_mat.entries == mat.entries else lk_invariant(new_mat)
             if rec.homotopy_preserving and new_inv != inv:
                 raise SelfCheckError(
@@ -187,7 +184,8 @@ def cmd_perturb(args) -> int:
                 )
             mat, inv = new_mat, new_inv
         final = d if state is None else state.diagram()
-        if linking_matrix(final, mat.basis1, mat.basis2).entries != mat.entries:
+        rebuilt = matrix_from_pairs(pair_signs(final.crossings), mat.basis1, mat.basis2)
+        if rebuilt.entries != mat.entries:
             raise SelfCheckError(
                 "the linking matrix kept along the walk differs from the one "
                 "rebuilt from the final diagram's crossings"
@@ -234,38 +232,61 @@ def _read_matrix(path: str) -> IntMatrix:
     ))
 
 
-@contextmanager
-def _any_int_digits():
-    """Lift the interpreter's int/str digit limit for the block, and put the
-    old limit back after it.  The limit is process wide, and ``main`` runs
-    in process in tests and benchmarks, so it is lifted only to print
-    results: SNF transforms can pass it however small the input is, while
-    input parsing keeps it (converting a long decimal is quadratic)."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no limit
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+# Decimal digits per piece _decimal converts with str: under the smallest
+# int/str digit limit the interpreter accepts (640).
+_PIECE = 600
+_PIECE_POWER = 10 ** _PIECE
+
+
+def _decimal(x: int) -> str:
+    """``str(x)`` for an integer of any length.
+
+    ``str`` refuses an integer past the interpreter's int/str digit limit,
+    which SNF transforms can pass however small their input is.  The limit
+    is process wide and ``main`` runs in process in tests and benchmarks,
+    so it is not lifted: a longer integer is split by dividing by powers of
+    ten into pieces of at most _PIECE digits, and each piece goes through
+    ``str``.  Input parsing keeps the limit (converting a long decimal to
+    an integer is quadratic)."""
+    if -_PIECE_POWER < x < _PIECE_POWER:
+        return str(x)
+    if x < 0:
+        return "-" + _decimal(-x)
+    powers = [_PIECE_POWER]  # powers[j] = 10 ** (_PIECE * 2**j)
+    while powers[-1] <= x:
+        powers.append(powers[-1] * powers[-1])
+
+    def text(y: int, j: int, pad: bool) -> str:
+        # y < powers[j]; pad zero-fills to all _PIECE * 2**j digits
+        if j == 0:
+            return str(y).zfill(_PIECE) if pad else str(y)
+        hi, lo = divmod(y, powers[j - 1])
+        if hi or pad:
+            return text(hi, j - 1, pad) + text(lo, j - 1, True)
+        return text(lo, j - 1, False)
+
+    return text(x, len(powers) - 1, False)
+
+
+def _json_list(values) -> str:
+    """A sequence of integers as ``json.dumps`` writes it."""
+    return "[" + ", ".join(map(_decimal, values)) + "]"
+
+
+def _json_matrix(m: IntMatrix) -> str:
+    return "[" + ", ".join(map(_json_list, m.entries)) + "]"
 
 
 def cmd_snf(args) -> int:
     mat = _read_matrix(args.path)
     cert = smith_normal_form(mat)  # verified internally before returning
-    with _any_int_digits():
-        if args.json:
-            text = json.dumps({
-                "schema": SCHEMA,
-                "divisors": list(cert.divisors),
-                "D": cert.D.to_lists(),
-                "U": cert.U.to_lists(),
-                "V": cert.V.to_lists(),
-            })
-        else:
-            text = " ".join(str(x) for x in cert.divisors)
+    if args.json:
+        # json.dumps writes the same text, but through str
+        text = (f'{{"schema": {SCHEMA}, "divisors": {_json_list(cert.divisors)}, '
+                f'"D": {_json_matrix(cert.D)}, "U": {_json_matrix(cert.U)}, '
+                f'"V": {_json_matrix(cert.V)}}}')
+    else:
+        text = " ".join(map(_decimal, cert.divisors))
     print(text)
     return EXIT_OK
 

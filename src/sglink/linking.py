@@ -14,18 +14,23 @@ a sparse incidence, edge id -> [(cycle index, coefficient)], and adds each
 pair's sign sum times the outer product of the two edges' incidence
 entries.  The cost is linear in the crossings plus the work of those outer
 products, never a rescan of the crossings per cycle pair.  The ``perturb``
-walk keeps its own running pair sums (``moves.WalkState``) and reads its
-matrices off them with the same second part.
+walk keeps its own running pair sums (``moves.WalkState``), and
+:func:`linking_matrix` given such a state reads the matrix off them with
+the same second part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .homology import Cycle, CycleBasis, cycle_basis
 from .sgd import Diagram
 from .smith import IntMatrix, LkInvariant, lk_invariant
+
+if TYPE_CHECKING:
+    from .moves import WalkState
 
 __all__ = [
     "LinkingMatrix",
@@ -118,7 +123,7 @@ def require_two_components(d: Diagram) -> None:
 
 
 def linking_matrix(
-    d: Diagram,
+    d: Diagram | WalkState,
     basis1: CycleBasis | None = None,
     basis2: CycleBasis | None = None,
 ) -> LinkingMatrix:
@@ -126,8 +131,15 @@ def linking_matrix(
 
     Defaults to the deterministic fundamental bases; explicit bases (for
     example over a randomized spanning tree) let callers confirm that the
-    divisor chain does not depend on the choice.
+    divisor chain does not depend on the choice.  ``d`` may also be a
+    ``moves.WalkState``, whose matrix over its default bases is read off
+    the inter-component sign sums it keeps running, with no pass over the
+    crossings (:meth:`moves.WalkState.linking_matrix`).
     """
+    if not isinstance(d, Diagram):
+        if basis1 is not None or basis2 is not None:
+            raise DomainError("a walk state's linking matrix is over its default bases")
+        return d.linking_matrix()
     require_two_components(d)
     if basis1 is None:
         basis1 = cycle_basis(d, 1)

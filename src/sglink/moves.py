@@ -34,8 +34,8 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .homology import CycleBasis, fundamental_basis
-from .linking import pair_signs
-from .sgd import Crossing, Diagram, Edge
+from .linking import LinkingMatrix, matrix_from_pairs, pair_signs
+from .sgd import Crossing, Diagram, Edge, validate
 
 __all__ = [
     "MoveRecord",
@@ -130,7 +130,9 @@ class _FreshIds:
 
 
 class WalkState:
-    """A valid diagram as a mutable working state that moves update in place.
+    """A valid diagram as a mutable working state that moves update in place;
+    building one from a diagram that fails ``sgd.validate`` raises
+    ``DomainError``.
 
     - Each edge holds its passages as a list of crossing ends ``(xid, 0)``
       and ``(xid, 1)``; a passage's index is its place in the list.
@@ -152,6 +154,9 @@ class WalkState:
     """
 
     def __init__(self, d: Diagram):
+        problems = validate(d)
+        if problems:
+            raise DomainError("invalid diagram: " + "; ".join(v.message for v in problems))
         self._comp_of: dict[str, int] = {}  # vertex -> component key
         self._comp_vertices: list[list[str]] = []
         self._comp_edges: list[list[str]] = []
@@ -186,6 +191,7 @@ class WalkState:
         self._vids = _FreshIds("v", self._vertices)
         self._eids = _FreshIds("e", self._edges)
         self.revision = 0
+        self._matrix: tuple[int, LinkingMatrix] | None = None  # (revision, matrix read at it)
 
     # -- reading --------------------------------------------------------
 
@@ -211,6 +217,16 @@ class WalkState:
             b = self._bases[key] = fundamental_basis(
                 k, self._comp_vertices[key], self._comp_edges[key], self._edges)
         return b
+
+    def linking_matrix(self) -> LinkingMatrix:
+        """The linking matrix over the default bases, read off the running
+        sign sums; read again only after the revision changed."""
+        if len(self._order) != 2:
+            raise DomainError(f"diagram has {len(self._order)} components, expected 2")
+        if self._matrix is None or self._matrix[0] != self.revision:
+            self._matrix = (self.revision,
+                            matrix_from_pairs(self.pair_signs, self.basis(1), self.basis(2)))
+        return self._matrix[1]
 
     def diagram(self) -> Diagram:
         """The ``Diagram`` this state holds now."""

@@ -14,6 +14,7 @@ import sglink.moves as moves
 import sglink.smith as smith
 from sglink import canonical_diagram, linking_matrix, parse_sgd, random_homotopy_walk, serialize_sgd
 from sglink.moves import MoveRecord, walk_steps
+from sglink.smith import IntMatrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -357,22 +358,26 @@ class TestPerturb:
 
     def test_redoes_only_what_each_move_changed(self, tmp_path, monkeypatch, capsys):
         # one SNF for the start plus one per step whose matrix changed; the
-        # two default bases for the start, then, from the first step that
-        # changes the graph, one basis per component whose graph or number
-        # changed; one matrix from the crossings at the start and one at
-        # the end
+        # two default bases for the start, two more for the state at the
+        # first step, then one basis per component whose graph or number
+        # changed; linking_matrix once for the start and once per step, but
+        # the matrix read off the running sums only at the first step and
+        # at each step that changed the graph (no move of this walk changes
+        # an inter-component sum); one matrix from the final crossings
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
-        matrix_steps = graph_steps = bases = 0
+        matrix_steps = graph_steps = bases = reads = 0
         built = {}  # component number -> (vertices, edge ids) of its last basis
         prev, prev_entries = d, linking_matrix(d).entries
-        for _, state in walk_steps(d, 200, 7):
+        for n, (_, state) in enumerate(walk_steps(d, 200, 7)):
             cur = state.diagram()
             entries = linking_matrix(cur).entries
             matrix_steps += entries != prev_entries
-            if (cur.vertices, cur.edges) != (prev.vertices, prev.edges):
-                graph_steps += 1
+            graph_changed = (cur.vertices, cur.edges) != (prev.vertices, prev.edges)
+            reads += n == 0 or graph_changed
+            graph_steps += graph_changed
+            if n == 0 or graph_changed:
                 for comp in cur.components:
                     if built.get(comp.index) != (comp.vertices, comp.edge_ids):
                         built[comp.index] = (comp.vertices, comp.edge_ids)
@@ -380,13 +385,13 @@ class TestPerturb:
             prev, prev_entries = cur, entries
 
         calls = {"smith_normal_form": 0, "cycle_basis": 0, "fundamental_basis": 0,
-                 "linking_matrix": 0}
+                 "linking_matrix": 0, "moves.matrix_from_pairs": 0, "cli.matrix_from_pairs": 0}
 
-        def counted(module, name):
+        def counted(module, name, key=None):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key or name] += 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
@@ -394,12 +399,16 @@ class TestPerturb:
         counted(linking, "cycle_basis")
         counted(moves, "fundamental_basis")
         counted(cli, "linking_matrix")
+        counted(moves, "matrix_from_pairs", "moves.matrix_from_pairs")
+        counted(cli, "matrix_from_pairs", "cli.matrix_from_pairs")
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
         capsys.readouterr()
         assert calls == {"smith_normal_form": 1 + matrix_steps, "cycle_basis": 2,
-                         "fundamental_basis": bases, "linking_matrix": 2}
+                         "fundamental_basis": bases, "linking_matrix": 1 + 200,
+                         "moves.matrix_from_pairs": reads, "cli.matrix_from_pairs": 1}
         assert 0 < matrix_steps < 200 and 0 < graph_steps < 200
         assert graph_steps < bases < 2 * graph_steps
+        assert graph_steps <= reads <= graph_steps + 1
 
     def test_long_walk_replays_to_the_same_bytes(self, tmp_path, capsys):
         # 20,000 steps took minutes when every step rebuilt the diagram and
@@ -482,15 +491,20 @@ class TestSnf:
         assert payload[transform] == [[int(i == j) for j in range(1500)] for i in range(1500)]
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_results_past_the_int_digit_limit(self, tmp_path, capsys, flags):
+    def test_results_past_the_int_digit_limit(self, tmp_path, capsys, monkeypatch, flags):
         # 200-digit entries grow transforms past the interpreter's int/str
-        # digit limit; the limit is lifted only to print them, and is back
-        # in place afterwards
+        # digit limit; they are printed without the limit, which is process
+        # wide, ever being changed
         rng = random.Random(71)
         a, b, c, d = (rng.randrange(10**199, 10**200) for _ in range(4))
         path = self.write(tmp_path, f"2 2\n{a} {b}\n{c} {d}\n")
         limit = sys.get_int_max_str_digits()
+
+        def refuse(n):
+            raise AssertionError(f"int/str digit limit set to {n}")
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
         assert cli.main(["snf", path, *flags]) == 0
+        monkeypatch.undo()
         assert sys.get_int_max_str_digits() == limit
         out = capsys.readouterr().out
         if flags:
@@ -507,6 +521,17 @@ class TestSnf:
         d1, d2 = divisors
         assert d1 == gcd(a, b, c, d)
         assert d1 * d2 == abs(a * d - b * c)
+
+    def test_decimal_text_matches_str(self):
+        # pieces of 600 digits, zero-filled inside, at and around each split
+        rng = random.Random(5)
+        values = [0, 7, 10**600 - 1, 10**600, 10**1200 - 1, 10**1200, 10**1200 + 1, 10**2400 + 9]
+        values += [rng.randrange(10**k) for k in (599, 600, 601, 1800, 4300)]
+        for x in values + [-x for x in values]:
+            assert cli._decimal(x) == str(x)
+        m = IntMatrix(3, 2, ((1, -2), (0, 10**600), (-10**599, 10**600 - 1)))
+        assert cli._json_matrix(m) == json.dumps(m.to_lists())
+        assert cli._json_matrix(IntMatrix(2, 0, ((), ()))) == "[[], []]"
 
     def test_certificates_match_golden(self, tmp_path, capsys):
         # snf_certificates.json: matrix file text and the exact `snf --json` stdout

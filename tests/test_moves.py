@@ -7,6 +7,7 @@ import pytest
 
 from gen import divisor_chains, random_canonical, random_chain, random_diagram
 from sglink import (
+    Crossing,
     Cycle,
     Diagram,
     DomainError,
@@ -67,6 +68,22 @@ class TestCrossingChange:
     def test_unknown_crossing(self):
         with pytest.raises(DomainError):
             crossing_change(HOPF, "nope")
+
+    def test_invalid_diagram_is_a_domain_error(self):
+        # built by hand, past parse_sgd's check: a crossing on a missing
+        # edge, and passage indices with a gap, which a working state would
+        # otherwise renumber
+        x1, x2 = HOPF.crossing_map["x1"], HOPF.crossing_map["x2"]
+        missing = Diagram(HOPF.vertices, HOPF.edges,
+                          (x1, Crossing("x2", ("nope", 0), x2.under, x2.sign)))
+        gap = Diagram(HOPF.vertices, HOPF.edges,
+                      (x1, Crossing("x2", (x2.over[0], 5), x2.under, x2.sign)))
+        with pytest.raises(DomainError, match="references missing edge 'nope'"):
+            crossing_change(missing, "x1")
+        with pytest.raises(DomainError, match="passage"):
+            crossing_change(gap, "x1")
+        with pytest.raises(DomainError, match="invalid diagram"):
+            next(walk_steps(gap, 1, 1))
 
     def test_inter_component_change_alters_linking(self):
         z, w = Cycle(1, {"a1": 1}), Cycle(2, {"b1": 1})
@@ -279,6 +296,21 @@ class TestWalk:
             inv = diagram_invariant(d)
             for _rec, step in walk_steps(d, 25, rng.randrange(2**32)):
                 assert diagram_invariant(step.diagram()) == inv
+
+    def test_state_linking_matrix_matches_its_diagram(self):
+        # read off the running sums, inter-component clasps and crossing
+        # changes included, and kept while the revision stays
+        d = canonical_diagram(2, 3, (2,))
+        rng = random.Random(8)
+        for rec, state in walk_steps(d, 40, 3):
+            if rng.random() < 0.3:
+                state.clasp("a1", 0, "b2", 0, rng.choice((1, -1)))
+            mat = linking_matrix(state)
+            want = linking_matrix(state.diagram())
+            assert (mat.entries, mat.basis1, mat.basis2) == (want.entries, want.basis1, want.basis2)
+            assert linking_matrix(state) is mat
+        with pytest.raises(DomainError, match="default bases"):
+            linking_matrix(state, mat.basis1)
 
     def test_seed_reproducibility(self):
         d = canonical_diagram(2, 2, (1, 6))
