@@ -34,9 +34,7 @@ from .smith import (
     IntMatrix,
     LkInvariant,
     SnfCertificate,
-    divisors_via_minors,
     lk_invariant,
-    random_unimodular,
     smith_normal_form,
     verify_certificate,
 )

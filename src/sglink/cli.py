@@ -18,6 +18,7 @@ and default to a fixed constant, so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,10 +26,10 @@ from pathlib import Path
 from .classify import Result, classify
 from .errors import DomainError, SelfCheckError, SgdParseError
 from .homology import CycleBasis
-from .linking import linking_matrix, matrix_from_pairs, over_under_consistent, pair_signs
+from .linking import linking_matrix, matrix_from_pairs, over_under_consistent
 from .moves import MoveRecord, format_move, replay_steps, walk_steps
 from .moves import canonical_diagram as _canonical
-from .sgd import parse_sgd, serialize_sgd, validate
+from .sgd import pair_signs, parse_sgd, serialize_sgd, validate
 from .smith import IntMatrix, lk_invariant, smith_normal_form
 
 DEFAULT_SEED = 1729
@@ -291,7 +292,10 @@ def cmd_snf(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after that:
+    parsing reads it and never changes it."""
     p = argparse.ArgumentParser(
         prog="sglink",
         description="Linking divisor invariants, moves, and classification "

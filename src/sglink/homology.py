@@ -16,7 +16,6 @@ support.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -28,7 +27,6 @@ __all__ = [
     "Cycle",
     "CycleBasis",
     "spanning_tree",
-    "random_spanning_tree",
     "cycle_basis",
     "fundamental_basis",
     "rank",
@@ -108,29 +106,6 @@ def spanning_tree(d: Diagram, component: int) -> list[str]:
     """
     comp = d.component(component)
     return _bfs(_adjacency(d.edge_map, comp.edge_ids), comp.vertices[0])[0]
-
-
-def random_spanning_tree(d: Diagram, component: int, rng: random.Random) -> list[str]:
-    """Uniformly shuffled Kruskal tree; for basis-independence testing."""
-    comp = d.component(component)
-    edges = [eid for eid in comp.edge_ids if d.edge_map[eid].tail != d.edge_map[eid].head]
-    rng.shuffle(edges)
-    parent = {v: v for v in comp.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    for eid in edges:
-        e = d.edge_map[eid]
-        a, b = find(e.tail), find(e.head)
-        if a != b:
-            parent[a] = b
-            tree.append(eid)
-    return tree
 
 
 def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -> CycleBasis:

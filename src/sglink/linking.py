@@ -9,7 +9,9 @@ matrices, not errors.
 
 Every count goes through one kernel in two parts.  :func:`pair_signs`
 makes one pass over the crossings and sums their signs per (over edge,
-under edge) pair.  :func:`matrix_from_pairs` turns each list of cycles into
+under edge) pair; a diagram makes these sums once (``Diagram.sign_sums``),
+and the linking matrix and the over/under check share them.
+:func:`matrix_from_pairs` turns each list of cycles into
 a sparse incidence, edge id -> [(cycle index, coefficient)], and adds each
 pair's sign sum times the outer product of the two edges' incidence
 entries.  The cost is linear in the crossings plus the work of those outer
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .homology import Cycle, CycleBasis, cycle_basis
-from .sgd import Diagram
+from .sgd import Diagram, pair_signs
 from .smith import IntMatrix, LkInvariant, lk_invariant
 
 if TYPE_CHECKING:
@@ -80,15 +82,6 @@ def _add_outer(mat: list[list[int]], s: int, zs, ws) -> None:
                 row[j] += sa * b
 
 
-def pair_signs(crossings) -> dict[tuple[str, str], int]:
-    """Sum of the crossing signs per (over edge, under edge) pair."""
-    sums: dict[tuple[str, str], int] = {}
-    for c in crossings:
-        key = (c.over[0], c.under[0])
-        sums[key] = sums.get(key, 0) + c.sign
-    return sums
-
-
 def _counts_from_pairs(pairs, cycles1, cycles2) -> list[list[int]]:
     """L[i][j] = sum over pairs (o, u) of sign sum * z_i[o] * w_j[u]."""
     inc1, inc2 = _incidence(cycles1), _incidence(cycles2)
@@ -102,7 +95,7 @@ def _counts_from_pairs(pairs, cycles1, cycles2) -> list[list[int]]:
 def _linking_counts(d: Diagram, cycles1, cycles2) -> list[list[int]]:
     """L[i][j] = sum of sign * z_i[over edge] * w_j[under edge] over all
     crossings."""
-    return _counts_from_pairs(pair_signs(d.crossings), cycles1, cycles2)
+    return _counts_from_pairs(d.sign_sums, cycles1, cycles2)
 
 
 def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
@@ -147,7 +140,7 @@ def linking_matrix(
         basis2 = cycle_basis(d, 2)
     if basis1.component != 1 or basis2.component != 2:
         raise DomainError("bases must belong to components 1 and 2 in that order")
-    return matrix_from_pairs(pair_signs(d.crossings), basis1, basis2)
+    return matrix_from_pairs(d.sign_sums, basis1, basis2)
 
 
 def matrix_from_pairs(pairs, basis1: CycleBasis, basis2: CycleBasis) -> LinkingMatrix:

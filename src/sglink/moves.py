@@ -34,8 +34,8 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .homology import CycleBasis, fundamental_basis
-from .linking import LinkingMatrix, matrix_from_pairs, pair_signs
-from .sgd import Crossing, Diagram, Edge, validate
+from .linking import LinkingMatrix, matrix_from_pairs
+from .sgd import Crossing, Diagram, Edge, pair_signs, validate
 
 __all__ = [
     "MoveRecord",

@@ -30,11 +30,27 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+from typing import NoReturn
 
-from .errors import DomainError, SgdParseError
+from .errors import DomainError, SelfCheckError, SgdParseError
 
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_ID = r"[A-Za-z0-9_]+"
+_ID_RE = re.compile(_ID + r"\Z")
 _TOKEN_RE = re.compile(r"\S+")
+# A whole declaration line in one match: keywords, identifiers, ASCII
+# digits and sign, separated by what str.split splits on, then an optional
+# comment.  Groups 1, 2-4 and 5-10 hold the fields of a vertex, edge and
+# crossing line, and the last group to match names the line's kind; a
+# blank or comment-only line matches with none.  Every token class
+# excludes blanks, so a failed match backtracks in time linear in the line.
+_LINE_RE = re.compile(
+    rf"\s*(?:(?:vertex\s+(?P<vertex>{_ID})"
+    rf"|edge\s+({_ID})\s+({_ID})\s+(?P<edge>{_ID})"
+    rf"|crossing\s+({_ID})\s+over\s+({_ID})\s+([0-9]+)\s+under\s+({_ID})\s+([0-9]+)"
+    r"\s+sign\s+(?P<crossing>[+-]))\s*)?(?:#.*)?",
+    re.DOTALL,
+)
 
 SGD_HEADER = "sgd 1"
 
@@ -76,6 +92,15 @@ class Violation:
     message: str
 
 
+def pair_signs(crossings) -> dict[tuple[str, str], int]:
+    """Sum of the crossing signs per (over edge, under edge) pair."""
+    sums: dict[tuple[str, str], int] = {}
+    for c in crossings:
+        key = (c.over[0], c.under[0])
+        sums[key] = sums.get(key, 0) + c.sign
+    return sums
+
+
 @dataclass(frozen=True)
 class Diagram:
     """Immutable diagram value; constituents are normalized to sorted order."""
@@ -96,6 +121,12 @@ class Diagram:
     @cached_property
     def crossing_map(self) -> dict[str, Crossing]:
         return {c.id: c for c in self.crossings}
+
+    @cached_property
+    def sign_sums(self) -> dict[tuple[str, str], int]:
+        """:func:`pair_signs` of the crossings, made once and shared by every
+        count over this diagram; read it, never change it."""
+        return pair_signs(self.crossings)
 
     @cached_property
     def passage_counts(self) -> dict[str, int]:
@@ -149,12 +180,6 @@ class Diagram:
             raise DomainError(f"unknown edge {eid!r}")
         return self._edge_component[eid]
 
-    def component_of_vertex(self, vid: str) -> int:
-        for comp in self.components:
-            if vid in comp.vertices:
-                return comp.index
-        raise DomainError(f"unknown vertex {vid!r}")
-
     def component(self, index: int) -> Component:
         if not 1 <= index <= len(self.components):
             raise DomainError(
@@ -163,72 +188,92 @@ class Diagram:
         return self.components[index - 1]
 
 
+def _reference_violations(d: Diagram) -> list[tuple[tuple, Violation]]:
+    """Identifier, uniqueness, reference and sign checks: what
+    :func:`parse_sgd` checks line by line.  Each violation comes with its
+    place in :func:`validate`'s order: (0,) before the crossings, (1, i, k)
+    for check k on crossing i, (2,) after them."""
+    out: list[tuple[tuple, Violation]] = []
+    for token in (*d.vertices, *(e.id for e in d.edges), *(c.id for c in d.crossings)):
+        if not _ID_RE.match(token):
+            out.append(((0,), Violation(
+                "bad-identifier", token, f"identifier {token!r} is not an [A-Za-z0-9_]+ token")))
+    seen_v: set[str] = set()
+    for v in d.vertices:
+        if v in seen_v:
+            out.append(((0,), Violation("duplicate-id", v, f"vertex id {v!r} declared twice")))
+        seen_v.add(v)
+    seen_e: set[str] = set()
+    for e in d.edges:
+        if e.id in seen_e:
+            out.append(((0,), Violation("duplicate-id", e.id, f"edge id {e.id!r} declared twice")))
+        seen_e.add(e.id)
+        for endpoint in (e.tail, e.head):
+            if endpoint not in seen_v:
+                out.append(((0,), Violation(
+                    "dangling-vertex", e.id,
+                    f"edge {e.id!r} references missing vertex {endpoint!r}")))
+    seen_x: set[str] = set()
+    for i, c in enumerate(d.crossings):
+        if c.id in seen_x:
+            out.append(((1, i, 0), Violation(
+                "duplicate-id", c.id, f"crossing id {c.id!r} declared twice")))
+        seen_x.add(c.id)
+        if c.sign not in (1, -1):
+            out.append(((1, i, 0), Violation(
+                "bad-sign", c.id, f"crossing {c.id!r} sign must be +1 or -1")))
+        for eid, _ in (c.over, c.under):
+            if eid not in seen_e:
+                out.append(((1, i, 2), Violation(
+                    "dangling-edge", c.id, f"crossing {c.id!r} references missing edge {eid!r}")))
+    return out
+
+
+def _passage_violations(d: Diagram) -> list[tuple[tuple, Violation]]:
+    """Degenerate-crossing and passage-index checks: what
+    ``parse_sgd(check=True)`` adds to its line checks.  Each violation comes
+    with its place in :func:`validate`'s order."""
+    out: list[tuple[tuple, Violation]] = []
+    refs: dict[str, list[int]] = defaultdict(list)
+    edge_map = d.edge_map
+    for i, c in enumerate(d.crossings):
+        over, under = c.over, c.under
+        if over == under:
+            out.append(((1, i, 1), Violation(
+                "crossing-degenerate", c.id,
+                f"crossing {c.id!r} over and under reference the same passage")))
+        if over[0] in edge_map:
+            refs[over[0]].append(over[1])
+        if under[0] in edge_map:
+            refs[under[0]].append(under[1])
+    for eid in sorted(refs):
+        indices = sorted(refs[eid])
+        if indices == list(range(len(indices))):
+            continue
+        dups = sorted(i for i, k in Counter(indices).items() if k > 1)
+        if dups:
+            out.append(((2,), Violation(
+                "passage-duplicate", eid, f"edge {eid!r} passage indices used twice: {dups}")))
+        else:
+            out.append(((2,), Violation(
+                "passage-gap", eid,
+                f"edge {eid!r} passage indices {indices} are not 0..{len(indices) - 1}")))
+    return out
+
+
 def validate(d: Diagram) -> list[Violation]:
     """Check every diagram invariant; an empty list means the diagram is valid.
 
     Violations are data, not errors.  Codes: ``bad-identifier``,
     ``duplicate-id``, ``dangling-vertex``, ``dangling-edge``,
     ``crossing-degenerate``, ``bad-sign``, ``passage-duplicate`` and
-    ``passage-gap``.
+    ``passage-gap``.  They are listed identifiers first, then vertices,
+    edges and crossings in the diagram's order, then passage indices by
+    edge id.
     """
-    out: list[Violation] = []
-    for token in (*d.vertices, *(e.id for e in d.edges), *(c.id for c in d.crossings)):
-        if not _ID_RE.match(token):
-            out.append(
-                Violation("bad-identifier", token,
-                          f"identifier {token!r} is not an [A-Za-z0-9_]+ token")
-            )
-    seen_v: set[str] = set()
-    for v in d.vertices:
-        if v in seen_v:
-            out.append(Violation("duplicate-id", v, f"vertex id {v!r} declared twice"))
-        seen_v.add(v)
-    seen_e: set[str] = set()
-    for e in d.edges:
-        if e.id in seen_e:
-            out.append(Violation("duplicate-id", e.id, f"edge id {e.id!r} declared twice"))
-        seen_e.add(e.id)
-        for endpoint in (e.tail, e.head):
-            if endpoint not in seen_v:
-                out.append(
-                    Violation("dangling-vertex", e.id,
-                              f"edge {e.id!r} references missing vertex {endpoint!r}")
-                )
-    refs: dict[str, list[int]] = defaultdict(list)
-    seen_x: set[str] = set()
-    for c in d.crossings:
-        if c.id in seen_x:
-            out.append(Violation("duplicate-id", c.id, f"crossing id {c.id!r} declared twice"))
-        seen_x.add(c.id)
-        if c.sign not in (1, -1):
-            out.append(Violation("bad-sign", c.id, f"crossing {c.id!r} sign must be +1 or -1"))
-        if c.over == c.under:
-            out.append(
-                Violation("crossing-degenerate", c.id,
-                          f"crossing {c.id!r} over and under reference the same passage")
-            )
-        for eid, idx in (c.over, c.under):
-            if eid not in seen_e:
-                out.append(
-                    Violation("dangling-edge", c.id,
-                              f"crossing {c.id!r} references missing edge {eid!r}")
-                )
-            else:
-                refs[eid].append(idx)
-    for eid in sorted(refs):
-        indices = refs[eid]
-        dups = sorted(i for i, k in Counter(indices).items() if k > 1)
-        if dups:
-            out.append(
-                Violation("passage-duplicate", eid,
-                          f"edge {eid!r} passage indices used twice: {dups}")
-            )
-        elif sorted(indices) != list(range(len(indices))):
-            out.append(
-                Violation("passage-gap", eid,
-                          f"edge {eid!r} passage indices {sorted(indices)} are not 0..{len(indices) - 1}")
-            )
-    return out
+    found = _reference_violations(d) + _passage_violations(d)
+    found.sort(key=itemgetter(0))  # stable: checks that share a place keep their order
+    return [v for _, v in found]
 
 
 def _error(message: str, raw: str, lineno: int, k: int) -> SgdParseError:
@@ -245,94 +290,124 @@ def _check_id(words: list[str], k: int, raw: str, lineno: int) -> str:
     return words[k]
 
 
+def _reject(raw: str, lineno: int, section: str, vertices, edges, crossings) -> NoReturn:
+    """Raise the error for a declaration line that ``_LINE_RE`` rejected or
+    that clashes with the declarations before it.
+
+    The checks run token by token in a fixed order, and the first that
+    fails names the error and its column.  They build nothing: only
+    :func:`parse_sgd`'s pattern match accepts a line, so a line that passes
+    every check here means the two disagree, which is a bug.
+    """
+    words = raw.split("#", 1)[0].split()
+    kind = words[0]
+    if kind == "vertex":
+        if section != "vertex":
+            raise _error("vertex declared after edges or crossings", raw, lineno, 0)
+        if len(words) != 2:
+            raise _error("expected: vertex <vid>", raw, lineno, 0)
+        if _check_id(words, 1, raw, lineno) in vertices:
+            raise _error(f"duplicate vertex id {words[1]!r}", raw, lineno, 1)
+    elif kind == "edge":
+        if section == "crossing":
+            raise _error("edge declared after crossings", raw, lineno, 0)
+        if len(words) != 4:
+            raise _error("expected: edge <eid> <tail> <head>", raw, lineno, 0)
+        if _check_id(words, 1, raw, lineno) in edges:
+            raise _error(f"duplicate edge id {words[1]!r}", raw, lineno, 1)
+        _check_id(words, 2, raw, lineno)
+        _check_id(words, 3, raw, lineno)
+        for k in (2, 3):
+            if words[k] not in vertices:
+                raise _error(f"edge references undeclared vertex {words[k]!r}", raw, lineno, k)
+    elif kind == "crossing":
+        if len(words) != 10 or words[2] != "over" or words[5] != "under" or words[8] != "sign":
+            raise _error(
+                "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->",
+                raw, lineno, 0,
+            )
+        if _check_id(words, 1, raw, lineno) in crossings:
+            raise _error(f"duplicate crossing id {words[1]!r}", raw, lineno, 1)
+        for k in (3, 6):
+            eid = _check_id(words, k, raw, lineno)
+            if eid not in edges:
+                raise _error(f"crossing references undeclared edge {eid!r}", raw, lineno, k)
+            idx = words[k + 1]
+            if not (idx.isascii() and idx.isdigit()):
+                raise _error(f"bad passage index {idx!r}", raw, lineno, k + 1)
+            try:
+                int(idx)
+            except ValueError:  # past the interpreter's int/str digit limit
+                raise _error(f"bad passage index of {len(idx)} digits",
+                             raw, lineno, k + 1) from None
+        if words[9] not in ("+", "-"):
+            raise _error(f"bad sign {words[9]!r}, expected + or -", raw, lineno, 9)
+    else:
+        raise _error(f"unknown declaration {kind!r}", raw, lineno, 0)
+    raise SelfCheckError(f"line {lineno} failed the declaration pattern but no token check")
+
+
 def parse_sgd(text: str, check: bool = True) -> Diagram:
     """Parse SGD text into a Diagram.
 
-    Syntax problems (bad tokens, wrong declaration order, duplicate or
-    forward references) raise SgdParseError with the line and column.  With
-    ``check`` (the default) the structural invariants are also enforced and
-    their violations raised; pass ``check=False`` to obtain the raw diagram
-    for use with :func:`validate`.
+    Each declaration line is checked as it is read: its identifiers, its
+    keywords, indices and sign, and that its id is new and every id it
+    references was declared before it.  A line that fails raises
+    SgdParseError with the line and column.  With ``check`` (the default)
+    the finished diagram must also have no degenerate crossing and each
+    edge's passage indices must run 0..p-1 (:func:`validate`'s passage
+    checks; the line checks already rule out every other violation).  Pass
+    ``check=False`` to obtain the raw diagram for use with :func:`validate`.
     """
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        words = raw.split("#", 1)[0].split()
+        if words:
+            if words != SGD_HEADER.split():
+                raise _error(f"expected header {SGD_HEADER!r}", raw, lineno, 0)
+            break
+    else:
+        raise SgdParseError(f"missing header {SGD_HEADER!r}", 1, 1)
+
     # declarations so far, keyed by id in file order
     vertices: dict[str, None] = {}
     edges: dict[str, Edge] = {}
     crossings: dict[str, Crossing] = {}
-    saw_header = False
     section = "vertex"  # advances vertex -> edge -> crossing
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        words = raw.split("#", 1)[0].split()
-        if not words:
-            continue
-        if not saw_header:
-            if words != SGD_HEADER.split():
-                raise _error(f"expected header {SGD_HEADER!r}", raw, lineno, 0)
-            saw_header = True
-            continue
-        kind = words[0]
-
-        if kind == "vertex":
-            if section != "vertex":
-                raise _error("vertex declared after edges or crossings", raw, lineno, 0)
-            if len(words) != 2:
-                raise _error("expected: vertex <vid>", raw, lineno, 0)
-            vid = _check_id(words, 1, raw, lineno)
-            if vid in vertices:
-                raise _error(f"duplicate vertex id {vid!r}", raw, lineno, 1)
-            vertices[vid] = None
-        elif kind == "edge":
-            if section == "crossing":
-                raise _error("edge declared after crossings", raw, lineno, 0)
-            section = "edge"
-            if len(words) != 4:
-                raise _error("expected: edge <eid> <tail> <head>", raw, lineno, 0)
-            eid = _check_id(words, 1, raw, lineno)
-            if eid in edges:
-                raise _error(f"duplicate edge id {eid!r}", raw, lineno, 1)
-            tail = _check_id(words, 2, raw, lineno)
-            head = _check_id(words, 3, raw, lineno)
-            for k in (2, 3):
-                if words[k] not in vertices:
-                    raise _error(f"edge references undeclared vertex {words[k]!r}", raw, lineno, k)
-            edges[eid] = Edge(eid, tail, head)
-        elif kind == "crossing":
-            section = "crossing"
-            if len(words) != 10 or words[2] != "over" or words[5] != "under" or words[8] != "sign":
-                raise _error(
-                    "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->",
-                    raw, lineno, 0,
-                )
-            xid = _check_id(words, 1, raw, lineno)
-            if xid in crossings:
-                raise _error(f"duplicate crossing id {xid!r}", raw, lineno, 1)
-            refs = []
-            for k in (3, 6):
-                eid = _check_id(words, k, raw, lineno)
-                if eid not in edges:
-                    raise _error(f"crossing references undeclared edge {eid!r}", raw, lineno, k)
-                idx = words[k + 1]
-                if not (idx.isascii() and idx.isdigit()):
-                    raise _error(f"bad passage index {idx!r}", raw, lineno, k + 1)
+    for lineno, raw in lines:
+        m = _LINE_RE.fullmatch(raw)
+        kind = m.lastgroup if m else None
+        if kind == "crossing":
+            xid, o_eid, o_idx, u_eid, u_idx, sign = m.group(5, 6, 7, 8, 9, 10)
+            if xid not in crossings and o_eid in edges and u_eid in edges:
                 try:
-                    refs.append((eid, int(idx)))
+                    over, under = (o_eid, int(o_idx)), (u_eid, int(u_idx))
                 except ValueError:  # past the interpreter's int/str digit limit
-                    raise _error(f"bad passage index of {len(idx)} digits",
-                                 raw, lineno, k + 1) from None
-            sign = words[9]
-            if sign not in ("+", "-"):
-                raise _error(f"bad sign {sign!r}, expected + or -", raw, lineno, 9)
-            crossings[xid] = Crossing(xid, refs[0], refs[1], 1 if sign == "+" else -1)
-        else:
-            raise _error(f"unknown declaration {kind!r}", raw, lineno, 0)
+                    pass
+                else:
+                    crossings[xid] = Crossing(xid, over, under, 1 if sign == "+" else -1)
+                    section = "crossing"
+                    continue
+        elif kind == "edge":
+            eid, tail, head = m.group(2, 3, 4)
+            if section != "crossing" and eid not in edges and tail in vertices and head in vertices:
+                edges[eid] = Edge(eid, tail, head)
+                section = "edge"
+                continue
+        elif kind == "vertex":
+            if section == "vertex" and m[1] not in vertices:
+                vertices[m[1]] = None
+                continue
+        elif m:
+            continue  # blank or comment only
+        _reject(raw, lineno, section, vertices, edges, crossings)
 
-    if not saw_header:
-        raise SgdParseError(f"missing header {SGD_HEADER!r}", 1, 1)
     d = Diagram(tuple(vertices), tuple(edges.values()), tuple(crossings.values()))
     if check:
-        problems = validate(d)
+        problems = _passage_violations(d)
         if problems:
-            detail = "; ".join(v.message for v in problems)
+            detail = "; ".join(v.message for _, v in problems)
             raise SgdParseError(f"invalid diagram: {detail}")
     return d
 

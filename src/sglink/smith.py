@@ -14,10 +14,8 @@ therefore costs in step with its nonzeros, not with its declared size.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import combinations, compress
-from math import gcd
+from itertools import compress
 from operator import mul
 
 from .errors import DomainError, SelfCheckError
@@ -53,10 +51,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -309,68 +303,6 @@ def verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
         raise SelfCheckError("divisors do not form a divisibility chain")
 
 
-_ORACLE_LIMIT = 6
-
-
-def divisors_via_minors(mat: IntMatrix) -> list[int]:
-    """Elementary divisors via gcds of k x k minors; independent of the
-    elimination path.
-
-    d_k = g_k / g_{k-1} where g_k is the gcd of all k x k minors (g_0 = 1),
-    truncated at the first k whose minors all vanish.  Enumeration is
-    combinatorial, so min(rows, cols) must be at most 6.
-    """
-    limit = min(mat.rows, mat.cols)
-    if limit > _ORACLE_LIMIT:
-        raise DomainError(f"minor oracle supports min dimension <= {_ORACLE_LIMIT}, got {limit}")
-    out = []
-    g_prev = 1
-    for k in range(1, limit + 1):
-        g = 0
-        for rows in combinations(range(mat.rows), k):
-            for cols in combinations(range(mat.cols), k):
-                sub = IntMatrix.from_rows(
-                    [[mat.entries[i][j] for j in cols] for i in rows], cols=k
-                )
-                g = gcd(g, sub.det())
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g == 0:
-            break
-        out.append(g // g_prev)
-        g_prev = g
-    return out
-
-
 def lk_invariant(mat: IntMatrix) -> LkInvariant:
     """Divisor-chain invariant of an integer matrix (zero when the chain is empty)."""
     return LkInvariant(smith_normal_form(mat).divisors)
-
-
-def random_unimodular(size: int, seed: int, ops: int = 30) -> IntMatrix:
-    """Product of ``ops`` random elementary matrices; determinant is +-1.
-
-    Operations are swaps, negations, and adding a nonzero multiple in
-    [-3, 3] of one row to another.  Deterministic for a fixed seed.
-    """
-    if size < 0:
-        raise DomainError("size must be nonnegative")
-    rng = random.Random(seed)
-    m = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for _ in range(ops):
-        if size == 0:
-            break
-        kind = rng.choice(("swap", "negate", "add")) if size > 1 else "negate"
-        if kind == "negate":
-            i = rng.randrange(size)
-            m[i] = [-x for x in m[i]]
-        elif kind == "swap":
-            i, j = rng.sample(range(size), 2)
-            m[i], m[j] = m[j], m[i]
-        else:
-            i, j = rng.sample(range(size), 2)
-            q = rng.choice((-3, -2, -1, 1, 2, 3))
-            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-    return IntMatrix.from_rows(m, cols=size)

@@ -87,3 +87,52 @@ def random_canonical(rng: random.Random, max_rank=4, max_d=12, walk_steps=0) -> 
     if walk_steps:
         d, _ = random_homotopy_walk(d, walk_steps, rng.randrange(2**32))
     return d
+
+
+def random_unimodular(size: int, seed: int, ops: int = 30) -> IntMatrix:
+    """Product of ``ops`` random elementary matrices; determinant is +-1.
+
+    Operations are swaps, negations, and adding a nonzero multiple in
+    [-3, 3] of one row to another.  Deterministic for a fixed seed.
+    """
+    rng = random.Random(seed)
+    m = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for _ in range(ops):
+        if size == 0:
+            break
+        kind = rng.choice(("swap", "negate", "add")) if size > 1 else "negate"
+        if kind == "negate":
+            i = rng.randrange(size)
+            m[i] = [-x for x in m[i]]
+        elif kind == "swap":
+            i, j = rng.sample(range(size), 2)
+            m[i], m[j] = m[j], m[i]
+        else:
+            i, j = rng.sample(range(size), 2)
+            q = rng.choice((-3, -2, -1, 1, 2, 3))
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    return IntMatrix.from_rows(m, cols=size)
+
+
+def random_spanning_tree(d: Diagram, component: int, rng: random.Random) -> list[str]:
+    """Uniformly shuffled Kruskal tree of one component, for checking that
+    results do not depend on the choice of tree."""
+    comp = d.component(component)
+    edges = [eid for eid in comp.edge_ids if d.edge_map[eid].tail != d.edge_map[eid].head]
+    rng.shuffle(edges)
+    parent = {v: v for v in comp.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree = []
+    for eid in edges:
+        e = d.edge_map[eid]
+        a, b = find(e.tail), find(e.head)
+        if a != b:
+            parent[a] = b
+            tree.append(eid)
+    return tree

@@ -1,7 +1,9 @@
 """CLI subcommands and the exit-code contract."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 from math import gcd
 from pathlib import Path
@@ -17,6 +19,7 @@ from sglink.moves import MoveRecord, walk_steps
 from sglink.smith import IntMatrix
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 HOPF_TEXT = serialize_sgd(canonical_diagram(1, 1, (1,)))
 SPLIT_TEXT = serialize_sgd(canonical_diagram(1, 1, ()))
@@ -598,3 +601,44 @@ class TestExitContract:
         assert cli.main(["invariant", hopf_file]) == 4
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom\n"
+
+
+class TestParser:
+    """``main`` builds its argparse parser once per process and reuses it."""
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_reuse_carries_nothing_between_commands(self, hopf_file, tmp_path, monkeypatch, capsys):
+        # every command, run in process after the others, prints and exits
+        # as it does alone in a fresh interpreter
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("2 2\n4 2\n2 4\n")
+        commands = [
+            ["invariant", hopf_file, "--no-such-flag"],
+            ["--help"],
+            ["invariant", hopf_file, "--json", "--show-basis"],
+            ["invariant", "--help"],
+            ["invariant", hopf_file],
+            [],
+            ["perturb", hopf_file, "--steps", "3", "--seed", "5", "--json"],
+            ["perturb", hopf_file],
+            ["snf", str(matrix)],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        alone = []
+        for argv in commands:
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from sglink.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv], env=env, capture_output=True, text=True, timeout=60)
+            alone.append((run.returncode, run.stdout, run.stderr))
+        assert [code for code, _, _ in alone] == [2, 0, 0, 0, 0, 2, 0, 0, 0]
+        for _ in range(2):
+            for argv, expected in zip(commands, alone):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse exits on --help and on a usage error
+                    code = exc.code
+                out = capsys.readouterr()
+                assert (code, out.out, out.err) == expected, argv

@@ -9,13 +9,18 @@ Inputs are valid files with random edits as well as arbitrary text.
 
 import contextlib
 import io
+import random
+import sys
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sglink.cli as cli
-from sglink import canonical_diagram, random_homotopy_walk, serialize_sgd
+from sglink import SgdParseError, canonical_diagram, parse_sgd, random_homotopy_walk, serialize_sgd
+from sglink import validate
 from sglink.moves import format_move
 
 FUZZ = settings(
@@ -32,6 +37,13 @@ SGD_SEEDS = [serialize_sgd(d) for d in (
 # the walk that made SEED3 from SEED2, so an unedited replay succeeds there
 REPLAY_SEED = "".join(f"{format_move(r)}\n" for r in _walk_moves)
 MATRIX_SEEDS = ["2 2\n4 2\n2 4\n", "3 2\n1 0\n0 6\n0 0\n", "1 1\n7\n"]
+DATA_SGD = [p.read_text(encoding="utf-8")
+            for p in sorted((Path(__file__).parent / "data").glob("*.sgd"))]
+# The interpreter's limit on the digits int() converts (4300 by default);
+# README documents that longer input integers are parse failures.
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+# digit counts on both sides of the limit, and far past it
+LONG_DIGITS = st.integers(DIGIT_LIMIT - 10, DIGIT_LIMIT + 10) | st.just(5001)
 
 TOKENS = st.sampled_from([
     "", "0", "1", "2", "-1", "+", "-", "+1", "x1", "x2", "a1", "b1", "u1", "u2",
@@ -107,13 +119,14 @@ def work(tmp_path_factory):
 
 
 def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3), (code, argv, err.getvalue())
     for line in err.getvalue().splitlines():
         assert line.startswith("error: "), (argv, err.getvalue())
-    return code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_on(work, data, template):
@@ -175,6 +188,94 @@ def test_arbitrary_bytes(work, data, command):
 )
 def test_canonical_arguments(work, m, n, divisors):
     out = str(work / "canonical.sgd")
-    code = run_cli(["canonical", str(m), str(n)] + [str(x) for x in divisors] + ["--out", out])
+    code, _, _ = run_cli(["canonical", str(m), str(n)] + [str(x) for x in divisors] + ["--out", out])
     if code == 0:
-        assert run_cli(["validate", out]) == 0
+        assert run_cli(["validate", out])[0] == 0
+
+
+def _random_digits(draw, count: int) -> str:
+    """``count`` digits, the first nonzero.  They come from a seeded
+    generator, so hypothesis draws a seed, not thousands of characters."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice("123456789") + "".join(rng.choices("0123456789", k=count - 1))
+
+
+@st.composite
+def long_passage_index(draw):
+    """A seed diagram with one passage index written with thousands of
+    digits: the same index zero-padded, or random digits (a passage gap).
+    Returns the text, the unedited seed, the line and column of the index,
+    its digit count and whether it is padded."""
+    seed = draw(st.sampled_from(SGD_SEEDS))
+    lines = seed.splitlines()
+    row = draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.startswith("crossing ")]))
+    words = lines[row].split(" ")
+    slot = draw(st.sampled_from((4, 7)))
+    count = draw(LONG_DIGITS)
+    padded = draw(st.booleans())
+    col = len(" ".join(words[:slot])) + 2
+    words[slot] = words[slot].zfill(count) if padded else _random_digits(draw, count)
+    lines[row] = " ".join(words)
+    return "\n".join(lines) + "\n", seed, row + 1, col, count, padded
+
+
+@FUZZ
+@given(case=long_passage_index(), command=st.sampled_from(SGD_COMMANDS))
+def test_passage_index_digit_limit(work, case, command):
+    text, seed, line, col, count, padded = case
+    got = run_on(work, text.encode(), command)
+    if count > DIGIT_LIMIT:
+        assert got == (3, "", f"error: line {line}, col {col}: bad passage index of {count} digits\n")
+    elif padded:  # the same diagram: the same result
+        assert got == run_on(work, seed.encode(), command)
+    else:  # an index far past its edge's passages
+        assert got[0] == (2 if command[0] == "validate" else 3)
+
+
+@st.composite
+def long_entry_matrix(draw):
+    """A matrix file of at most 2 x 3 small entries, one of them with
+    thousands of digits and either sign.  Returns the text, the entries as
+    text and the digit count."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    entries = [str(x) for x in draw(st.lists(st.integers(-9, 9),
+                                             min_size=rows * cols, max_size=rows * cols))]
+    count = draw(LONG_DIGITS)
+    entries[draw(st.integers(0, rows * cols - 1))] = (
+        draw(st.sampled_from(("", "-"))) + _random_digits(draw, count))
+    return f"{rows} {cols}\n" + " ".join(entries) + "\n", entries, count
+
+
+@FUZZ
+@given(case=long_entry_matrix(), command=st.sampled_from(SNF_COMMANDS))
+def test_matrix_entry_digit_limit(work, case, command):
+    text, entries, count = case
+    code, out, err = run_on(work, text.encode(), command)
+    if count > DIGIT_LIMIT:
+        assert (code, out) == (3, "")
+        assert err.startswith("error: matrix file: ") and f"{count} digits" in err
+    else:
+        assert (code, err) == (0, "")
+        if command == ["snf", "IN"]:  # the first divisor is the gcd of the entries
+            assert out.split()[0] == str(gcd(*map(int, entries)))
+
+
+@settings(FUZZ, max_examples=300)
+@given(text=mutated(SGD_SEEDS + DATA_SGD))
+def test_parse_check_reports_what_validate_finds(text):
+    # parse_sgd checks references line by line and runs only validate's
+    # passage checks on the result; together they find what validate finds
+    try:
+        raw = parse_sgd(text, check=False)
+    except SgdParseError as exc:
+        with pytest.raises(SgdParseError) as checked:
+            parse_sgd(text)
+        assert str(checked.value) == str(exc)
+        return
+    problems = [v.message for v in validate(raw)]
+    if problems:
+        with pytest.raises(SgdParseError) as checked:
+            parse_sgd(text)
+        assert str(checked.value) == "invalid diagram: " + "; ".join(problems)
+    else:
+        assert parse_sgd(text) == raw

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from gen import random_diagram
+from gen import random_diagram, random_spanning_tree
 from sglink import Diagram, DomainError, Edge, boundary, cycle_basis, parse_sgd, rank, spanning_tree
-from sglink.homology import random_spanning_tree
 
 TRIANGLE = parse_sgd(
     "sgd 1\nvertex a\nvertex b\nvertex c\n"

@@ -8,7 +8,8 @@ import pytest
 
 import sglink.cli as cli
 import sglink.linking as linking
-from gen import random_canonical, random_diagram
+import sglink.sgd as sgd
+from gen import random_canonical, random_diagram, random_spanning_tree
 from sglink import (
     Cycle,
     DomainError,
@@ -21,7 +22,6 @@ from sglink import (
     over_under_consistent,
     parse_sgd,
 )
-from sglink.homology import random_spanning_tree
 from sglink.smith import lk_invariant
 
 HOPF = parse_sgd(
@@ -195,7 +195,9 @@ DATA = Path(__file__).parent / "data"
 
 class TestInvariantCommand:
     def test_builds_bases_and_matrix_once(self, monkeypatch, capsys):
-        calls = {"cycle_basis": 0, "linking_matrix": 0}
+        # one pass over the crossings too: the matrix and the over/under
+        # check share the diagram's sign sums
+        calls = {"cycle_basis": 0, "linking_matrix": 0, "pair_signs": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -207,10 +209,11 @@ class TestInvariantCommand:
         lm = counted("linking_matrix", linking.linking_matrix)
         monkeypatch.setattr(linking, "linking_matrix", lm)
         monkeypatch.setattr(cli, "linking_matrix", lm)
+        monkeypatch.setattr(sgd, "pair_signs", counted("pair_signs", sgd.pair_signs))
         path = str(DATA / "walked_8_8.sgd")
         assert cli.main(["invariant", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["over_under_consistent"] is True
-        assert calls == {"cycle_basis": 2, "linking_matrix": 1}
+        assert calls == {"cycle_basis": 2, "linking_matrix": 1, "pair_signs": 1}
 
     def test_show_basis_json_matches_golden(self, capsys):
         # walked_8_8.sgd: canonical 8 8 1 1 2 2 4 4 8 8 after 200 perturb steps

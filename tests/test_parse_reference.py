@@ -13,10 +13,12 @@ the column arithmetic is exercised, not just the messages.
 import random
 from pathlib import Path
 
+import pytest
+
 from gen import random_diagram
 from sglink import SgdParseError, canonical_diagram, parse_sgd, serialize_sgd
 from sglink.moves import random_homotopy_walk
-from sglink.sgd import _ID_RE, _TOKEN_RE, SGD_HEADER, Crossing, Diagram, Edge, validate
+from sglink.sgd import _ID_RE, _LINE_RE, _TOKEN_RE, SGD_HEADER, Crossing, Diagram, Edge, validate
 
 DATA = Path(__file__).parent / "data"
 
@@ -238,3 +240,56 @@ def test_mutated_input_raises_identical_errors():
     # the edits reach every check, at columns well inside their lines
     assert seen == set(MESSAGES)
     assert len(columns) > 20
+
+
+SMALL = ["sgd 1", "vertex a", "vertex b", "edge e a a", "edge f b b",
+         "crossing x1 over e 0 under f 0 sign +", "crossing x2 over f 1 under e 1 sign +"]
+
+
+def test_lines_the_pattern_accepts_but_a_check_rejects():
+    # Each last line has a valid shape, so _LINE_RE accepts it, and clashes
+    # with the lines before it; blanks are tabs and Unicode spaces, and a
+    # comment may follow the last token with no blank before it.
+    cases = {
+        "\tcrossing\u3000x1 over\te 2 under f\xa02 sign -#x1": "duplicate crossing id 'x1'",
+        "crossing x3 over  g 2 under e 2 sign +  # g": "crossing references undeclared edge 'g'",
+        "crossing x3 over e 2\tunder  g 2 sign +": "crossing references undeclared edge 'g'",
+        "vertex\u2003c": "vertex declared after edges or crossings",
+        " edge h a b#c": "edge declared after crossings",
+    }
+    for last, message in cases.items():
+        assert _LINE_RE.fullmatch(last).lastgroup is not None, last
+        got = assert_same("\n".join(SMALL + [last]) + "\n")
+        assert got[:3] == (SgdParseError, f"line {len(SMALL) + 1}, col {got[3]}: {message}",
+                           len(SMALL) + 1), last
+    decls = SMALL[:3]
+    for last, message in {"vertex\ta #": "duplicate vertex id 'a'",
+                          "edge e a c": "edge references undeclared vertex 'c'",
+                          "edge e b a\nedge e a a": "duplicate edge id 'e'"}.items():
+        got = assert_same("\n".join(decls + [last]) + "\n")
+        assert got[0] is SgdParseError and message in got[1], last
+
+
+def test_index_past_the_digit_limit_is_a_parse_error():
+    # the reference parser leaks int()'s ValueError here; the line itself
+    # passes the pattern, and int() rejects it
+    long = "0" * 5000 + "1"
+    line = f"crossing x2 over f {long}\tunder e 1 sign +"
+    assert _LINE_RE.fullmatch(line).lastgroup == "crossing"
+    for check in (False, True):
+        got = outcome(parse_sgd, "\n".join(SMALL[:-1] + [line]), check)
+        assert got == (SgdParseError, f"line 7, col 20: bad passage index of 5001 digits", 7, 20)
+
+
+def test_mid_line_comment_ends_the_declaration():
+    text = "\n".join(SMALL[:4] + ["edge f b b#edge g b b", SMALL[5] + "#", SMALL[6] + "\t# x3"])
+    assert assert_same(text) == parse_sgd("\n".join(SMALL))
+
+
+def test_failed_match_is_linear_in_the_line():
+    # every token class excludes blanks, so a long run of them cannot make
+    # the pattern backtrack quadratically (10**6 blanks take ~0.1 s)
+    blanks = " " * 10**6
+    for line in (blanks + "x", "vertex" + blanks + "a b", "crossing x over e 0" + blanks + "?"):
+        with pytest.raises(SgdParseError):
+            parse_sgd("sgd 1\n" + line)

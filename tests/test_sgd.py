@@ -164,6 +164,34 @@ class TestValidate:
             "edge 'e' passage indices [0, 3] are not 0..1"
         ]
 
+    def test_message_order(self):
+        # the reference and passage checks run apart and their messages
+        # interleave: identifiers, vertices, edges, then per crossing its
+        # id, sign, degeneracy and references, then passage indices
+        d = Diagram(
+            ("v", "v", "w-"),
+            (Edge("e", "v", "v"), Edge("f", "v", "u"), Edge("f", "w-", "w-")),
+            (Crossing("x1", ("e", 0), ("e", 0), 1),
+             Crossing("x2", ("g", 0), ("g", 0), 2),
+             Crossing("x2", ("e", 1), ("h", 0), 1),
+             Crossing("x3", ("e", 1), ("e", 3), 0)),
+        )
+        assert [(v.code, v.message) for v in validate(d)] == [
+            ("bad-identifier", "identifier 'w-' is not an [A-Za-z0-9_]+ token"),
+            ("duplicate-id", "vertex id 'v' declared twice"),
+            ("dangling-vertex", "edge 'f' references missing vertex 'u'"),
+            ("duplicate-id", "edge id 'f' declared twice"),
+            ("crossing-degenerate", "crossing 'x1' over and under reference the same passage"),
+            ("bad-sign", "crossing 'x2' sign must be +1 or -1"),
+            ("crossing-degenerate", "crossing 'x2' over and under reference the same passage"),
+            ("dangling-edge", "crossing 'x2' references missing edge 'g'"),
+            ("dangling-edge", "crossing 'x2' references missing edge 'g'"),
+            ("duplicate-id", "crossing id 'x2' declared twice"),
+            ("dangling-edge", "crossing 'x2' references missing edge 'h'"),
+            ("bad-sign", "crossing 'x3' sign must be +1 or -1"),
+            ("passage-duplicate", "edge 'e' passage indices used twice: [0, 1]"),
+        ]
+
 
 class TestComponents:
     def test_order_by_smallest_vertex(self):
@@ -175,7 +203,7 @@ class TestComponents:
         d = parse_sgd(HOPF_TEXT)
         assert d.component_of_edge("e1") == 1
         assert d.component_of_edge("e2") == 2
-        assert d.component_of_vertex("v2") == 2
+        assert [c.index for c in d.components if "v2" in c.vertices] == [2]
         with pytest.raises(DomainError):
             d.component(3)
         with pytest.raises(DomainError):
