@@ -25,11 +25,11 @@ from pathlib import Path
 
 from .classify import Result, classify
 from .errors import DomainError, SelfCheckError, SgdParseError
-from .homology import CycleBasis
+from .homology import CycleBasis, cycle_basis
 from .linking import linking_matrix, matrix_from_pairs, over_under_consistent
-from .moves import MoveRecord, format_move, replay_steps, walk_steps
+from .moves import MoveCheckError, MoveRecord, WalkState, format_move, replay_steps, walk_steps
 from .moves import canonical_diagram as _canonical
-from .sgd import pair_signs, parse_sgd, serialize_sgd, validate
+from .sgd import _passage_violations, pair_signs, parse_sgd, serialize_sgd
 from .smith import IntMatrix, lk_invariant, smith_normal_form
 
 DEFAULT_SEED = 1729
@@ -62,7 +62,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_validate(args) -> int:
     d = _read_diagram(args.path, check=False)
-    problems = validate(d)
+    # parse_sgd has rejected every identifier, duplicate-id, reference and
+    # sign violation line by line, so of validate's checks only the passage
+    # checks are left, and they come in validate's order
+    problems = [v for _, v in _passage_violations(d)]
     if not problems:
         print("OK")
         return EXIT_OK
@@ -153,23 +156,31 @@ def _write_moves(path: str, move_lines: list[str]) -> None:
 
 def cmd_perturb(args) -> int:
     # The walk drives one moves.WalkState, which keeps the sign sums of the
-    # inter-component crossing pairs current as its moves change them.
-    # After each step the matrix is read off the state: off those sums, and
-    # again only after a step that changed the graph or one of the sums
-    # (the state's revision), over bases rebuilt only for a component whose
-    # graph or number changed; a verified SNF runs only when the matrix
-    # changed.  At the end the matrix is rebuilt from scratch over the final
-    # diagram's crossings, with the same kernel, and must equal the running
-    # one.  A failed self-check still writes --moves-out, up to and
-    # including the failing move.
+    # inter-component crossing pairs current as its moves change them, and
+    # keeps each component's bases from the start: fundamental bases over a
+    # spanning tree the state keeps, not cycle_basis's breadth-first default.
+    # A split or contraction updates the cycles it touched, and the state
+    # certifies it as a unimodular change of basis; a certificate that
+    # fails raises a MoveCheckError naming the move.  A split or tree-edge
+    # contraction leaves the matrix as it was.  It is read off the sums
+    # again only after a step that changed one of them, renumbered the
+    # components or contracted a non-tree edge, and a verified SNF runs
+    # when that read changed the matrix.  At the end the matrix is rebuilt
+    # from scratch over the final diagram's crossings, with the same kernel,
+    # and must equal the running one, and each kept basis must be the
+    # fundamental basis of its tree in the final diagram.  A failed
+    # self-check still writes --moves-out, up to and including the failing
+    # move.
     d = _read_diagram(args.path)
     mat = linking_matrix(d)
     inv = lk_invariant(mat)
 
+    start = WalkState(d)
+    start.keep_bases()
     if args.replay:
-        walk = replay_steps(d, _read_text(args.replay))
+        walk = replay_steps(start, _read_text(args.replay))
     else:
-        walk = walk_steps(d, _check_steps(args.steps), _check_seed(args.seed))
+        walk = walk_steps(start, _check_steps(args.steps), _check_seed(args.seed))
 
     records: list[MoveRecord] = []
     state = None
@@ -191,7 +202,19 @@ def cmd_perturb(args) -> int:
                 "the linking matrix kept along the walk differs from the one "
                 "rebuilt from the final diagram's crossings"
             )
-    except SelfCheckError:
+        for kept in (mat.basis1, mat.basis2):
+            try:
+                fresh = cycle_basis(final, kept.component, tree=kept.tree_edges)
+            except DomainError:
+                fresh = None
+            if fresh != kept:
+                raise SelfCheckError(
+                    f"the cycle basis kept along the walk for component {kept.component} "
+                    "is not the fundamental basis of its tree in the final diagram"
+                )
+    except SelfCheckError as exc:
+        if isinstance(exc, MoveCheckError):
+            records.append(exc.move)
         if args.moves_out:
             try:
                 _write_moves(args.moves_out, [format_move(r) for r in records])

@@ -16,9 +16,9 @@ a sparse incidence, edge id -> [(cycle index, coefficient)], and adds each
 pair's sign sum times the outer product of the two edges' incidence
 entries.  The cost is linear in the crossings plus the work of those outer
 products, never a rescan of the crossings per cycle pair.  The ``perturb``
-walk keeps its own running pair sums (``moves.WalkState``), and
-:func:`linking_matrix` given such a state reads the matrix off them with
-the same second part.
+walk keeps its own running pair sums and bases (``moves.WalkState``), and
+:func:`linking_matrix` given such a state returns the matrix the state
+keeps over them, read off those sums with the same second part.
 """
 
 from __future__ import annotations
@@ -125,13 +125,16 @@ def linking_matrix(
     Defaults to the deterministic fundamental bases; explicit bases (for
     example over a randomized spanning tree) let callers confirm that the
     divisor chain does not depend on the choice.  ``d`` may also be a
-    ``moves.WalkState``, whose matrix over its default bases is read off
-    the inter-component sign sums it keeps running, with no pass over the
-    crossings (:meth:`moves.WalkState.linking_matrix`).
+    ``moves.WalkState``; its matrix is over the bases the state keeps,
+    fundamental bases over spanning trees that its graph moves carry, which
+    are in general not the default ones.  The state reads it off the
+    inter-component sign sums it keeps running, with no pass over the
+    crossings, and keeps it through a split or the contraction of a tree
+    edge, which leave it as it was (:meth:`moves.WalkState.linking_matrix`).
     """
     if not isinstance(d, Diagram):
         if basis1 is not None or basis2 is not None:
-            raise DomainError("a walk state's linking matrix is over its default bases")
+            raise DomainError("a walk state's linking matrix is over its kept bases")
         return d.linking_matrix()
     require_two_components(d)
     if basis1 is None:

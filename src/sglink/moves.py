@@ -18,6 +18,16 @@ walk can read the matrix off running sums.  The module functions
 ``Diagram`` through a state; ``walk_steps`` and ``replay_steps`` drive
 one state through a whole walk and build a ``Diagram`` only when asked.
 
+A state can also keep, for each component, a spanning tree and its
+fundamental cycles, and carry them through the graph moves.  A split or
+a contraction is a homotopy equivalence of one component, so it changes
+the linking matrix only by a unimodular change of basis: the state
+updates the cycles the move touched and certifies each move as it goes
+(no passage on the edge the move adds or removes, zero boundary at the
+move's vertices, and every cycle a non-tree contraction changed still
+the fundamental cycle of its edge over the new tree).  A failed
+certificate raises :class:`MoveCheckError`, which names the move.
+
 The canonical generator builds, for ranks (m, n) and a divisor chain d, two
 bouquets joined by parallel clasps so that loop i of each side links loop i
 of the other exactly d_i times.  All diagrams produced here are realizable
@@ -32,12 +42,13 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DomainError
-from .homology import CycleBasis, fundamental_basis
+from .errors import DomainError, SelfCheckError
+from .homology import Cycle, CycleBasis, fundamental_basis
 from .linking import LinkingMatrix, matrix_from_pairs
 from .sgd import Crossing, Diagram, Edge, pair_signs, validate
 
 __all__ = [
+    "MoveCheckError",
     "MoveRecord",
     "WalkState",
     "crossing_change",
@@ -67,6 +78,14 @@ class MoveRecord:
     kind: str
     params: tuple[str, ...]
     homotopy_preserving: bool
+
+
+class MoveCheckError(SelfCheckError):
+    """A move failed its certificate; ``move`` is the move that did."""
+
+    def __init__(self, move: MoveRecord, reason: str):
+        self.move = move
+        super().__init__(f"{reason}, in move {format_move(move)}")
 
 
 def _discard(ordered: list[str], item: str) -> None:
@@ -129,6 +148,122 @@ class _FreshIds:
                 heapq.heappush(self._free, k)
 
 
+class _KeptBasis:
+    """One component's spanning tree and its fundamental cycles, carried
+    through graph moves.
+
+    - ``tree`` holds the tree edges in the order they joined the tree.
+    - ``keys`` holds the non-tree edges in id order; the cycle of a key is
+      its fundamental cycle, +1 on the key and 0 on the other keys.
+    - ``cycles`` maps each key to its coefficients (edge id -> nonzero
+      int).  A changed cycle gets a new dict, so a basis handed out by
+      :meth:`basis` never changes.
+    - ``through`` maps each edge to the keys of the cycles that hold it.
+    """
+
+    def __init__(self, b: CycleBasis, edge_ids: Sequence[str]):
+        tree = set(b.tree_edges)
+        self.tree = dict.fromkeys(b.tree_edges)
+        self.keys = [eid for eid in edge_ids if eid not in tree]
+        self.cycles: dict[str, dict[str, int]] = {}
+        self.through: dict[str, set[str]] = {}
+        for key, c in zip(self.keys, b.cycles):
+            self.cycles[key] = c.coeffs
+            for x in c.coeffs:
+                self.through.setdefault(x, set()).add(key)
+        self._made: CycleBasis | None = b
+        self._objs = dict(zip(self.keys, b.cycles))  # key -> Cycle as last made
+        self._k = b.component  # the component number of those Cycles
+        self._dirty: set[str] = set()
+
+    def basis(self, k: int) -> CycleBasis:
+        """The basis as a ``CycleBasis`` of component number ``k``; only the
+        cycles changed since the last call are made anew."""
+        made = self._made
+        if made is None or made.component != k:
+            objs, dirty = self._objs, self._dirty
+            if self._k != k:  # renumbered: every cycle is made anew
+                self._k, dirty = k, self.keys
+            for key in dirty:
+                objs[key] = Cycle(k, self.cycles[key])
+            self._dirty = set()
+            cycles = tuple(map(objs.__getitem__, self.keys))
+            made = self._made = CycleBasis(k, tuple(self.tree), cycles)
+        return made
+
+    def _changed(self, keys) -> None:
+        self._dirty.update(keys)
+        self._made = None
+
+    def split(self, moved, new_eid: str) -> None:
+        """The new edge of a split joins the tree.  Each cycle through the
+        moved ends takes the coefficient on it that closes the cycle at
+        the new vertex, the end of the new edge."""
+        sums: dict[str, int] = {}
+        for x, side in moved:
+            for key in self.through.get(x, ()):
+                c = self.cycles[key][x]
+                sums[key] = sums.get(key, 0) + (c if side == "head" else -c)
+        self.tree[new_eid] = None
+        closed = [key for key, s in sums.items() if s]
+        if closed:
+            self.through[new_eid] = set(closed)
+            for key in closed:
+                self.cycles[key] = {**self.cycles[key], new_eid: -sums[key]}
+        self._changed(closed)
+
+    def contract(self, eid: str) -> list[str] | None:
+        """Contract edge ``eid`` in the basis.
+
+        A tree edge leaves the tree and its coefficient is dropped; every
+        cycle keeps its key, and None is returned.  For a non-tree edge e,
+        the smallest tree edge t on its cycle z_e leaves the tree: sigma *
+        (z_e - e), sigma = z_e[t], becomes t's cycle, and every other cycle
+        z through t becomes z - z[t] * (t's cycle).  The keys of the cycles
+        that changed so are returned.
+        """
+        through = self.through
+        if eid in self.tree:
+            del self.tree[eid]
+            keys = through.pop(eid, ())
+            for key in keys:
+                z = dict(self.cycles[key])
+                del z[eid]
+                self.cycles[key] = z
+            self._changed(keys)
+            return None
+        ze = self.cycles.pop(eid)
+        t = min(x for x in ze if x != eid)
+        sigma = ze[t]
+        ct = {x: sigma * c for x, c in ze.items() if x != eid}
+        for x in ze:
+            through[x].discard(eid)
+        del through[eid]
+        changed = [t]
+        for key in list(through[t]):
+            z = dict(self.cycles[key])
+            f = z[t]
+            for x, c in ct.items():
+                v = z.get(x, 0) - f * c
+                if v:
+                    z[x] = v
+                    through[x].add(key)
+                else:
+                    del z[x]
+                    through[x].discard(key)
+            self.cycles[key] = z
+            changed.append(key)
+        self.cycles[t] = ct
+        for x in ct:
+            through[x].add(t)
+        del self.tree[t]
+        _discard(self.keys, eid)
+        insort(self.keys, t)
+        self._objs.pop(eid, None)
+        self._changed(changed)
+        return changed
+
+
 class WalkState:
     """A valid diagram as a mutable working state that moves update in place;
     building one from a diagram that fails ``sgd.validate`` raises
@@ -149,6 +284,23 @@ class WalkState:
     - ``revision`` goes up with every move that changes the graph or an
       inter-component sign sum; a linking matrix read at one revision holds
       for as long as the revision stays the same.
+    - Once asked for (:meth:`basis`, :meth:`keep_bases`), a component's
+      basis is kept: a spanning tree and its fundamental cycles, with an
+      edge -> cycles index, which each split and contraction updates where
+      it touches them.  The kept tree is wherever the moves took it, not
+      ``cycle_basis``'s breadth-first default.  With two components the
+      linking matrix over the kept bases is kept too.  A split or the
+      contraction of a tree edge leaves it as it is; the rare contraction
+      of a non-tree edge changes the basis, and the matrix is read off the
+      sign sums again.
+
+    A split or contraction on kept bases is certified before it returns,
+    and raises ``SelfCheckError`` when a check fails: the edge it adds or
+    removes carries no passage; every cycle through the move's vertices has
+    zero boundary there; and every cycle a non-tree contraction changed is
+    +1 on its own edge and 0 on every other edge outside the new tree, so
+    the basis is still the fundamental basis of the kept tree, a
+    unimodular change of basis from the one before.
 
     :meth:`diagram` builds the ``Diagram`` in time linear in its size.
     """
@@ -165,7 +317,7 @@ class WalkState:
             self._comp_vertices.append(list(comp.vertices))
             self._comp_edges.append(list(comp.edge_ids))
         self._order = list(range(len(self._comp_vertices)))  # keys by number
-        self._bases: dict[int, CycleBasis] = {}  # key -> basis last built
+        self._kept: dict[int, _KeptBasis] = {}  # component key -> its kept basis
         self._vertices = list(d.vertices)
         self._edges = dict(d.edge_map)
         self._ends: dict[str, set[tuple[str, str]]] = {v: set() for v in d.vertices}
@@ -191,7 +343,8 @@ class WalkState:
         self._vids = _FreshIds("v", self._vertices)
         self._eids = _FreshIds("e", self._edges)
         self.revision = 0
-        self._matrix: tuple[int, LinkingMatrix] | None = None  # (revision, matrix read at it)
+        self._matrix: LinkingMatrix | None = None  # over the kept bases
+        self._matrix_at = -1  # the revision its entries hold at
 
     # -- reading --------------------------------------------------------
 
@@ -206,27 +359,50 @@ class WalkState:
         return sorted(self._ends.get(vid, ()))
 
     def basis(self, k: int) -> CycleBasis:
-        """The default fundamental basis of component ``k``, as
-        ``cycle_basis`` gives it.  It is rebuilt only when a move changed
-        that component's graph or its number since the last call."""
+        """The kept basis of component ``k``: the fundamental cycles of a
+        spanning tree the state keeps, equal to ``cycle_basis(d, k,
+        tree=b.tree_edges)`` for the diagram ``d`` the state holds.  The
+        first call builds it over ``cycle_basis``'s default tree; from then
+        on the graph moves carry the tree and the cycles, so it is in
+        general not the default basis of the diagram it has become."""
         if not 1 <= k <= len(self._order):
             raise DomainError(f"no such component {k} (diagram has {len(self._order)})")
         key = self._order[k - 1]
-        b = self._bases.get(key)
-        if b is None or b.component != k:
-            b = self._bases[key] = fundamental_basis(
-                k, self._comp_vertices[key], self._comp_edges[key], self._edges)
-        return b
+        kept = self._kept.get(key)
+        if kept is None:
+            edge_ids = self._comp_edges[key]
+            kept = self._kept[key] = _KeptBasis(
+                fundamental_basis(k, self._comp_vertices[key], edge_ids, self._edges), edge_ids)
+        return kept.basis(k)
+
+    def keep_bases(self) -> None:
+        """Keep the basis of every component from now on and, for two
+        components, the linking matrix over them, so that every later
+        split and contraction carries them and is certified."""
+        for k in range(1, len(self._order) + 1):
+            self.basis(k)
+        if len(self._order) == 2:
+            self.linking_matrix()
 
     def linking_matrix(self) -> LinkingMatrix:
-        """The linking matrix over the default bases, read off the running
-        sign sums; read again only after the revision changed."""
+        """The linking matrix over the kept bases.
+
+        It is read off the running sign sums the first time, and again
+        after any move that changed a sign sum, renumbered the components
+        or contracted a non-tree edge.  A split or the contraction of a
+        tree edge changes the cycles only on an edge without passages and
+        keeps their order, so the matrix stays as it was, over the new
+        bases."""
         if len(self._order) != 2:
             raise DomainError(f"diagram has {len(self._order)} components, expected 2")
-        if self._matrix is None or self._matrix[0] != self.revision:
-            self._matrix = (self.revision,
-                            matrix_from_pairs(self.pair_signs, self.basis(1), self.basis(2)))
-        return self._matrix[1]
+        b1, b2 = self.basis(1), self.basis(2)
+        mat = self._matrix
+        if self._matrix_at != self.revision:
+            mat = matrix_from_pairs(self.pair_signs, b1, b2)
+        elif mat.basis1 is not b1 or mat.basis2 is not b2:
+            mat = LinkingMatrix(mat.rows, mat.cols, mat.entries, b1, b2)
+        self._matrix, self._matrix_at = mat, self.revision
+        return mat
 
     def diagram(self) -> Diagram:
         """The ``Diagram`` this state holds now."""
@@ -302,16 +478,13 @@ class WalkState:
         all unchanged.  Edges carrying passages cannot be contracted: that
         would require sliding crossings along the edge.
         """
-        edge = self._edges.get(eid)
-        if edge is None:
-            raise DomainError(f"unknown edge {eid!r}")
-        if edge.tail == edge.head:
-            raise DomainError(f"cannot contract loop {eid!r}")
-        if self._passages[eid]:
-            raise DomainError(f"cannot contract edge {eid!r}: it carries crossing passages")
+        edge = self._contractible_edge(eid)
         keep, drop = edge.tail, edge.head
         key = self._comp_of.pop(drop)
-        del self._edges[eid], self._passages[eid]
+        kept = self._kept.get(key)
+        carried = self._matrix_at == self.revision
+        del self._edges[eid]
+        passages = self._passages.pop(eid)
         _discard(self._contractible, eid)
         self._ends[keep].discard((eid, "tail"))
         moved = self._ends.pop(drop)
@@ -323,7 +496,19 @@ class WalkState:
         _discard(self._comp_edges[key], eid)
         self._vids.free(drop)
         self._eids.free(eid)
-        self._graph_changed(key)
+        rebased = kept.contract(eid) if kept is not None else None
+        self._graph_moved(key, eid, passages, (keep,), carried, rebased)
+
+    def _contractible_edge(self, eid: str) -> Edge:
+        """The edge ``eid``, if it can be contracted."""
+        edge = self._edges.get(eid)
+        if edge is None:
+            raise DomainError(f"unknown edge {eid!r}")
+        if edge.tail == edge.head:
+            raise DomainError(f"cannot contract loop {eid!r}")
+        if self._passages[eid]:
+            raise DomainError(f"cannot contract edge {eid!r}: it carries crossing passages")
+        return edge
 
     def split_vertex(
         self,
@@ -352,6 +537,10 @@ class WalkState:
         if p1 & p2 or p1 | p2 != ends or len(p1) + len(p2) != len(ends):
             raise DomainError("partition must cover the incident edge-ends exactly once")
         key = self._comp_of[vid]
+        carried = self._matrix_at == self.revision
+        kept = self._kept.get(key)
+        if kept is not None:
+            kept.split(p2, new_eid)
         self._comp_of[new_vid] = key
         self._move_ends(p2, new_vid)
         ends -= p2
@@ -366,7 +555,7 @@ class WalkState:
         insort(self._comp_edges[key], new_eid)
         self._vids.take(new_vid)
         self._eids.take(new_eid)
-        self._graph_changed(key)
+        self._graph_moved(key, new_eid, self._passages[new_eid], (vid, new_vid), carried)
 
     def _add_sign(self, o: str, u: str, s: int) -> None:
         total = self.pair_signs.get((o, u), 0) + s
@@ -388,10 +577,45 @@ class WalkState:
             elif was and not now:
                 _discard(self._contractible, x)
 
-    def _graph_changed(self, key: int) -> None:
-        self._bases.pop(key, None)
+    def _graph_moved(self, key: int, eid: str, passages, vertices, carried: bool,
+                     rebased: list[str] | None = None) -> None:
+        """Certify a split or contraction of component ``key`` that added or
+        removed edge ``eid`` (which carried ``passages``) and renumber the
+        components.  ``rebased`` holds the keys of the cycles a non-tree
+        contraction changed, None after any other graph move.  Only such
+        other moves keep the matrix, and only when it held before the move
+        (``carried``) and the components kept their numbers; otherwise the
+        next :meth:`linking_matrix` reads it off the sums again."""
+        if passages:
+            raise SelfCheckError(f"the edge {eid!r} added or removed carries crossing passages")
+        num = self._order.index(key) + 1
+        kept = self._kept.get(key)
+        if kept is not None:
+            for v in vertices:
+                self._check_boundary(kept, num, v)
+            for c in sorted(rebased or ()):
+                z = kept.cycles[c]
+                if z.get(c) != 1 or any(x != c and x not in kept.tree for x in z):
+                    raise SelfCheckError(f"cycle {c!r} of component {num} is not the "
+                                         "fundamental cycle of its edge over the kept tree")
+        before = list(self._order)
         self._order.sort(key=lambda k: self._comp_vertices[k][0])
         self.revision += 1
+        if carried and rebased is None and self._order == before:
+            self._matrix_at = self.revision
+
+    def _check_boundary(self, kept: _KeptBasis, num: int, v: str) -> None:
+        """Every kept cycle through vertex ``v`` has zero boundary there."""
+        sums: dict[str, int] = {}
+        for x, side in self._ends[v]:
+            for key in kept.through.get(x, ()):
+                c = kept.cycles[key][x]
+                sums[key] = sums.get(key, 0) + (c if side == "head" else -c)
+        bad = [key for key, s in sums.items() if s]
+        if bad:
+            key = min(bad)
+            raise SelfCheckError(
+                f"cycle {key!r} of component {num} has boundary {sums[key]:+d} at vertex {v!r}")
 
     # -- move records ---------------------------------------------------
 
@@ -412,7 +636,14 @@ class WalkState:
         return MoveRecord(kind, params, preserving)
 
     def apply(self, move: MoveRecord) -> None:
-        """Apply one recorded move."""
+        """Apply one recorded move; a failed certificate raises
+        :class:`MoveCheckError` naming it."""
+        try:
+            self._apply(move)
+        except SelfCheckError as exc:
+            raise MoveCheckError(move, str(exc)) from None
+
+    def _apply(self, move: MoveRecord) -> None:
         kind, p = move.kind, move.params
         if kind == "crossing_change":
             self.crossing_change(p[0])
@@ -555,7 +786,8 @@ def parse_move(line: str) -> tuple[str, tuple[str, ...]]:
     return toks[0], tuple(toks[1:])
 
 
-def walk_steps(d: Diagram, steps: int, seed: int) -> Iterator[tuple[MoveRecord, WalkState]]:
+def walk_steps(d: Diagram | WalkState, steps: int,
+               seed: int) -> Iterator[tuple[MoveRecord, WalkState]]:
     """Yield (record, state) after each move of a random homotopy walk.
 
     Moves are drawn from the four homotopy-preserving families: crossing
@@ -564,10 +796,14 @@ def walk_steps(d: Diagram, steps: int, seed: int) -> Iterator[tuple[MoveRecord, 
     uniformly and inapplicable draws are skipped; vertex splitting is always
     applicable, so the walk always completes.  Reproducible from the seed.
     Every item carries the same :class:`WalkState`, updated in place; call
-    its ``diagram()`` for a ``Diagram`` of a step.
+    its ``diagram()`` for a ``Diagram`` of a step.  ``d`` may be such a
+    state already, which the walk then updates: for example one that keeps
+    its bases (:meth:`WalkState.keep_bases`), so that every split and
+    contraction is certified and a failed certificate raises
+    :class:`MoveCheckError`.
     """
     rng = random.Random(seed)
-    state = WalkState(d)
+    state = d if isinstance(d, WalkState) else WalkState(d)
     for _ in range(steps):
         move = None
         while move is None:
@@ -576,13 +812,13 @@ def walk_steps(d: Diagram, steps: int, seed: int) -> Iterator[tuple[MoveRecord, 
         yield move, state
 
 
-def replay_steps(d: Diagram, text: str) -> Iterator[tuple[MoveRecord, WalkState]]:
+def replay_steps(d: Diagram | WalkState, text: str) -> Iterator[tuple[MoveRecord, WalkState]]:
     """Yield (record, state) after each move of a move list, one move per
     line as :func:`format_move` writes it; ``#`` comments and blank lines
     are skipped.  Lines are parsed lazily, so the moves before a bad line
     are all applied first.  As in :func:`walk_steps`, every item carries
-    the same state, updated in place."""
-    state = WalkState(d)
+    the same state, updated in place, and ``d`` may be that state."""
+    state = d if isinstance(d, WalkState) else WalkState(d)
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:

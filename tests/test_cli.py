@@ -9,13 +9,23 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from gen import random_diagram
 
 import sglink.cli as cli
+import sglink.homology as homology
 import sglink.linking as linking
 import sglink.moves as moves
 import sglink.smith as smith
-from sglink import canonical_diagram, linking_matrix, parse_sgd, random_homotopy_walk, serialize_sgd
-from sglink.moves import MoveRecord, walk_steps
+from sglink import (
+    canonical_diagram,
+    diagram_invariant,
+    linking_matrix,
+    parse_sgd,
+    random_homotopy_walk,
+    serialize_sgd,
+    validate,
+)
+from sglink.moves import MoveRecord, format_move, walk_steps
 from sglink.smith import IntMatrix
 
 DATA = Path(__file__).parent / "data"
@@ -28,6 +38,33 @@ GAPPY_TEXT = (
     "crossing x1 over e1 0 under e2 0 sign +\n"
     "crossing x2 over e1 2 under e2 1 sign +\n"
 )
+
+# component 1 is two loops at u1, a1 linked once with b1 and a2 crossing
+# free; component 2 is the loop b1
+TWO_LOOPS_TEXT = (
+    "sgd 1\nvertex u1\nvertex u2\nedge a1 u1 u1\nedge a2 u1 u1\nedge b1 u2 u2\n"
+    "crossing x1 over a1 0 under b1 0 sign +\n"
+    "crossing x2 over b1 1 under a1 1 sign +\n"
+)
+# split both loops open at a new vertex v1 (joined to u1 by the tree edge
+# e1), link e1 with b1 (not homotopy preserving: the matrix is read off the
+# sums again), then contract a2, a non-tree edge: e1 leaves the tree, the
+# cycles change by a certified change of basis and the matrix is read off
+# the sums again
+NON_TREE_CONTRACTION = ["split_vertex u1 v1 e1 a1.head a2.head", "clasp e1 0 b1 0 1",
+                        "contract_edge a2"]
+# the component around v1 and v3 is component 1 until contracting g merges
+# v1, its smallest vertex, into v3; the component around v2 then comes first
+RENUMBERED_TEXT = (
+    "sgd 1\nvertex v1\nvertex v2\nvertex v3\nedge a1 v1 v1\nedge a2 v3 v3\n"
+    "edge b1 v2 v2\nedge g v3 v1\n"
+    "crossing x1 over a1 0 under b1 0 sign +\n"
+    "crossing x2 over b1 1 under a1 1 sign +\n"
+    "crossing x3 over a2 0 under b1 2 sign +\n"
+    "crossing x4 over b1 3 under a2 1 sign +\n"
+)
+RENUMBERING = ["split_vertex v3 v4 e1 a2.head", "contract_edge g", "crossing_change x1",
+               "crossing_change x1", "contract_edge e1"]
 
 
 @pytest.fixture
@@ -63,6 +100,31 @@ class TestValidate:
         p = tmp_path / "bad.sgd"
         p.write_text("not sgd\n")
         assert cli.main(["validate", str(p)]) == 3
+
+    def test_prints_every_violation_validate_finds(self, tmp_path, capsys):
+        # the command runs only the passage checks: on a parsed diagram
+        # they find everything validate finds, in the same order
+        rng = random.Random(71)
+        found = 0
+        for _ in range(150):
+            lines = serialize_sgd(random_diagram(rng)).splitlines()
+            for i, line in enumerate(lines):
+                words = line.split()
+                if words[0] == "crossing" and rng.random() < 0.3:
+                    k = rng.choice((4, 7))
+                    words[k] = str(max(0, int(words[k]) + rng.choice((-1, 1, 2))))
+                    if rng.random() < 0.2:
+                        words[6:8] = words[3:5]  # over and under on one passage
+                    lines[i] = " ".join(words)
+            text = "\n".join(lines) + "\n"
+            p = tmp_path / "d.sgd"
+            p.write_text(text)
+            problems = validate(parse_sgd(text, check=False))
+            want = "".join(f"violation [{v.code}] {v.message}\n" for v in problems) or "OK\n"
+            assert cli.main(["validate", str(p)]) == (2 if problems else 0)
+            assert capsys.readouterr().out == want
+            found += len(problems) > 1
+        assert found > 20
 
 
 class TestInvariant:
@@ -360,35 +422,30 @@ class TestPerturb:
         assert len(recorded.read_text().splitlines()) == 100
 
     def test_redoes_only_what_each_move_changed(self, tmp_path, monkeypatch, capsys):
-        # one SNF for the start plus one per step whose matrix changed; the
-        # two default bases for the start, two more for the state at the
-        # first step, then one basis per component whose graph or number
-        # changed; linking_matrix once for the start and once per step, but
-        # the matrix read off the running sums only at the first step and
-        # at each step that changed the graph (no move of this walk changes
-        # an inter-component sum); one matrix from the final crossings
+        # The state builds its two bases and reads the matrix off the sums
+        # once, at the start.  Every split and contraction after that
+        # carries them by a certified change of basis, and no move of this
+        # walk changes an inter-component sum or renumbers the components,
+        # so no step rebuilds a basis, re-reads the matrix or runs an SNF.
+        # linking_matrix runs once for the start and once per step;
+        # cycle_basis twice for the start matrix and twice in the final
+        # check of the kept bases; one matrix comes from the final crossings.
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
-        matrix_steps = graph_steps = bases = reads = 0
-        built = {}  # component number -> (vertices, edge ids) of its last basis
-        prev, prev_entries = d, linking_matrix(d).entries
-        for n, (_, state) in enumerate(walk_steps(d, 200, 7)):
+        graph_steps = 0
+        prev = d
+        for _, state in walk_steps(d, 200, 7):
             cur = state.diagram()
-            entries = linking_matrix(cur).entries
-            matrix_steps += entries != prev_entries
-            graph_changed = (cur.vertices, cur.edges) != (prev.vertices, prev.edges)
-            reads += n == 0 or graph_changed
-            graph_steps += graph_changed
-            if n == 0 or graph_changed:
-                for comp in cur.components:
-                    if built.get(comp.index) != (comp.vertices, comp.edge_ids):
-                        built[comp.index] = (comp.vertices, comp.edge_ids)
-                        bases += 1
-            prev, prev_entries = cur, entries
+            graph_steps += (cur.vertices, cur.edges) != (prev.vertices, prev.edges)
+            assert cur.component_of_edge("a1") == 1  # never renumbered
+            prev = cur
+        assert 50 < graph_steps < 200
 
-        calls = {"smith_normal_form": 0, "cycle_basis": 0, "fundamental_basis": 0,
-                 "linking_matrix": 0, "moves.matrix_from_pairs": 0, "cli.matrix_from_pairs": 0}
+        calls = dict.fromkeys(("smith_normal_form", "linking.cycle_basis", "cli.cycle_basis",
+                               "homology.fundamental_basis", "moves.fundamental_basis",
+                               "linking_matrix", "moves.matrix_from_pairs",
+                               "cli.matrix_from_pairs"), 0)
 
         def counted(module, name, key=None):
             fn = getattr(module, name)
@@ -399,19 +456,185 @@ class TestPerturb:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(smith, "smith_normal_form")
-        counted(linking, "cycle_basis")
-        counted(moves, "fundamental_basis")
+        counted(linking, "cycle_basis", "linking.cycle_basis")
+        counted(cli, "cycle_basis", "cli.cycle_basis")
+        counted(homology, "fundamental_basis", "homology.fundamental_basis")
+        counted(moves, "fundamental_basis", "moves.fundamental_basis")
         counted(cli, "linking_matrix")
         counted(moves, "matrix_from_pairs", "moves.matrix_from_pairs")
         counted(cli, "matrix_from_pairs", "cli.matrix_from_pairs")
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
+        assert capsys.readouterr().out == (DATA / "perturb_3_3.json").read_text(encoding="utf-8")
+        assert calls == {"smith_normal_form": 1, "linking.cycle_basis": 2, "cli.cycle_basis": 2,
+                         "homology.fundamental_basis": 4, "moves.fundamental_basis": 2,
+                         "linking_matrix": 1 + 200, "moves.matrix_from_pairs": 1,
+                         "cli.matrix_from_pairs": 1}
+
+    def test_wide_walk_runs_one_snf(self, tmp_path, monkeypatch, capsys):
+        # canonical 100 100 1...1: every step used to rebuild a 100-cycle
+        # basis and re-read the 100 x 100 matrix after each graph move
+        src = tmp_path / "c.sgd"
+        assert cli.main(["canonical", "100", "100"] + ["1"] * 100 + ["--out", str(src)]) == 0
+        snfs = []
+        real = smith.smith_normal_form
+        monkeypatch.setattr(smith, "smith_normal_form", lambda m: snfs.append(m) or real(m))
+        out = tmp_path / "walked.sgd"
+        assert cli.main(["perturb", str(src), "--steps", "300", "--seed", "7",
+                         "--out", str(out)]) == 0
+        assert len(snfs) == 1
+        monkeypatch.undo()
         capsys.readouterr()
-        assert calls == {"smith_normal_form": 1 + matrix_steps, "cycle_basis": 2,
-                         "fundamental_basis": bases, "linking_matrix": 1 + 200,
-                         "moves.matrix_from_pairs": reads, "cli.matrix_from_pairs": 1}
-        assert 0 < matrix_steps < 200 and 0 < graph_steps < 200
-        assert graph_steps < bases < 2 * graph_steps
-        assert graph_steps <= reads <= graph_steps + 1
+        assert cli.main(["invariant", str(out)]) == 0
+        assert capsys.readouterr().out == " ".join(["1"] * 100) + "\n"
+
+    @staticmethod
+    def _replay(tmp_path, monkeypatch, capsys, text, lines):
+        """Replay ``lines`` on ``text`` with --json and --moves-out, counting
+        SNF calls; returns (exit code, stdout, stderr, moves written, SNFs)."""
+        src, replay, recorded = tmp_path / "in.sgd", tmp_path / "moves.txt", tmp_path / "out.txt"
+        src.write_text(text)
+        replay.write_text("".join(f"{ln}\n" for ln in lines))
+        snfs = []
+        real = smith.smith_normal_form
+        monkeypatch.setattr(smith, "smith_normal_form", lambda m: snfs.append(m) or real(m))
+        code = cli.main(["perturb", str(src), "--replay", str(replay), "--json",
+                         "--moves-out", str(recorded)])
+        monkeypatch.setattr(smith, "smith_normal_form", real)
+        out, err = capsys.readouterr()
+        return code, out, err, recorded.read_text().splitlines(), len(snfs)
+
+    def _matrices(self, text, lines):
+        """The state's matrix entries after each replayed line, over bases
+        kept from the start as perturb keeps them."""
+        state = moves.WalkState(parse_sgd(text))
+        state.keep_bases()
+        return [linking_matrix(state).entries
+                for _, state in moves.replay_steps(state, "".join(f"{ln}\n" for ln in lines))]
+
+    def test_non_tree_contraction_is_certified(self, tmp_path, monkeypatch, capsys):
+        entries = self._matrices(TWO_LOOPS_TEXT, NON_TREE_CONTRACTION)
+        # the clasp changes the sums and the contraction changes the matrix
+        assert entries == [((1,), (0,)), ((0,), (-1,)), ((1,), (1,))]
+        code, out, err, recorded, snfs = self._replay(
+            tmp_path, monkeypatch, capsys, TWO_LOOPS_TEXT, NON_TREE_CONTRACTION)
+        assert (code, err, recorded) == (0, "", NON_TREE_CONTRACTION)
+        # the start, the clasp and the non-tree contraction: each changed
+        # the matrix, which was read off the sums again; the split needs none
+        assert snfs == 3
+        payload = json.loads(out)
+        assert payload["invariant"] == str(diagram_invariant(parse_sgd(payload["sgd"]))) == "1"
+
+    def test_renumbering_contraction_reads_the_matrix_again(self, tmp_path, monkeypatch, capsys):
+        d = parse_sgd(RENUMBERED_TEXT)
+        states = moves.replay_steps(d, "".join(f"{ln}\n" for ln in RENUMBERING))
+        numbers = [state.diagram().component_of_edge("a1") for _, state in states]
+        assert numbers == [1, 2, 2, 2, 2]
+        entries = self._matrices(RENUMBERED_TEXT, RENUMBERING)
+        assert entries == [((1,), (1,)), ((1, 1),), ((0, 1),), ((1, 1),), ((1, 1),)]
+        code, out, err, recorded, snfs = self._replay(
+            tmp_path, monkeypatch, capsys, RENUMBERED_TEXT, RENUMBERING)
+        assert (code, err, recorded) == (0, "", RENUMBERING)
+        # the start, the renumbering contraction (its matrix is transposed)
+        # and the two inter-component crossing changes
+        assert snfs == 4
+        payload = json.loads(out)
+        assert payload["invariant"] == str(diagram_invariant(parse_sgd(payload["sgd"]))) == "1"
+
+    def _assert_move_fails(self, args, recorded, lines, capsys):
+        # exit 4, the failing move named, and --moves-out up to and
+        # including it
+        assert cli.main(args + ["--moves-out", str(recorded)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("self-check failed: ") and err.count("\n") == 1
+        assert err.endswith(f", in move {lines[-1]}\n")
+        assert recorded.read_text().splitlines() == lines
+        return err
+
+    def test_contracting_an_edge_with_passages_fails_its_move(self, tmp_path, monkeypatch, capsys):
+        # a contraction that no longer refuses an edge carrying passages
+        monkeypatch.setattr(moves.WalkState, "_contractible_edge",
+                            lambda state, eid: state._edges[eid])
+        src, replay = tmp_path / "in.sgd", tmp_path / "moves.txt"
+        src.write_text(TWO_LOOPS_TEXT)
+        lines = ["split_vertex u1 v1 e1 a1.head", "contract_edge a1", "split_vertex u2 v2 e2"]
+        replay.write_text("".join(f"{ln}\n" for ln in lines))
+        err = self._assert_move_fails(["perturb", str(src), "--replay", str(replay)],
+                                      tmp_path / "out.txt", lines[:2], capsys)
+        assert "'a1' added or removed carries crossing passages" in err
+
+    def test_split_dropping_a_closing_coefficient_fails_its_move(self, tmp_path, monkeypatch, capsys):
+        d = canonical_diagram(3, 3, (1, 2, 4))
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(d))
+        # the first split whose new edge closes a kept cycle
+        lines = []
+        for rec, state in walk_steps(d, 200, 7):
+            lines.append(format_move(rec))
+            if rec.kind == "split_vertex" and any(
+                    rec.params[2] in c.coeffs for k in (1, 2) for c in state.basis(k).cycles):
+                break
+        assert 1 < len(lines) < 200
+        real = moves._KeptBasis.split
+
+        def dropping(kept, moved, new_eid):
+            real(kept, moved, new_eid)
+            closed = sorted(kept.through.get(new_eid, ()))
+            if closed:
+                kept.cycles[closed[0]] = {
+                    x: c for x, c in kept.cycles[closed[0]].items() if x != new_eid}
+                kept.through[new_eid].discard(closed[0])
+
+        monkeypatch.setattr(moves._KeptBasis, "split", dropping)
+        err = self._assert_move_fails(["perturb", str(src), "--steps", "200", "--seed", "7"],
+                                      tmp_path / "moves.txt", lines, capsys)
+        assert "has boundary" in err
+
+    def test_change_of_basis_doubled_in_one_row_fails_its_move(self, tmp_path, monkeypatch, capsys):
+        # a non-tree contraction that doubles one of the cycles it changes:
+        # the boundaries stay zero, but the change of basis has determinant 2
+        real = moves._KeptBasis.contract
+
+        def doubled(kept, eid):
+            changed = real(kept, eid)
+            if changed:
+                key = min(changed)
+                kept.cycles[key] = {x: 2 * c for x, c in kept.cycles[key].items()}
+            return changed
+
+        monkeypatch.setattr(moves._KeptBasis, "contract", doubled)
+        src, replay = tmp_path / "in.sgd", tmp_path / "moves.txt"
+        src.write_text(TWO_LOOPS_TEXT)
+        lines = NON_TREE_CONTRACTION + ["split_vertex u2 v2 e2"]
+        replay.write_text("".join(f"{ln}\n" for ln in lines))
+        err = self._assert_move_fails(["perturb", str(src), "--replay", str(replay)],
+                                      tmp_path / "out.txt", NON_TREE_CONTRACTION, capsys)
+        assert "is not the fundamental cycle of its edge over the kept tree" in err
+
+    def test_corrupted_kept_tree_fails_the_final_check_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a tree edge dropped from a kept basis at the last step: the
+        # matrix over the same cycles is unchanged, so only the final check
+        # of the kept bases against the final diagram catches it
+        real_walk = cli.walk_steps
+
+        def walk(d, steps, seed):
+            for n, (rec, state) in enumerate(real_walk(d, steps, seed)):
+                if n == steps - 1:
+                    kept = state._kept[state._order[0]]
+                    del kept.tree[next(iter(kept.tree))]
+                    kept._made = None
+                    state.revision += 1
+                yield rec, state
+
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(canonical_diagram(3, 3, (1, 2, 4))))
+        args = ["perturb", str(src), "--steps", "100", "--seed", "5"]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "walk_steps", walk)
+        assert cli.main(args) == 4
+        assert capsys.readouterr().err == (
+            "self-check failed: the cycle basis kept along the walk for component 1 is "
+            "not the fundamental basis of its tree in the final diagram\n")
 
     def test_long_walk_replays_to_the_same_bytes(self, tmp_path, capsys):
         # 20,000 steps took minutes when every step rebuilt the diagram and

@@ -298,18 +298,21 @@ class TestWalk:
                 assert diagram_invariant(step.diagram()) == inv
 
     def test_state_linking_matrix_matches_its_diagram(self):
-        # read off the running sums, inter-component clasps and crossing
-        # changes included, and kept while the revision stays
+        # carried through graph moves, read off the running sums again after
+        # inter-component clasps, and kept while the revision stays; the
+        # bases are the fundamental bases of the trees the state keeps
         d = canonical_diagram(2, 3, (2,))
         rng = random.Random(8)
         for rec, state in walk_steps(d, 40, 3):
             if rng.random() < 0.3:
                 state.clasp("a1", 0, "b2", 0, rng.choice((1, -1)))
             mat = linking_matrix(state)
-            want = linking_matrix(state.diagram())
-            assert (mat.entries, mat.basis1, mat.basis2) == (want.entries, want.basis1, want.basis2)
+            cur = state.diagram()
+            for k, b in ((1, mat.basis1), (2, mat.basis2)):
+                assert b == state.basis(k) == cycle_basis(cur, k, tree=b.tree_edges)
+            assert mat.entries == linking_matrix(cur, mat.basis1, mat.basis2).entries
             assert linking_matrix(state) is mat
-        with pytest.raises(DomainError, match="default bases"):
+        with pytest.raises(DomainError, match="kept bases"):
             linking_matrix(state, mat.basis1)
 
     def test_seed_reproducibility(self):

@@ -15,7 +15,7 @@ import random
 from typing import Iterator, Sequence
 
 from gen import random_diagram
-from sglink import DomainError, canonical_diagram, cycle_basis, serialize_sgd
+from sglink import DomainError, canonical_diagram, cycle_basis, linking_matrix, serialize_sgd
 from sglink import moves
 from sglink.linking import pair_signs
 from sglink.moves import KINDS, MoveRecord, format_move, parse_move
@@ -287,15 +287,21 @@ def outcome(fn, *args):
 
 def assert_state_matches(state, d):
     """The state's bookkeeping against ``d``, its diagram worked out anew:
-    the diagram itself, the inter-component sign sums and the default
-    bases of every component."""
+    the diagram itself, the inter-component sign sums, the kept basis of
+    every component, which must be the fundamental basis of its kept tree
+    in ``d``, and, for two components, the matrix over those bases, which
+    must equal the one rebuilt from ``d``'s crossings."""
     assert state.diagram() == d
     inter = [c for c in d.crossings
              if d.component_of_edge(c.over[0]) != d.component_of_edge(c.under[0])]
     assert {k: s for k, s in state.pair_signs.items() if s} == {
         k: s for k, s in pair_signs(inter).items() if s}
     for comp in d.components:
-        assert state.basis(comp.index) == cycle_basis(d, comp.index)
+        b = state.basis(comp.index)
+        assert b == cycle_basis(d, comp.index, tree=b.tree_edges)
+    if len(d.components) == 2:
+        mat = linking_matrix(state)
+        assert mat.entries == linking_matrix(d, mat.basis1, mat.basis2).entries
 
 
 def assert_same_walk(d, steps, seed, every_step=True):
