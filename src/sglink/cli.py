@@ -155,28 +155,16 @@ def _write_moves(path: str, move_lines: list[str]) -> None:
 
 
 def cmd_perturb(args) -> int:
-    # The walk drives one moves.WalkState, which keeps the sign sums of the
-    # inter-component crossing pairs current as its moves change them, and
-    # keeps each component's bases from the start: fundamental bases over a
-    # spanning tree the state keeps, not cycle_basis's breadth-first default.
-    # A split or contraction updates the cycles it touched, and the state
-    # certifies it as a unimodular change of basis; a certificate that
-    # fails raises a MoveCheckError naming the move.  A split or tree-edge
-    # contraction leaves the matrix as it was.  It is read off the sums
-    # again only after a step that changed one of them, renumbered the
-    # components or contracted a non-tree edge, and a verified SNF runs
-    # when that read changed the matrix.  At the end the matrix is rebuilt
-    # from scratch over the final diagram's crossings, with the same kernel,
-    # and must equal the running one, and each kept basis must be the
-    # fundamental basis of its tree in the final diagram.  A failed
-    # self-check still writes --moves-out, up to and including the failing
-    # move.
+    # The state's bases start as cycle_basis's defaults, so its first
+    # matrix is the one `invariant` reads off the start diagram.  The final
+    # checks catch running sums or kept bases that a faulty move left wrong
+    # without failing a per-step check.  A failed self-check still writes
+    # --moves-out, so the failing walk can be replayed.
     d = _read_diagram(args.path)
-    mat = linking_matrix(d)
+    start = WalkState(d)
+    mat = linking_matrix(start)
     inv = lk_invariant(mat)
 
-    start = WalkState(d)
-    start.keep_bases()
     if args.replay:
         walk = replay_steps(start, _read_text(args.replay))
     else:

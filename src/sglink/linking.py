@@ -15,10 +15,10 @@ and the linking matrix and the over/under check share them.
 a sparse incidence, edge id -> [(cycle index, coefficient)], and adds each
 pair's sign sum times the outer product of the two edges' incidence
 entries.  The cost is linear in the crossings plus the work of those outer
-products, never a rescan of the crossings per cycle pair.  The ``perturb``
-walk keeps its own running pair sums and bases (``moves.WalkState``), and
-:func:`linking_matrix` given such a state returns the matrix the state
-keeps over them, read off those sums with the same second part.
+products, never a rescan of the crossings per cycle pair.  A walk's
+working state (``moves.WalkState``) keeps its own running pair sums and
+bases, and :func:`linking_matrix` given such a state returns the matrix
+the state keeps over them, read off those sums with the same second part.
 """
 
 from __future__ import annotations
@@ -125,12 +125,14 @@ def linking_matrix(
     Defaults to the deterministic fundamental bases; explicit bases (for
     example over a randomized spanning tree) let callers confirm that the
     divisor chain does not depend on the choice.  ``d`` may also be a
-    ``moves.WalkState``; its matrix is over the bases the state keeps,
-    fundamental bases over spanning trees that its graph moves carry, which
-    are in general not the default ones.  The state reads it off the
-    inter-component sign sums it keeps running, with no pass over the
-    crossings, and keeps it through a split or the contraction of a tree
-    edge, which leave it as it was (:meth:`moves.WalkState.linking_matrix`).
+    ``moves.WalkState``; its matrix is over the bases the state keeps:
+    the default bases of the diagram it was built from, updated since by
+    each graph move over the spanning tree the move left, so in general
+    not the default bases of the diagram it holds now.  The state
+    reads it off the inter-component sign sums it keeps running, with no
+    pass over the crossings, and keeps it through a split or the
+    contraction of a tree edge, which leave it as it was
+    (:meth:`moves.WalkState.linking_matrix`).
     """
     if not isinstance(d, Diagram):
         if basis1 is not None or basis2 is not None:

@@ -18,14 +18,14 @@ walk can read the matrix off running sums.  The module functions
 ``Diagram`` through a state; ``walk_steps`` and ``replay_steps`` drive
 one state through a whole walk and build a ``Diagram`` only when asked.
 
-A state can also keep, for each component, a spanning tree and its
-fundamental cycles, and carry them through the graph moves.  A split or
-a contraction is a homotopy equivalence of one component, so it changes
-the linking matrix only by a unimodular change of basis: the state
-updates the cycles the move touched and certifies each move as it goes
-(no passage on the edge the move adds or removes, zero boundary at the
-move's vertices, and every cycle a non-tree contraction changed still
-the fundamental cycle of its edge over the new tree).  A failed
+A state also keeps, for each component, a spanning tree and its
+fundamental cycles, built with the state and updated by each graph move.
+A split or a contraction is a homotopy equivalence of one component, so
+it changes the linking matrix only by a unimodular change of basis: the
+state updates the cycles the move touched and certifies each move as it
+goes (no passage on the edge the move adds or removes, zero boundary at
+the move's vertices, and every cycle a non-tree contraction changed
+still the fundamental cycle of its edge over the new tree).  A failed
 certificate raises :class:`MoveCheckError`, which names the move.
 
 The canonical generator builds, for ranks (m, n) and a divisor chain d, two
@@ -149,7 +149,7 @@ class _FreshIds:
 
 
 class _KeptBasis:
-    """One component's spanning tree and its fundamental cycles, carried
+    """One component's spanning tree and its fundamental cycles, kept
     through graph moves.
 
     - ``tree`` holds the tree edges in the order they joined the tree.
@@ -281,21 +281,19 @@ class WalkState:
     - Each vertex keeps its incident edge ends; each component keeps its
       vertices and edges in id order, and components are numbered by their
       smallest vertex id, as ``Diagram.components`` numbers them.
-    - ``revision`` goes up with every move that changes the graph or an
-      inter-component sign sum; a linking matrix read at one revision holds
-      for as long as the revision stays the same.
-    - Once asked for (:meth:`basis`, :meth:`keep_bases`), a component's
-      basis is kept: a spanning tree and its fundamental cycles, with an
-      edge -> cycles index, which each split and contraction updates where
-      it touches them.  The kept tree is wherever the moves took it, not
-      ``cycle_basis``'s breadth-first default.  With two components the
-      linking matrix over the kept bases is kept too.  A split or the
-      contraction of a tree edge leaves it as it is; the rare contraction
-      of a non-tree edge changes the basis, and the matrix is read off the
-      sign sums again.
+    - Each component keeps a basis from the start: a spanning tree and
+      its fundamental cycles, with an edge -> cycles index, which each
+      split and contraction updates where it touches them.  The kept tree
+      starts as ``cycle_basis``'s breadth-first default and is then
+      wherever the moves took it.
+    - With two components the linking matrix over the kept bases is kept
+      once read.  A split or the contraction of a tree edge leaves it as
+      it is.  A changed inter-component sign sum, the rare contraction of
+      a non-tree edge (which changes the basis) or a renumbering of the
+      components drops it, and the next read takes it off the sums again.
 
-    A split or contraction on kept bases is certified before it returns,
-    and raises ``SelfCheckError`` when a check fails: the edge it adds or
+    A split or contraction is certified before it returns, and raises
+    ``SelfCheckError`` when a check fails: the edge it adds or
     removes carries no passage; every cycle through the move's vertices has
     zero boundary there; and every cycle a non-tree contraction changed is
     +1 on its own edge and 0 on every other edge outside the new tree, so
@@ -312,12 +310,14 @@ class WalkState:
         self._comp_of: dict[str, int] = {}  # vertex -> component key
         self._comp_vertices: list[list[str]] = []
         self._comp_edges: list[list[str]] = []
+        self._kept: list[_KeptBasis] = []  # component key -> its kept basis
         for key, comp in enumerate(d.components):
             self._comp_of.update(dict.fromkeys(comp.vertices, key))
             self._comp_vertices.append(list(comp.vertices))
             self._comp_edges.append(list(comp.edge_ids))
+            self._kept.append(_KeptBasis(
+                fundamental_basis(key + 1, comp.vertices, comp.edge_ids, d.edge_map), comp.edge_ids))
         self._order = list(range(len(self._comp_vertices)))  # keys by number
-        self._kept: dict[int, _KeptBasis] = {}  # component key -> its kept basis
         self._vertices = list(d.vertices)
         self._edges = dict(d.edge_map)
         self._ends: dict[str, set[tuple[str, str]]] = {v: set() for v in d.vertices}
@@ -342,9 +342,7 @@ class WalkState:
         self._xids = _FreshIds("x", self._crossings)
         self._vids = _FreshIds("v", self._vertices)
         self._eids = _FreshIds("e", self._edges)
-        self.revision = 0
-        self._matrix: LinkingMatrix | None = None  # over the kept bases
-        self._matrix_at = -1  # the revision its entries hold at
+        self._matrix: LinkingMatrix | None = None  # over the kept bases; None when stale
 
     # -- reading --------------------------------------------------------
 
@@ -362,27 +360,12 @@ class WalkState:
         """The kept basis of component ``k``: the fundamental cycles of a
         spanning tree the state keeps, equal to ``cycle_basis(d, k,
         tree=b.tree_edges)`` for the diagram ``d`` the state holds.  The
-        first call builds it over ``cycle_basis``'s default tree; from then
-        on the graph moves carry the tree and the cycles, so it is in
-        general not the default basis of the diagram it has become."""
+        state builds it over ``cycle_basis``'s default tree; from then on
+        the graph moves carry the tree and the cycles, so it is in general
+        not the default basis of the diagram it has become."""
         if not 1 <= k <= len(self._order):
             raise DomainError(f"no such component {k} (diagram has {len(self._order)})")
-        key = self._order[k - 1]
-        kept = self._kept.get(key)
-        if kept is None:
-            edge_ids = self._comp_edges[key]
-            kept = self._kept[key] = _KeptBasis(
-                fundamental_basis(k, self._comp_vertices[key], edge_ids, self._edges), edge_ids)
-        return kept.basis(k)
-
-    def keep_bases(self) -> None:
-        """Keep the basis of every component from now on and, for two
-        components, the linking matrix over them, so that every later
-        split and contraction carries them and is certified."""
-        for k in range(1, len(self._order) + 1):
-            self.basis(k)
-        if len(self._order) == 2:
-            self.linking_matrix()
+        return self._kept[self._order[k - 1]].basis(k)
 
     def linking_matrix(self) -> LinkingMatrix:
         """The linking matrix over the kept bases.
@@ -397,11 +380,11 @@ class WalkState:
             raise DomainError(f"diagram has {len(self._order)} components, expected 2")
         b1, b2 = self.basis(1), self.basis(2)
         mat = self._matrix
-        if self._matrix_at != self.revision:
+        if mat is None:
             mat = matrix_from_pairs(self.pair_signs, b1, b2)
         elif mat.basis1 is not b1 or mat.basis2 is not b2:
             mat = LinkingMatrix(mat.rows, mat.cols, mat.entries, b1, b2)
-        self._matrix, self._matrix_at = mat, self.revision
+        self._matrix = mat
         return mat
 
     def diagram(self) -> Diagram:
@@ -432,7 +415,7 @@ class WalkState:
         if self._comp(o) != self._comp(u):
             self._add_sign(o, u, -sign)
             self._add_sign(u, o, -sign)
-            self.revision += 1
+            self._matrix = None
 
     def clasp(self, e: str, pos_e: int, f: str, pos_f: int, eps: int) -> None:
         """Insert a clasp (two same-sign crossings) joining edges e and f.
@@ -469,7 +452,7 @@ class WalkState:
         else:
             self._add_sign(e, f, eps)
             self._add_sign(f, e, eps)
-            self.revision += 1
+            self._matrix = None
 
     def contract_edge(self, eid: str) -> None:
         """Contract a crossing-free non-loop edge, merging its head into its tail.
@@ -481,8 +464,6 @@ class WalkState:
         edge = self._contractible_edge(eid)
         keep, drop = edge.tail, edge.head
         key = self._comp_of.pop(drop)
-        kept = self._kept.get(key)
-        carried = self._matrix_at == self.revision
         del self._edges[eid]
         passages = self._passages.pop(eid)
         _discard(self._contractible, eid)
@@ -496,8 +477,8 @@ class WalkState:
         _discard(self._comp_edges[key], eid)
         self._vids.free(drop)
         self._eids.free(eid)
-        rebased = kept.contract(eid) if kept is not None else None
-        self._graph_moved(key, eid, passages, (keep,), carried, rebased)
+        rebased = self._kept[key].contract(eid)
+        self._graph_moved(key, eid, passages, (keep,), rebased)
 
     def _contractible_edge(self, eid: str) -> Edge:
         """The edge ``eid``, if it can be contracted."""
@@ -537,10 +518,7 @@ class WalkState:
         if p1 & p2 or p1 | p2 != ends or len(p1) + len(p2) != len(ends):
             raise DomainError("partition must cover the incident edge-ends exactly once")
         key = self._comp_of[vid]
-        carried = self._matrix_at == self.revision
-        kept = self._kept.get(key)
-        if kept is not None:
-            kept.split(p2, new_eid)
+        self._kept[key].split(p2, new_eid)
         self._comp_of[new_vid] = key
         self._move_ends(p2, new_vid)
         ends -= p2
@@ -555,7 +533,7 @@ class WalkState:
         insort(self._comp_edges[key], new_eid)
         self._vids.take(new_vid)
         self._eids.take(new_eid)
-        self._graph_moved(key, new_eid, self._passages[new_eid], (vid, new_vid), carried)
+        self._graph_moved(key, new_eid, self._passages[new_eid], (vid, new_vid))
 
     def _add_sign(self, o: str, u: str, s: int) -> None:
         total = self.pair_signs.get((o, u), 0) + s
@@ -577,32 +555,28 @@ class WalkState:
             elif was and not now:
                 _discard(self._contractible, x)
 
-    def _graph_moved(self, key: int, eid: str, passages, vertices, carried: bool,
+    def _graph_moved(self, key: int, eid: str, passages, vertices,
                      rebased: list[str] | None = None) -> None:
         """Certify a split or contraction of component ``key`` that added or
-        removed edge ``eid`` (which carried ``passages``) and renumber the
-        components.  ``rebased`` holds the keys of the cycles a non-tree
-        contraction changed, None after any other graph move.  Only such
-        other moves keep the matrix, and only when it held before the move
-        (``carried``) and the components kept their numbers; otherwise the
-        next :meth:`linking_matrix` reads it off the sums again."""
+        removed edge ``eid``, whose passages were ``passages``, and renumber
+        the components.  ``rebased`` holds the keys of the cycles a non-tree
+        contraction changed, None after any other graph move.  A non-tree
+        contraction or a renumbering drops the matrix."""
         if passages:
             raise SelfCheckError(f"the edge {eid!r} added or removed carries crossing passages")
         num = self._order.index(key) + 1
-        kept = self._kept.get(key)
-        if kept is not None:
-            for v in vertices:
-                self._check_boundary(kept, num, v)
-            for c in sorted(rebased or ()):
-                z = kept.cycles[c]
-                if z.get(c) != 1 or any(x != c and x not in kept.tree for x in z):
-                    raise SelfCheckError(f"cycle {c!r} of component {num} is not the "
-                                         "fundamental cycle of its edge over the kept tree")
+        kept = self._kept[key]
+        for v in vertices:
+            self._check_boundary(kept, num, v)
+        for c in sorted(rebased or ()):
+            z = kept.cycles[c]
+            if z.get(c) != 1 or any(x != c and x not in kept.tree for x in z):
+                raise SelfCheckError(f"cycle {c!r} of component {num} is not the "
+                                     "fundamental cycle of its edge over the kept tree")
         before = list(self._order)
         self._order.sort(key=lambda k: self._comp_vertices[k][0])
-        self.revision += 1
-        if carried and rebased is None and self._order == before:
-            self._matrix_at = self.revision
+        if rebased is not None or self._order != before:
+            self._matrix = None
 
     def _check_boundary(self, kept: _KeptBasis, num: int, v: str) -> None:
         """Every kept cycle through vertex ``v`` has zero boundary there."""
@@ -797,9 +771,8 @@ def walk_steps(d: Diagram | WalkState, steps: int,
     applicable, so the walk always completes.  Reproducible from the seed.
     Every item carries the same :class:`WalkState`, updated in place; call
     its ``diagram()`` for a ``Diagram`` of a step.  ``d`` may be such a
-    state already, which the walk then updates: for example one that keeps
-    its bases (:meth:`WalkState.keep_bases`), so that every split and
-    contraction is certified and a failed certificate raises
+    state already, which the walk then updates.  Every split and
+    contraction is certified, and a failed certificate raises
     :class:`MoveCheckError`.
     """
     rng = random.Random(seed)

@@ -165,6 +165,23 @@ class LkInvariant:
         return "0" if self.is_zero else " ".join(str(d) for d in self.divisors)
 
 
+def _pivot(a: list[list[int]], k: int, m: int, n: int) -> tuple[int, int] | None:
+    """Position of the smallest nonzero absolute value in the submatrix of
+    ``a`` from (k, k), the first in row-major order on a tie; None when the
+    submatrix is zero.  The scan stops at the first unit, as no entry is
+    smaller."""
+    best, at = 0, None
+    for i in range(k, m):
+        row = a[i]
+        for j in range(k, n):
+            x = abs(row[j])
+            if x and (at is None or x < best):
+                if x == 1:
+                    return i, j
+                best, at = x, (i, j)
+    return at
+
+
 def _snf_reduce(a: list[list[int]], m: int, n: int):
     """In-place SNF on ``a``; returns (U, V) as lists accumulating the ops.
 
@@ -208,15 +225,10 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
     k = 0
     limit = min(m, n)
     while k < limit:
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+        at = _pivot(a, k, m, n)
+        if at is None:
             break
-        _, pi, pj = best
+        pi, pj = at
         if pi != k:
             row_swap(k, pi)
         if pj != k:
@@ -246,13 +258,14 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
         # Pivot must divide the rest of the submatrix before moving on,
         # which is what makes the diagonal a divisibility chain.
         bad = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if a[i][j] % p:
-                    bad = i
+        if p != 1:  # 1 divides every entry
+            for i in range(k + 1, m):
+                for j in range(k + 1, n):
+                    if a[i][j] % p:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
             row_add(k, bad, 1)
             continue

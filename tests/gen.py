@@ -1,11 +1,12 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators, and one injected move fault, shared across
+the test modules."""
 
 from __future__ import annotations
 
 import random
 
 from sglink import Crossing, Diagram, Edge, IntMatrix, canonical_diagram
-from sglink.moves import random_homotopy_walk
+from sglink.moves import MoveRecord, random_homotopy_walk, walk_steps
 
 
 def random_diagram(rng: random.Random, max_vertices=8, max_edges=10, max_crossings=12) -> Diagram:
@@ -136,3 +137,31 @@ def random_spanning_tree(d: Diagram, component: int, rng: random.Random) -> list
             parent[a] = b
             tree.append(eid)
     return tree
+
+
+def walk_to_closing_split(d: Diagram, steps: int, seed: int) -> list[tuple[Diagram, MoveRecord]]:
+    """(diagram before, move) for each move of ``walk_steps(d, steps,
+    seed)`` up to the first split whose new edge closes a kept cycle."""
+    out = []
+    before = d
+    for rec, state in walk_steps(d, steps, seed):
+        out.append((before, rec))
+        if rec.kind == "split_vertex" and any(
+                rec.params[2] in c.coeffs for k in (1, 2) for c in state.basis(k).cycles):
+            break
+        before = state.diagram()
+    return out
+
+
+def dropping_closing_coefficient(split):
+    """``_KeptBasis.split`` that, after ``split``, drops the new edge from
+    the first cycle it closed, so that cycle has a nonzero boundary."""
+
+    def dropping(kept, moved, new_eid):
+        split(kept, moved, new_eid)
+        closed = sorted(kept.through.get(new_eid, ()))
+        if closed:
+            kept.cycles[closed[0]] = {
+                x: c for x, c in kept.cycles[closed[0]].items() if x != new_eid}
+            kept.through[new_eid].discard(closed[0])
+    return dropping

@@ -9,7 +9,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from gen import random_diagram
+from gen import dropping_closing_coefficient, random_diagram, walk_to_closing_split
 
 import sglink.cli as cli
 import sglink.homology as homology
@@ -405,7 +405,7 @@ class TestPerturb:
             for n, (rec, state) in enumerate(real_walk(d, steps, seed)):
                 if n == 0:
                     state.pair_signs["a1", "b1"] = -state.pair_signs["a1", "b1"]
-                    state.revision += 1
+                    state._matrix = None
                 yield rec, state
 
         src = tmp_path / "c.sgd"
@@ -423,13 +423,14 @@ class TestPerturb:
 
     def test_redoes_only_what_each_move_changed(self, tmp_path, monkeypatch, capsys):
         # The state builds its two bases and reads the matrix off the sums
-        # once, at the start.  Every split and contraction after that
-        # carries them by a certified change of basis, and no move of this
-        # walk changes an inter-component sum or renumbers the components,
-        # so no step rebuilds a basis, re-reads the matrix or runs an SNF.
+        # once, at the start, and the start matrix is the state's.  Every
+        # split and contraction after that carries them by a certified
+        # change of basis, and no move of this walk changes an
+        # inter-component sum or renumbers the components, so no step
+        # rebuilds a basis, re-reads the matrix or runs an SNF.
         # linking_matrix runs once for the start and once per step;
-        # cycle_basis twice for the start matrix and twice in the final
-        # check of the kept bases; one matrix comes from the final crossings.
+        # cycle_basis only twice, in the final check of the kept bases; one
+        # matrix comes from the final crossings.
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
@@ -465,8 +466,8 @@ class TestPerturb:
         counted(cli, "matrix_from_pairs", "cli.matrix_from_pairs")
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
         assert capsys.readouterr().out == (DATA / "perturb_3_3.json").read_text(encoding="utf-8")
-        assert calls == {"smith_normal_form": 1, "linking.cycle_basis": 2, "cli.cycle_basis": 2,
-                         "homology.fundamental_basis": 4, "moves.fundamental_basis": 2,
+        assert calls == {"smith_normal_form": 1, "linking.cycle_basis": 0, "cli.cycle_basis": 2,
+                         "homology.fundamental_basis": 2, "moves.fundamental_basis": 2,
                          "linking_matrix": 1 + 200, "moves.matrix_from_pairs": 1,
                          "cli.matrix_from_pairs": 1}
 
@@ -504,12 +505,10 @@ class TestPerturb:
         return code, out, err, recorded.read_text().splitlines(), len(snfs)
 
     def _matrices(self, text, lines):
-        """The state's matrix entries after each replayed line, over bases
-        kept from the start as perturb keeps them."""
-        state = moves.WalkState(parse_sgd(text))
-        state.keep_bases()
-        return [linking_matrix(state).entries
-                for _, state in moves.replay_steps(state, "".join(f"{ln}\n" for ln in lines))]
+        """The state's matrix entries after each replayed line, over the
+        bases it keeps from the start."""
+        return [linking_matrix(state).entries for _, state in moves.replay_steps(
+            parse_sgd(text), "".join(f"{ln}\n" for ln in lines))]
 
     def test_non_tree_contraction_is_certified(self, tmp_path, monkeypatch, capsys):
         entries = self._matrices(TWO_LOOPS_TEXT, NON_TREE_CONTRACTION)
@@ -567,24 +566,10 @@ class TestPerturb:
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
         # the first split whose new edge closes a kept cycle
-        lines = []
-        for rec, state in walk_steps(d, 200, 7):
-            lines.append(format_move(rec))
-            if rec.kind == "split_vertex" and any(
-                    rec.params[2] in c.coeffs for k in (1, 2) for c in state.basis(k).cycles):
-                break
+        lines = [format_move(rec) for _, rec in walk_to_closing_split(d, 200, 7)]
         assert 1 < len(lines) < 200
-        real = moves._KeptBasis.split
-
-        def dropping(kept, moved, new_eid):
-            real(kept, moved, new_eid)
-            closed = sorted(kept.through.get(new_eid, ()))
-            if closed:
-                kept.cycles[closed[0]] = {
-                    x: c for x, c in kept.cycles[closed[0]].items() if x != new_eid}
-                kept.through[new_eid].discard(closed[0])
-
-        monkeypatch.setattr(moves._KeptBasis, "split", dropping)
+        monkeypatch.setattr(moves._KeptBasis, "split",
+                            dropping_closing_coefficient(moves._KeptBasis.split))
         err = self._assert_move_fails(["perturb", str(src), "--steps", "200", "--seed", "7"],
                                       tmp_path / "moves.txt", lines, capsys)
         assert "has boundary" in err
@@ -622,7 +607,7 @@ class TestPerturb:
                     kept = state._kept[state._order[0]]
                     del kept.tree[next(iter(kept.tree))]
                     kept._made = None
-                    state.revision += 1
+                    state._matrix = None
                 yield rec, state
 
         src = tmp_path / "c.sgd"
@@ -650,6 +635,20 @@ class TestPerturb:
         assert walked.read_bytes() == replayed.read_bytes()
         assert cli.main(["invariant", str(walked)]) == 0
         assert capsys.readouterr().out == "1 2 4\n"
+
+    @pytest.mark.parametrize("count, text", [
+        (0, "sgd 1\n"),
+        (1, "sgd 1\nvertex a\nedge e a a\n"),
+        (3, "sgd 1\nvertex a\nvertex b\nvertex c\nedge e a a\n"
+            "crossing x1 over e 0 under e 1 sign +\n"),
+    ])
+    def test_wrong_component_count_exit_2(self, count, text, tmp_path, capsys):
+        src, out, recorded = tmp_path / "in.sgd", tmp_path / "out.sgd", tmp_path / "moves.txt"
+        src.write_text(text)
+        assert cli.main(["perturb", str(src), "--out", str(out),
+                         "--moves-out", str(recorded)]) == 2
+        assert capsys.readouterr() == ("", f"error: diagram has {count} components, expected 2\n")
+        assert not out.exists() and not recorded.exists()
 
     def test_bad_seed_exit_2(self, hopf_file):
         assert cli.main(["perturb", hopf_file, "--seed", "-1"]) == 2

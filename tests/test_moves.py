@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from gen import divisor_chains, random_canonical, random_chain, random_diagram
+from gen import (
+    divisor_chains,
+    dropping_closing_coefficient,
+    random_canonical,
+    random_chain,
+    random_diagram,
+    walk_to_closing_split,
+)
 from sglink import (
     Crossing,
     Cycle,
@@ -29,7 +36,8 @@ from sglink import (
     serialize_sgd,
     split_vertex,
 )
-from sglink.moves import format_move, parse_move, walk_steps
+from sglink import moves
+from sglink.moves import MoveCheckError, format_move, parse_move, replay_steps, walk_steps
 
 HOPF = canonical_diagram(1, 1, (1,))
 
@@ -299,7 +307,7 @@ class TestWalk:
 
     def test_state_linking_matrix_matches_its_diagram(self):
         # carried through graph moves, read off the running sums again after
-        # inter-component clasps, and kept while the revision stays; the
+        # inter-component clasps, and kept while no move drops it; the
         # bases are the fundamental bases of the trees the state keeps
         d = canonical_diagram(2, 3, (2,))
         rng = random.Random(8)
@@ -314,6 +322,24 @@ class TestWalk:
             assert linking_matrix(state) is mat
         with pytest.raises(DomainError, match="kept bases"):
             linking_matrix(state, mat.basis1)
+
+    def test_every_walk_is_certified(self, monkeypatch):
+        # a split that drops one closing coefficient of a kept cycle fails
+        # its certificate in a walk started from a Diagram, with no state
+        # handed in, and in every move function built on a state
+        d = canonical_diagram(3, 3, (1, 2, 4))
+        steps = walk_to_closing_split(d, 200, 7)
+        assert 1 < len(steps) < 200
+        monkeypatch.setattr(moves._KeptBasis, "split",
+                            dropping_closing_coefficient(moves._KeptBasis.split))
+        text = "".join(f"{format_move(rec)}\n" for _, rec in steps)
+        for run in (lambda: random_homotopy_walk(d, 200, 7),
+                    lambda: list(walk_steps(d, 200, 7)),
+                    lambda: list(replay_steps(d, text)),
+                    lambda: apply_move(*steps[-1])):
+            with pytest.raises(MoveCheckError, match="has boundary") as info:
+                run()
+            assert info.value.move == steps[-1][1]
 
     def test_seed_reproducibility(self):
         d = canonical_diagram(2, 2, (1, 6))
