@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -226,10 +227,20 @@ def cmd_perturb(args) -> int:
     return EXIT_OK
 
 
+# Matrix file tokens joined by single spaces: ASCII decimal integers with
+# an optional sign.  ``int`` alone would also take ``_`` separators and
+# non-ASCII digits.
+_INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
+
+
 def _read_matrix(path: str) -> IntMatrix:
     tokens = _read_text(path).split()
     if len(tokens) < 2:
         raise SgdParseError("matrix file needs a 'rows cols' header")
+    # one match over the whole file keeps the per-entry path to int() alone
+    if not _INTEGERS.fullmatch(" ".join(tokens)):
+        bad = next(t for t in tokens if not _INTEGERS.fullmatch(t))
+        raise SgdParseError(f"matrix file: {bad!r} is not an integer")
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
         entries = [int(t) for t in tokens[2:]]

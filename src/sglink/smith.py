@@ -10,12 +10,17 @@ Verification skips zero terms: ``IntMatrix.__matmul__`` adds up only the
 rows a sparse row's nonzeros pick, and ``IntMatrix.det`` only rescales (or
 leaves alone) a row whose pivot-column entry is 0.  Checking a certificate
 therefore costs in step with its nonzeros, not with its declared size.
+
+Unimodularity: ``U @ M @ V == D`` gives ``det U * det M * det V = prod(d)``.
+For a square ``M`` with a divisor per row, ``|det M| = prod(d) != 0`` leaves
+``det U * det V = +-1``, so ``det M`` alone proves both are +-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import prod
 from operator import mul
 
 from .errors import DomainError, SelfCheckError
@@ -188,40 +193,18 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
     Pivot choice is the smallest nonzero absolute value in the remaining
     submatrix, ties broken lexicographically by position, so a given input
     always yields the same sequence of operations and the same certificate.
+
+    Each operation skips only entries it leaves unchanged.  At step k the
+    columns ``< k`` of rows ``>= k`` are zero, and a finished row ``< k`` is
+    zero off its diagonal, so row operations on ``a`` start at column k and
+    column swaps and operations on ``a`` cover rows ``>= k`` only; on ``U``
+    and ``V`` they cover the full width.  Adding a multiple of a row or
+    column changes only the entries facing its nonzeros, so those are the
+    only ones visited.  The pivots, the quotients and their order are those
+    of the full operations, and so are ``U``, ``D`` and ``V``.
     """
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_add(i, j, q):
-        # row i += q * row j
-        ai, aj = a[i], a[j]
-        for t in range(n):
-            ai[t] += q * aj[t]
-        ui, uj = u[i], u[j]
-        for t in range(m):
-            ui[t] += q * uj[t]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(i, j, q):
-        # col i += q * col j
-        for r in a:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
-
     k = 0
     limit = min(m, n)
     while k < limit:
@@ -230,45 +213,66 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
             break
         pi, pj = at
         if pi != k:
-            row_swap(k, pi)
+            a[k], a[pi] = a[pi], a[k]
+            u[k], u[pi] = u[pi], u[k]
         if pj != k:
-            col_swap(k, pj)
-        if a[k][k] < 0:
-            row_negate(k)
+            for i in range(k, m):
+                r = a[i]
+                r[k], r[pj] = r[pj], r[k]
+            for r in v:
+                r[k], r[pj] = r[pj], r[k]
+        ak, uk = a[k], u[k]
+        if ak[k] < 0:
+            ak[k:] = [-x for x in ak[k:]]
+            u[k] = uk = [-x for x in uk]
 
-        p = a[k][k]
+        p = ak[k]
         clean = True
+        # row i -= q * row k, for each row i below k in turn; row k stays
+        # as it is, so its nonzeros are found once
+        a_nz = [t for t in range(k, n) if ak[t]]
+        u_nz = [t for t in range(m) if uk[t]]
         for i in range(k + 1, m):
-            if a[i][k]:
-                q = a[i][k] // p
+            ai = a[i]
+            if ai[k]:
+                q = ai[k] // p
                 if q:
-                    row_add(i, k, -q)
-                if a[i][k]:
+                    for t in a_nz:
+                        ai[t] -= q * ak[t]
+                    ui = u[i]
+                    for t in u_nz:
+                        ui[t] -= q * uk[t]
+                if ai[k]:
                     clean = False
+        # col j -= q * col k, for each column j right of k in turn; column k
+        # stays as it is, so the rows it is nonzero in are found once
+        a_rows = [r for r in a[k:] if r[k]]
+        v_rows = [r for r in v if r[k]]
         for j in range(k + 1, n):
-            if a[k][j]:
-                q = a[k][j] // p
+            if ak[j]:
+                q = ak[j] // p
                 if q:
-                    col_add(j, k, -q)
-                if a[k][j]:
+                    for r in a_rows:
+                        r[j] -= q * r[k]
+                    for r in v_rows:
+                        r[j] -= q * r[k]
+                if ak[j]:
                     clean = False
         if not clean:
             continue  # smaller remainders appeared; re-pick the pivot
 
         # Pivot must divide the rest of the submatrix before moving on,
         # which is what makes the diagonal a divisibility chain.
-        bad = None
         if p != 1:  # 1 divides every entry
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-        if bad is not None:
-            row_add(k, bad, 1)
-            continue
+            bad = next((i for i in range(k + 1, m)
+                        if any(x % p for x in a[i][k + 1:])), None)
+            if bad is not None:  # row k += row bad
+                ab, ub = a[bad], u[bad]
+                for t in range(k, n):
+                    ak[t] += ab[t]
+                for t in range(m):
+                    uk[t] += ub[t]
+                continue
         k += 1
     return u, v
 
@@ -293,7 +297,15 @@ def smith_normal_form(mat: IntMatrix) -> SnfCertificate:
 
 
 def verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
-    """Raise SelfCheckError unless the certificate proves the reduction."""
+    """Raise SelfCheckError unless the certificate proves the reduction.
+
+    ``U @ M @ V == D`` is checked exactly, and ``D`` must be the diagonal of
+    a positive divisor chain.  Then ``det U * det M * det V = prod(d)``:
+    when ``M`` is square with a divisor per row and ``|det M| = prod(d)``,
+    ``det U * det V = +-1``, so both integer determinants are +-1 and
+    ``det M`` alone, on the input's small entries, proves ``U`` and ``V``
+    unimodular.  Every other case computes ``det U`` and ``det V``.
+    """
     u, d, v = cert.U, cert.D, cert.V
     if (u.rows, u.cols) != (mat.rows, mat.rows) or (v.rows, v.cols) != (mat.cols, mat.cols):
         raise SelfCheckError("certificate transform dimensions are wrong")
@@ -301,8 +313,6 @@ def verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
         raise SelfCheckError("certificate diagonal dimensions are wrong")
     if (u @ mat @ v).entries != d.entries:
         raise SelfCheckError("U @ M @ V != D")
-    if abs(u.det()) != 1 or abs(v.det()) != 1:
-        raise SelfCheckError("transforms are not unimodular")
     ds = cert.divisors
     limit = min(mat.rows, mat.cols)
     for i in range(d.rows):
@@ -314,6 +324,9 @@ def verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
         raise SelfCheckError("divisors are not positive")
     if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
         raise SelfCheckError("divisors do not form a divisibility chain")
+    full_rank = mat.rows == mat.cols == len(ds)
+    if not (full_rank and abs(mat.det()) == prod(ds)) and (abs(u.det()) != 1 or abs(v.det()) != 1):
+        raise SelfCheckError("transforms are not unimodular")
 
 
 def lk_invariant(mat: IntMatrix) -> LkInvariant:

@@ -696,6 +696,22 @@ class TestSnf:
         assert cli.main(["snf", self.write(tmp_path, "2 2\n1 2 3\n")]) == 3
         assert cli.main(["snf", self.write(tmp_path, "x y\n")]) == 3
 
+    @pytest.mark.parametrize("text, token", [
+        ("2 2\n1_0 2 3 4\n", "1_0"),            # int() reads 10
+        ("2 2\n١ 2 3 4\n", "١"),      # int() reads an Arabic-Indic 1
+        ("2 ٢\n1 2 3 4\n", "٢"),      # the header too
+        ("2 2\n1 2 3 +-4\n", "+-4"),
+    ])
+    def test_entry_that_is_not_an_ascii_integer_exit_3(self, tmp_path, capsys, text, token):
+        assert cli.main(["snf", self.write(tmp_path, text)]) == 3
+        assert capsys.readouterr() == ("", f"error: matrix file: {token!r} is not an integer\n")
+
+    def test_signs_and_leading_zeros_are_read(self, tmp_path, capsys):
+        assert cli.main(["snf", self.write(tmp_path, "+2 02\n+3 -0\n00 6\n")]) == 0
+        assert capsys.readouterr().out == "3 6\n"
+        assert cli.main(["snf", self.write(tmp_path, "00 00\n")]) == 0
+        assert capsys.readouterr().out == "\n"
+
     def test_json_certificate(self, tmp_path, capsys):
         path = self.write(tmp_path, "2 2\n4 2\n2 4\n")
         assert cli.main(["snf", path, "--json"]) == 0

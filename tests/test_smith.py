@@ -1,4 +1,11 @@
-"""Smith normal form: certificates, the minor-gcd oracle, and invariances."""
+"""Smith normal form: certificates, the minor-gcd oracle, and invariances.
+
+``reference_verify_certificate`` below is ``smith.verify_certificate`` as
+it stood when it proved every certificate's transforms unimodular by
+computing ``det U`` and ``det V``; copied verbatim.  Today's check proves a
+square full-rank ``M``'s transforms through ``det M``; both must accept and
+reject the same certificates.
+"""
 
 import random
 
@@ -18,6 +25,30 @@ from sglink import (
     smith_normal_form,
     verify_certificate,
 )
+
+
+def reference_verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
+    """Raise SelfCheckError unless the certificate proves the reduction."""
+    u, d, v = cert.U, cert.D, cert.V
+    if (u.rows, u.cols) != (mat.rows, mat.rows) or (v.rows, v.cols) != (mat.cols, mat.cols):
+        raise SelfCheckError("certificate transform dimensions are wrong")
+    if (d.rows, d.cols) != (mat.rows, mat.cols):
+        raise SelfCheckError("certificate diagonal dimensions are wrong")
+    if (u @ mat @ v).entries != d.entries:
+        raise SelfCheckError("U @ M @ V != D")
+    if abs(u.det()) != 1 or abs(v.det()) != 1:
+        raise SelfCheckError("transforms are not unimodular")
+    ds = cert.divisors
+    limit = min(mat.rows, mat.cols)
+    for i in range(d.rows):
+        for j in range(d.cols):
+            expected = ds[i] if i == j and i < len(ds) else 0
+            if d.entries[i][j] != expected:
+                raise SelfCheckError("D is not in diagonal divisor form")
+    if len(ds) > limit or any(x <= 0 for x in ds):
+        raise SelfCheckError("divisors are not positive")
+    if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
+        raise SelfCheckError("divisors do not form a divisibility chain")
 
 
 def rows(*rs):
@@ -202,6 +233,77 @@ class TestSmithNormalForm:
             verify_certificate(zero, SnfCertificate(scaled, zero, ident, ()))
         with pytest.raises(SelfCheckError, match="unimodular"):
             verify_certificate(zero, SnfCertificate(ident, zero, scaled, ()))
+
+
+class TestUnimodularityProof:
+    """A square full-rank M proves U and V unimodular through det M."""
+
+    @staticmethod
+    def accepts(check, mat, cert):
+        try:
+            check(mat, cert)
+        except SelfCheckError:
+            return False
+        return True
+
+    @staticmethod
+    def scale_row(mat, i, factor=2):
+        out = mat.to_lists()
+        out[i] = [factor * x for x in out[i]]
+        return IntMatrix.from_rows(out, cols=mat.cols)
+
+    def test_det_m_must_equal_the_divisor_product(self):
+        # U @ M @ V == D holds, M is square and full rank, and D is a chain,
+        # but |det M| = 1 != 2 = prod(d): det U = 2 must be found
+        eye = IntMatrix.identity(2)
+        scaled = rows([1, 0], [0, 2])
+        with pytest.raises(SelfCheckError, match="unimodular"):
+            verify_certificate(eye, SnfCertificate(scaled, scaled, eye, (1, 2)))
+
+    @pytest.mark.parametrize("mat, on", [
+        (rows([2, 1, 0], [1, 1, 3], [0, 4, 5]), "M"),
+        (rows([2, 1, 0], [1, 1, 3]), "UV"),
+        (rows([2, 1, 0], [4, 2, 0], [0, 4, 5]), "UV"),
+    ])
+    def test_branch_choice(self, monkeypatch, mat, on):
+        cert = smith_normal_form(mat)
+        real, seen = IntMatrix.det, []
+        monkeypatch.setattr(IntMatrix, "det", lambda self: seen.append(self) or real(self))
+        verify_certificate(mat, cert)
+        assert seen == ([mat] if on == "M" else [cert.U, cert.V])
+
+    def test_agrees_with_the_reference_check(self):
+        rng = random.Random(15)
+        corpus = [random_matrix(rng, max_dim=7, bound=rng.choice((1, 3, 20))) for _ in range(150)]
+        for size in range(1, 9):  # dense square, and square with a repeated row
+            dense = [[rng.randint(-9, 9) for _ in range(size + 1)] for _ in range(size)]
+            extra = [rng.randint(-9, 9) for _ in range(size + 1)]
+            corpus.append(IntMatrix.from_rows(dense + [extra]))
+            corpus.append(IntMatrix.from_rows(dense + [dense[0]]))
+        corpus += [IntMatrix.identity(0), zeros(0, 3), zeros(3, 0)]
+        outcomes = set()
+        for mat in corpus:
+            cert = smith_normal_form(mat)
+            U, D, V, ds = cert.U, cert.D, cert.V, cert.divisors
+            full_rank = mat.rows == mat.cols == len(ds)
+            cases = [cert]
+            for i in range(mat.rows):
+                # U alone scaled: caught by the product, or (a zero row of D)
+                # only by unimodularity
+                cases.append(SnfCertificate(self.scale_row(U, i), D, V, ds))
+                # U and D scaled together: U @ M @ V == D still holds
+                D2 = self.scale_row(D, i)
+                ds2 = tuple(D2.entries[j][j] for j in range(len(ds)))
+                cases.append(SnfCertificate(self.scale_row(U, i), D2, V, ds2))
+            if ds:  # D and its divisors replaced by a longer chain
+                D3 = self.scale_row(D, len(ds) - 1, 3)
+                cases.append(SnfCertificate(U, D3, V, ds[:-1] + (3 * ds[-1],)))
+            for case in cases:
+                verdict = self.accepts(reference_verify_certificate, mat, case)
+                assert self.accepts(verify_certificate, mat, case) == verdict, (mat, case)
+                outcomes.add((full_rank, verdict))
+        # both branches both accept and reject
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestMinorOracle:

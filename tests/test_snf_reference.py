@@ -1,15 +1,17 @@
 """``_snf_reduce`` against the reduction it replaced, kept here as a
 reference.
 
-``reference_snf_reduce`` below is ``smith._snf_reduce`` as it stood when
-every step scanned the whole remaining submatrix for its pivot and, even
-for a pivot of 1, for an entry the pivot does not divide; copied
-verbatim.  Today's scan stops at the first unit, which no later entry can
-replace (the scan is row-major and keeps the first of equal values), and
-a unit pivot skips the divisibility scan.  Both must perform the same
-operations, so on every input ``U``, ``D`` and ``V`` must be equal.  The
-corpus holds random, dense, diagonal, permuted-identity, chain-built and
-degenerate matrices, and linking matrices of walked diagrams.
+``reference_snf_reduce`` and ``reference_pivot`` below are
+``smith._snf_reduce`` and ``smith._pivot`` as they stood when every row
+and column operation ran over the full width and height of ``a``, ``U``
+and ``V``; copied verbatim, apart from the two names.  Today's operations
+skip the entries they are known to leave unchanged: columns left of the
+pivot, finished rows, and entries facing a zero of the row or column
+being added.  Both must perform the same operations, so on every input
+``U``, ``D`` and ``V`` must be equal.  The corpus holds random, dense
+square, wide and tall, rank-deficient, diagonal, permuted-identity,
+chain-built and degenerate matrices, and linking matrices of walked
+diagrams.
 """
 
 import random
@@ -18,6 +20,23 @@ from gen import random_matrix, random_unimodular
 from sglink import IntMatrix, canonical_diagram, linking_matrix
 from sglink.moves import WalkState, walk_steps
 from sglink.smith import _snf_reduce
+
+
+def reference_pivot(a: list[list[int]], k: int, m: int, n: int) -> tuple[int, int] | None:
+    """Position of the smallest nonzero absolute value in the submatrix of
+    ``a`` from (k, k), the first in row-major order on a tie; None when the
+    submatrix is zero.  The scan stops at the first unit, as no entry is
+    smaller."""
+    best, at = 0, None
+    for i in range(k, m):
+        row = a[i]
+        for j in range(k, n):
+            x = abs(row[j])
+            if x and (at is None or x < best):
+                if x == 1:
+                    return i, j
+                best, at = x, (i, j)
+    return at
 
 
 def reference_snf_reduce(a: list[list[int]], m: int, n: int):
@@ -63,15 +82,10 @@ def reference_snf_reduce(a: list[list[int]], m: int, n: int):
     k = 0
     limit = min(m, n)
     while k < limit:
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+        at = reference_pivot(a, k, m, n)
+        if at is None:
             break
-        _, pi, pj = best
+        pi, pj = at
         if pi != k:
             row_swap(k, pi)
         if pj != k:
@@ -101,19 +115,19 @@ def reference_snf_reduce(a: list[list[int]], m: int, n: int):
         # Pivot must divide the rest of the submatrix before moving on,
         # which is what makes the diagonal a divisibility chain.
         bad = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if a[i][j] % p:
-                    bad = i
+        if p != 1:  # 1 divides every entry
+            for i in range(k + 1, m):
+                for j in range(k + 1, n):
+                    if a[i][j] % p:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
             row_add(k, bad, 1)
             continue
         k += 1
     return u, v
-
 
 
 def assert_same(rows, m, n):
@@ -139,6 +153,23 @@ def test_dense_matrices():
         for _ in range(3):
             assert_same([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)],
                          size, size)
+
+
+def test_wide_and_tall_dense_matrices():
+    # the skipped rows and columns differ once the pivot row or column runs out
+    rng = random.Random(15)
+    for m, n in ((6, 14), (14, 6), (12, 20), (20, 12)):
+        assert_same([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], m, n)
+
+
+def test_rank_deficient_square_matrices():
+    rng = random.Random(16)
+    for size in (4, 9, 14):
+        dense = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        repeated = dense[:-1] + [list(dense[rng.randrange(size - 1)])]
+        assert_same(repeated, size, size)
+        j = rng.randrange(size)
+        assert_same([[0 if t == j else x for t, x in enumerate(row)] for row in dense], size, size)
 
 
 def test_diagonal_and_permuted_identity_matrices():
