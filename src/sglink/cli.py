@@ -30,7 +30,7 @@ from .homology import CycleBasis, cycle_basis
 from .linking import linking_matrix, matrix_from_pairs, over_under_consistent
 from .moves import MoveCheckError, MoveRecord, WalkState, format_move, replay_steps, walk_steps
 from .moves import canonical_diagram as _canonical
-from .sgd import _passage_violations, pair_signs, parse_sgd, serialize_sgd
+from .sgd import _passage_violations, parse_sgd, serialize_sgd
 from .smith import IntMatrix, lk_invariant, smith_normal_form
 
 DEFAULT_SEED = 1729
@@ -185,7 +185,7 @@ def cmd_perturb(args) -> int:
                 )
             mat, inv = new_mat, new_inv
         final = d if state is None else state.diagram()
-        rebuilt = matrix_from_pairs(pair_signs(final.crossings), mat.basis1, mat.basis2)
+        rebuilt = matrix_from_pairs(final.sign_sums, mat.basis1, mat.basis2)
         if rebuilt.entries != mat.entries:
             raise SelfCheckError(
                 "the linking matrix kept along the walk differs from the one "

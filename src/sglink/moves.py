@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError, SelfCheckError
 from .homology import Cycle, CycleBasis, fundamental_basis
 from .linking import LinkingMatrix, matrix_from_pairs
-from .sgd import Crossing, Diagram, Edge, pair_signs, validate
+from .sgd import Diagram, Edge, pair_signs, validate
 
 __all__ = [
     "MoveCheckError",
@@ -267,7 +267,9 @@ class _KeptBasis:
 class WalkState:
     """A valid diagram as a mutable working state that moves update in place;
     building one from a diagram that fails ``sgd.validate`` raises
-    ``DomainError``.
+    ``DomainError``.  A diagram ``parse_sgd`` has checked is not validated
+    again, and the diagram's crossing rows are read with no ``Crossing``
+    object made.
 
     - Each edge holds its passages as a list of crossing ends ``(xid, 0)``
       and ``(xid, 1)``; a passage's index is its place in the list.
@@ -304,9 +306,10 @@ class WalkState:
     """
 
     def __init__(self, d: Diagram):
-        problems = validate(d)
-        if problems:
-            raise DomainError("invalid diagram: " + "; ".join(v.message for v in problems))
+        if not d._checked:
+            problems = validate(d)
+            if problems:
+                raise DomainError("invalid diagram: " + "; ".join(v.message for v in problems))
         self._comp_of: dict[str, int] = {}  # vertex -> component key
         self._comp_vertices: list[list[str]] = []
         self._comp_edges: list[list[str]] = []
@@ -327,16 +330,18 @@ class WalkState:
         for e in d.edges:
             self._ends[e.tail].add((e.id, "tail"))
             self._ends[e.head].add((e.id, "head"))
-        for c in d.crossings:
-            self._crossings[c.id] = [c.over[0], c.under[0], 0, c.sign]
-            slots[c.over[0]].append((c.over[1], (c.id, 0)))
-            slots[c.under[0]].append((c.under[1], (c.id, 1)))
-            if self._comp(c.over[0]) == self._comp(c.under[0]):
-                self._intra.append(c.id)
+        inter = []
+        for row in d.rows:
+            xid, over, over_idx, under, under_idx, sign = row
+            self._crossings[xid] = [over, under, 0, sign]
+            slots[over].append((over_idx, (xid, 0)))
+            slots[under].append((under_idx, (xid, 1)))
+            if self._comp(over) == self._comp(under):
+                self._intra.append(xid)
+            else:
+                inter.append(row)
         self._passages = {eid: [end for _, end in sorted(s)] for eid, s in slots.items()}
-        self.pair_signs = pair_signs(
-            c for c in d.crossings if self._comp(c.over[0]) != self._comp(c.under[0])
-        )
+        self.pair_signs = pair_signs(inter)
         self._contractible = [e.id for e in d.edges
                               if e.tail != e.head and not self._passages[e.id]]
         self._xids = _FreshIds("x", self._crossings)
@@ -393,11 +398,9 @@ class WalkState:
         for eid, ends in self._passages.items():
             for i, end in enumerate(ends):
                 at[end] = (eid, i)
-        crossings = [
-            Crossing(xid, at[xid, over], at[xid, 1 - over], sign)
-            for xid, (_, _, over, sign) in self._crossings.items()
-        ]
-        return Diagram(tuple(self._vertices), tuple(self._edges.values()), tuple(crossings))
+        rows = [(xid, *at[xid, over], *at[xid, 1 - over], sign)
+                for xid, (_, _, over, sign) in self._crossings.items()]
+        return Diagram._from_rows(self._vertices, self._edges.values(), rows)
 
     # -- moves ----------------------------------------------------------
 
@@ -734,17 +737,16 @@ def canonical_diagram(m: int, n: int, chain: Sequence[int]) -> Diagram:
     # clasp t (counted over the whole chain), the j-th on loop pair i, is
     # crossings x{2t+1} (a_i over b_i at passage 2j) and x{2t+2} (b_i over
     # a_i at passage 2j+1): what clasping each loop pair at its end gives
-    crossings = []
+    rows = []
     for a, b, di in zip(loops_a, loops_b, chain):
         for p in range(0, 2 * di, 2):
-            t = len(crossings)
-            crossings.append(Crossing(f"x{t + 1}", (a, p), (b, p), 1))
-            crossings.append(Crossing(f"x{t + 2}", (b, p + 1), (a, p + 1), 1))
-    return Diagram(
+            t = len(rows)
+            rows.append((f"x{t + 1}", a, p, b, p, 1))
+            rows.append((f"x{t + 2}", b, p + 1, a, p + 1, 1))
+    return Diagram._from_rows(
         ("u1", "u2"),
-        tuple(Edge(eid, "u1", "u1") for eid in loops_a)
-        + tuple(Edge(eid, "u2", "u2") for eid in loops_b),
-        tuple(crossings),
+        [Edge(eid, "u1", "u1") for eid in loops_a] + [Edge(eid, "u2", "u2") for eid in loops_b],
+        rows,
     )
 
 

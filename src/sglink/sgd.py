@@ -22,15 +22,23 @@ crossings; forward references are errors.
 Identifiers are opaque ASCII tokens matching [A-Za-z0-9_]+.  Serialization
 is canonical (identifiers emitted in sorted order), so structurally equal
 diagrams produce identical bytes.
+
+A ``Diagram`` holds its crossings as plain rows ``(id, over edge, over
+index, under edge, under index, sign)`` in id order (``Diagram.rows``).
+The parser, the sign sums, validation, serialization and the move engine
+all read and write rows; ``Diagram.crossings`` builds ``Crossing`` objects
+from them on its first read only, unless the diagram was built from
+``Crossing`` objects, which it then keeps.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import islice
+from operator import attrgetter, itemgetter, le
 from typing import NoReturn
 
 from .errors import DomainError, SelfCheckError, SgdParseError
@@ -92,27 +100,86 @@ class Violation:
     message: str
 
 
-def pair_signs(crossings) -> dict[tuple[str, str], int]:
-    """Sum of the crossing signs per (over edge, under edge) pair."""
+def pair_signs(rows) -> dict[tuple[str, str], int]:
+    """Sum of the crossing signs per (over edge, under edge) pair, over
+    crossing rows as :attr:`Diagram.rows` holds them."""
     sums: dict[tuple[str, str], int] = {}
-    for c in crossings:
-        key = (c.over[0], c.under[0])
-        sums[key] = sums.get(key, 0) + c.sign
+    for _, over, _, under, _, sign in rows:
+        key = (over, under)
+        sums[key] = sums.get(key, 0) + sign
     return sums
 
 
-@dataclass(frozen=True)
+def _in_order(items, key=None) -> tuple:
+    """``items`` as a tuple in ``key`` order: sorted (stably) only when it
+    is not already in order, as parsed and generated inputs are."""
+    items = tuple(items)
+    keys = items if key is None else list(map(key, items))
+    if all(map(le, keys, islice(keys, 1, None))):
+        return items
+    return tuple(sorted(items, key=key))
+
+
 class Diagram:
-    """Immutable diagram value; constituents are normalized to sorted order."""
+    """Immutable diagram value: vertex ids, edges and crossings, each held
+    in sorted id order (sorted only when given out of order).
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...] = ()
-    crossings: tuple[Crossing, ...] = ()
+    Crossings are held as plain rows ``(id, over edge, over index, under
+    edge, under index, sign)`` in :attr:`rows`, the form the parser makes
+    and every count reads.  ``Diagram(vertices, edges, crossings)`` takes
+    ``Crossing`` objects and keeps them; a diagram made from rows, by
+    :func:`parse_sgd` or the move engine, builds them on the first read of
+    :attr:`crossings` only.  Two diagrams are equal, and hash alike, when
+    their vertices, edges and crossings are equal.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
-        object.__setattr__(self, "crossings", tuple(sorted(self.crossings, key=lambda c: c.id)))
+    # set by parse_sgd(check=True) on a diagram it returns: such a diagram
+    # has passed every check validate() runs
+    _checked = False
+
+    def __init__(self, vertices, edges=(), crossings=()):
+        crossings = _in_order(crossings, attrgetter("id"))
+        self._hold(vertices, edges,
+                   [(c.id, c.over[0], c.over[1], c.under[0], c.under[1], c.sign)
+                    for c in crossings])
+        self.__dict__["crossings"] = crossings  # what the first read would build
+
+    @classmethod
+    def _from_rows(cls, vertices, edges, rows) -> Diagram:
+        """The diagram of these crossing rows: how the parser and the move
+        engine make one, with no ``Crossing`` object."""
+        d = cls.__new__(cls)
+        d._hold(vertices, edges, rows)
+        return d
+
+    def _hold(self, vertices, edges, rows) -> None:
+        held = self.__dict__
+        held["vertices"] = _in_order(vertices)
+        held["edges"] = _in_order(edges, attrgetter("id"))
+        held["rows"] = _in_order(rows, itemgetter(0))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges, self.rows) == (other.vertices, other.edges, other.rows)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges, self.rows))
+
+    def __repr__(self):
+        return (f"Diagram(vertices={self.vertices!r}, edges={self.edges!r}, "
+                f"crossings={self.crossings!r})")
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        return tuple(Crossing(xid, (oe, oi), (ue, ui), sign)
+                     for xid, oe, oi, ue, ui, sign in self.rows)
 
     @cached_property
     def edge_map(self) -> dict[str, Edge]:
@@ -126,13 +193,13 @@ class Diagram:
     def sign_sums(self) -> dict[tuple[str, str], int]:
         """:func:`pair_signs` of the crossings, made once and shared by every
         count over this diagram; read it, never change it."""
-        return pair_signs(self.crossings)
+        return pair_signs(self.rows)
 
     @cached_property
     def passage_counts(self) -> dict[str, int]:
         counts = {e.id: 0 for e in self.edges}
-        for c in self.crossings:
-            for eid, _ in (c.over, c.under):
+        for _, over, _, under, _, _ in self.rows:
+            for eid in (over, under):
                 if eid in counts:
                     counts[eid] += 1
         return counts
@@ -194,7 +261,7 @@ def _reference_violations(d: Diagram) -> list[tuple[tuple, Violation]]:
     place in :func:`validate`'s order: (0,) before the crossings, (1, i, k)
     for check k on crossing i, (2,) after them."""
     out: list[tuple[tuple, Violation]] = []
-    for token in (*d.vertices, *(e.id for e in d.edges), *(c.id for c in d.crossings)):
+    for token in (*d.vertices, *(e.id for e in d.edges), *(r[0] for r in d.rows)):
         if not _ID_RE.match(token):
             out.append(((0,), Violation(
                 "bad-identifier", token, f"identifier {token!r} is not an [A-Za-z0-9_]+ token")))
@@ -214,18 +281,18 @@ def _reference_violations(d: Diagram) -> list[tuple[tuple, Violation]]:
                     "dangling-vertex", e.id,
                     f"edge {e.id!r} references missing vertex {endpoint!r}")))
     seen_x: set[str] = set()
-    for i, c in enumerate(d.crossings):
-        if c.id in seen_x:
+    for i, (xid, over, _, under, _, sign) in enumerate(d.rows):
+        if xid in seen_x:
             out.append(((1, i, 0), Violation(
-                "duplicate-id", c.id, f"crossing id {c.id!r} declared twice")))
-        seen_x.add(c.id)
-        if c.sign not in (1, -1):
+                "duplicate-id", xid, f"crossing id {xid!r} declared twice")))
+        seen_x.add(xid)
+        if sign not in (1, -1):
             out.append(((1, i, 0), Violation(
-                "bad-sign", c.id, f"crossing {c.id!r} sign must be +1 or -1")))
-        for eid, _ in (c.over, c.under):
+                "bad-sign", xid, f"crossing {xid!r} sign must be +1 or -1")))
+        for eid in (over, under):
             if eid not in seen_e:
                 out.append(((1, i, 2), Violation(
-                    "dangling-edge", c.id, f"crossing {c.id!r} references missing edge {eid!r}")))
+                    "dangling-edge", xid, f"crossing {xid!r} references missing edge {eid!r}")))
     return out
 
 
@@ -236,16 +303,15 @@ def _passage_violations(d: Diagram) -> list[tuple[tuple, Violation]]:
     out: list[tuple[tuple, Violation]] = []
     refs: dict[str, list[int]] = defaultdict(list)
     edge_map = d.edge_map
-    for i, c in enumerate(d.crossings):
-        over, under = c.over, c.under
-        if over == under:
+    for i, (xid, over, over_idx, under, under_idx, _) in enumerate(d.rows):
+        if over == under and over_idx == under_idx:
             out.append(((1, i, 1), Violation(
-                "crossing-degenerate", c.id,
-                f"crossing {c.id!r} over and under reference the same passage")))
-        if over[0] in edge_map:
-            refs[over[0]].append(over[1])
-        if under[0] in edge_map:
-            refs[under[0]].append(under[1])
+                "crossing-degenerate", xid,
+                f"crossing {xid!r} over and under reference the same passage")))
+        if over in edge_map:
+            refs[over].append(over_idx)
+        if under in edge_map:
+            refs[under].append(under_idx)
     for eid in sorted(refs):
         indices = sorted(refs[eid])
         if indices == list(range(len(indices))):
@@ -358,6 +424,11 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
     edge's passage indices must run 0..p-1 (:func:`validate`'s passage
     checks; the line checks already rule out every other violation).  Pass
     ``check=False`` to obtain the raw diagram for use with :func:`validate`.
+
+    One pass over the lines makes the diagram's crossing rows and each
+    edge's passage indices, which ``check`` tests directly; the passage
+    checks run only to word the error.  A checked diagram is marked, so a
+    ``moves.WalkState`` built on it does not run :func:`validate` again.
     """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -369,10 +440,13 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
     else:
         raise SgdParseError(f"missing header {SGD_HEADER!r}", 1, 1)
 
-    # declarations so far, keyed by id in file order
+    # declarations so far: vertices and edges keyed by id in file order,
+    # each edge's passage indices, crossing ids, and Diagram.rows in file order
     vertices: dict[str, None] = {}
     edges: dict[str, Edge] = {}
-    crossings: dict[str, Crossing] = {}
+    passages: dict[str, list[int]] = {}
+    crossings: set[str] = set()
+    rows: list[tuple] = []
     section = "vertex"  # advances vertex -> edge -> crossing
 
     for lineno, raw in lines:
@@ -380,19 +454,24 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
         kind = m.lastgroup if m else None
         if kind == "crossing":
             xid, o_eid, o_idx, u_eid, u_idx, sign = m.group(5, 6, 7, 8, 9, 10)
-            if xid not in crossings and o_eid in edges and u_eid in edges:
+            over, under = passages.get(o_eid), passages.get(u_eid)
+            if xid not in crossings and over is not None and under is not None:
                 try:
-                    over, under = (o_eid, int(o_idx)), (u_eid, int(u_idx))
+                    o_at, u_at = int(o_idx), int(u_idx)
                 except ValueError:  # past the interpreter's int/str digit limit
                     pass
                 else:
-                    crossings[xid] = Crossing(xid, over, under, 1 if sign == "+" else -1)
+                    crossings.add(xid)
+                    rows.append((xid, o_eid, o_at, u_eid, u_at, 1 if sign == "+" else -1))
+                    over.append(o_at)
+                    under.append(u_at)
                     section = "crossing"
                     continue
         elif kind == "edge":
             eid, tail, head = m.group(2, 3, 4)
             if section != "crossing" and eid not in edges and tail in vertices and head in vertices:
                 edges[eid] = Edge(eid, tail, head)
+                passages[eid] = []
                 section = "edge"
                 continue
         elif kind == "vertex":
@@ -403,12 +482,15 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
             continue  # blank or comment only
         _reject(raw, lineno, section, vertices, edges, crossings)
 
-    d = Diagram(tuple(vertices), tuple(edges.values()), tuple(crossings.values()))
+    d = Diagram._from_rows(vertices, edges.values(), rows)
     if check:
-        problems = _passage_violations(d)
-        if problems:
-            detail = "; ".join(v.message for _, v in problems)
+        # n distinct indices below n are 0..n-1; a degenerate crossing
+        # names one passage twice, so it fails this too
+        if any(idx and (max(idx) >= len(idx) or len(set(idx)) < len(idx))
+               for idx in passages.values()):
+            detail = "; ".join(v.message for _, v in _passage_violations(d))
             raise SgdParseError(f"invalid diagram: {detail}")
+        d.__dict__["_checked"] = True
     return d
 
 
@@ -423,10 +505,9 @@ def serialize_sgd(d: Diagram) -> str:
         lines.append(f"vertex {v}")
     for e in d.edges:
         lines.append(f"edge {e.id} {e.tail} {e.head}")
-    for c in d.crossings:
-        sign = "+" if c.sign > 0 else "-"
+    for xid, over, over_idx, under, under_idx, sign in d.rows:
         lines.append(
-            f"crossing {c.id} over {c.over[0]} {c.over[1]} "
-            f"under {c.under[0]} {c.under[1]} sign {sign}"
+            f"crossing {xid} over {over} {over_idx} "
+            f"under {under} {under_idx} sign {'+' if sign > 0 else '-'}"
         )
     return "\n".join(lines) + "\n"

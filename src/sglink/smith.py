@@ -202,11 +202,19 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
     column changes only the entries facing its nonzeros, so those are the
     only ones visited.  The pivots, the quotients and their order are those
     of the full operations, and so are ``U``, ``D`` and ``V``.
+
+    At one k the pivot falls at least every second iteration: a step that
+    leaves a remainder puts an entry smaller than the pivot into the
+    submatrix, and the row added for divisibility makes the next step
+    leave one unless a smaller pivot comes first.  A pivot that has not fallen in
+    two iterations is a fault in the operations, which would otherwise
+    loop for ever, so it raises ``SelfCheckError``.
     """
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     k = 0
     limit = min(m, n)
+    older = old = None  # the pivots of the last two iterations at this k
     while k < limit:
         at = _pivot(a, k, m, n)
         if at is None:
@@ -227,6 +235,9 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
             u[k] = uk = [-x for x in uk]
 
         p = ak[k]
+        if older is not None and p >= older:
+            raise SelfCheckError(f"SNF pivot at step {k} did not fall in two iterations")
+        older, old = old, p
         clean = True
         # row i -= q * row k, for each row i below k in turn; row k stays
         # as it is, so its nonzeros are found once
@@ -274,6 +285,7 @@ def _snf_reduce(a: list[list[int]], m: int, n: int):
                     uk[t] += ub[t]
                 continue
         k += 1
+        older = old = None
     return u, v
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -103,10 +104,11 @@ class TestValidate:
 
     def test_prints_every_violation_validate_finds(self, tmp_path, capsys):
         # the command runs only the passage checks: on a parsed diagram
-        # they find everything validate finds, in the same order
+        # they find everything validate finds, in the same order; every
+        # third file lists its crossings out of id order
         rng = random.Random(71)
-        found = 0
-        for _ in range(150):
+        found, codes = 0, Counter()
+        for trial in range(150):
             lines = serialize_sgd(random_diagram(rng)).splitlines()
             for i, line in enumerate(lines):
                 words = line.split()
@@ -116,6 +118,12 @@ class TestValidate:
                     if rng.random() < 0.2:
                         words[6:8] = words[3:5]  # over and under on one passage
                     lines[i] = " ".join(words)
+            if trial % 3 == 0:
+                first = next((i for i, ln in enumerate(lines) if ln.startswith("crossing")),
+                             len(lines))
+                tail = lines[first:]
+                rng.shuffle(tail)
+                lines[first:] = tail
             text = "\n".join(lines) + "\n"
             p = tmp_path / "d.sgd"
             p.write_text(text)
@@ -124,7 +132,35 @@ class TestValidate:
             assert cli.main(["validate", str(p)]) == (2 if problems else 0)
             assert capsys.readouterr().out == want
             found += len(problems) > 1
+            codes.update(v.code for v in problems)
         assert found > 20
+        assert set(codes) == {"passage-gap", "passage-duplicate", "crossing-degenerate"}
+        assert min(codes.values()) >= 10
+
+    @pytest.mark.parametrize("crossings, want", [
+        (["x1 over e 0 under f 0", "x2 over f 1 under e 2"],
+         ["[passage-gap] edge 'e' passage indices [0, 2] are not 0..1"]),
+        (["x1 over e 0 under f 0", "x2 over f 0 under e 0"],
+         ["[passage-duplicate] edge 'e' passage indices used twice: [0]",
+          "[passage-duplicate] edge 'f' passage indices used twice: [0]"]),
+        (["x2 over e 1 under f 1", "x1 over e 0 under e 0"],
+         ["[crossing-degenerate] crossing 'x1' over and under reference the same passage",
+          "[passage-duplicate] edge 'e' passage indices used twice: [0]",
+          "[passage-gap] edge 'f' passage indices [1] are not 0..0"]),
+    ])
+    def test_passage_violations_in_order(self, tmp_path, capsys, crossings, want):
+        text = "\n".join(["sgd 1", "vertex a", "vertex b", "edge e a a", "edge f b b"]
+                         + [f"crossing {c} sign +" for c in crossings]) + "\n"
+        p = tmp_path / "d.sgd"
+        p.write_text(text)
+        assert cli.main(["validate", str(p)]) == 2
+        assert capsys.readouterr().out == "".join(f"violation {w}\n" for w in want)
+        d = parse_sgd(text, check=False)
+        assert [f"[{v.code}] {v.message}" for v in validate(d)] == want
+        # every other command reads the same file as a parse failure
+        assert cli.main(["invariant", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: invalid diagram: {'; '.join(w.split('] ', 1)[1] for w in want)}\n"
 
 
 class TestInvariant:

@@ -35,6 +35,7 @@ from sglink import (
     random_homotopy_walk,
     serialize_sgd,
     split_vertex,
+    validate,
 )
 from sglink import moves
 from sglink.moves import MoveCheckError, format_move, parse_move, replay_steps, walk_steps
@@ -92,6 +93,28 @@ class TestCrossingChange:
             crossing_change(gap, "x1")
         with pytest.raises(DomainError, match="invalid diagram"):
             next(walk_steps(gap, 1, 1))
+
+    def test_state_validates_what_the_parser_has_not_checked(self, monkeypatch):
+        # parse_sgd(check=True) has run every check validate runs, so a
+        # state skips validate for the diagram it returned, and only that
+        calls = []
+        monkeypatch.setattr(moves, "validate", lambda d: calls.append(d) or validate(d))
+        text = serialize_sgd(canonical_diagram(2, 2, (1, 2)))
+        checked = parse_sgd(text)
+        moves.WalkState(checked)
+        assert calls == []
+        for d in (parse_sgd(text, check=False), Diagram(checked.vertices, checked.edges,
+                                                        checked.crossings)):
+            assert d == checked
+            moves.WalkState(d)
+            assert calls[-1] is d
+        # a diagram built by hand, or parsed unchecked, that fails validate
+        x1 = HOPF.crossing_map["x1"]
+        degenerate = Diagram(HOPF.vertices, HOPF.edges, (x1, Crossing("x2", x1.over, x1.over, 1)))
+        unchecked = parse_sgd(serialize_sgd(degenerate), check=False)
+        for d in (degenerate, unchecked):
+            with pytest.raises(DomainError, match="over and under reference the same passage"):
+                moves.WalkState(d)
 
     def test_inter_component_change_alters_linking(self):
         z, w = Cycle(1, {"a1": 1}), Cycle(2, {"b1": 1})

@@ -8,17 +8,50 @@ equal diagrams; on mutated input both must raise the same error: type,
 text, line and column.  The mutations lay tabs, runs of spaces, other
 Unicode blanks and mid-line ``#`` comments before the failing token, so
 the column arithmetic is exercised, not just the messages.
+
+``HeadDiagram`` and ``head_parse_sgd`` below are ``Diagram`` and
+``parse_sgd`` as they stood when a diagram held one frozen ``Crossing``
+per crossing and the parser made them all, with the ``pair_signs``,
+``validate`` and ``serialize_sgd`` that read them; copied verbatim, apart
+from the names.  Today's diagram holds plain rows and builds ``Crossing``
+objects only when they are read.  Both must agree on every diagram, valid
+or not, and in every error.
 """
 
 import random
+from collections import Counter, defaultdict
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
 from gen import random_diagram
-from sglink import SgdParseError, canonical_diagram, parse_sgd, serialize_sgd
-from sglink.moves import random_homotopy_walk
-from sglink.sgd import _ID_RE, _LINE_RE, _TOKEN_RE, SGD_HEADER, Crossing, Diagram, Edge, validate
+from sglink import (
+    DomainError,
+    SgdParseError,
+    canonical_diagram,
+    linking_matrix,
+    over_under_consistent,
+    parse_sgd,
+    serialize_sgd,
+)
+from sglink.moves import WalkState, random_homotopy_walk, walk_steps
+from sglink.sgd import (
+    _ID_RE,
+    _LINE_RE,
+    _TOKEN_RE,
+    SGD_HEADER,
+    Component,
+    Crossing,
+    Diagram,
+    Edge,
+    Violation,
+    _error,
+    _reject,
+    validate,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -121,6 +154,275 @@ def reference_parse_sgd(text: str, check: bool = True) -> Diagram:
             detail = "; ".join(v.message for v in problems)
             raise SgdParseError(f"invalid diagram: {detail}")
     return d
+
+
+def head_pair_signs(crossings) -> dict[tuple[str, str], int]:
+    """Sum of the crossing signs per (over edge, under edge) pair."""
+    sums: dict[tuple[str, str], int] = {}
+    for c in crossings:
+        key = (c.over[0], c.under[0])
+        sums[key] = sums.get(key, 0) + c.sign
+    return sums
+
+
+@dataclass(frozen=True)
+class HeadDiagram:
+    """Immutable diagram value; constituents are normalized to sorted order."""
+
+    vertices: tuple[str, ...]
+    edges: tuple[Edge, ...] = ()
+    crossings: tuple[Crossing, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
+        object.__setattr__(self, "crossings", tuple(sorted(self.crossings, key=lambda c: c.id)))
+
+    @cached_property
+    def edge_map(self) -> dict[str, Edge]:
+        return {e.id: e for e in self.edges}
+
+    @cached_property
+    def crossing_map(self) -> dict[str, Crossing]:
+        return {c.id: c for c in self.crossings}
+
+    @cached_property
+    def sign_sums(self) -> dict[tuple[str, str], int]:
+        """:func:`head_pair_signs` of the crossings, made once and shared by every
+        count over this diagram; read it, never change it."""
+        return head_pair_signs(self.crossings)
+
+    @cached_property
+    def passage_counts(self) -> dict[str, int]:
+        counts = {e.id: 0 for e in self.edges}
+        for c in self.crossings:
+            for eid, _ in (c.over, c.under):
+                if eid in counts:
+                    counts[eid] += 1
+        return counts
+
+    def passage_count(self, eid: str) -> int:
+        if eid not in self.passage_counts:
+            raise DomainError(f"unknown edge {eid!r}")
+        return self.passage_counts[eid]
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """Connected components of the abstract graph, sorted by their
+        lexicographically smallest vertex id and numbered from 1."""
+        parent = {v: v for v in self.vertices}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for e in self.edges:
+            if e.tail in parent and e.head in parent:
+                parent[find(e.tail)] = find(e.head)
+        groups: dict[str, list[str]] = defaultdict(list)
+        for v in self.vertices:
+            groups[find(v)].append(v)
+        parts = sorted(groups.values(), key=lambda vs: vs[0])
+        members = {v: i for i, vs in enumerate(parts) for v in vs}
+        edge_groups: dict[int, list[str]] = defaultdict(list)
+        for e in self.edges:
+            if e.tail in members:
+                edge_groups[members[e.tail]].append(e.id)
+        return tuple(
+            Component(i + 1, tuple(vs), tuple(sorted(edge_groups.get(i, ()))))
+            for i, vs in enumerate(parts)
+        )
+
+    @cached_property
+    def _edge_component(self) -> dict[str, int]:
+        return {eid: comp.index for comp in self.components for eid in comp.edge_ids}
+
+    def component_of_edge(self, eid: str) -> int:
+        if eid not in self._edge_component:
+            raise DomainError(f"unknown edge {eid!r}")
+        return self._edge_component[eid]
+
+    def component(self, index: int) -> Component:
+        if not 1 <= index <= len(self.components):
+            raise DomainError(
+                f"no such component {index} (diagram has {len(self.components)})"
+            )
+        return self.components[index - 1]
+
+
+def head_reference_violations(d: HeadDiagram) -> list[tuple[tuple, Violation]]:
+    """Identifier, uniqueness, reference and sign checks: what
+    :func:`head_parse_sgd` checks line by line.  Each violation comes with its
+    place in :func:`head_validate`'s order: (0,) before the crossings, (1, i, k)
+    for check k on crossing i, (2,) after them."""
+    out: list[tuple[tuple, Violation]] = []
+    for token in (*d.vertices, *(e.id for e in d.edges), *(c.id for c in d.crossings)):
+        if not _ID_RE.match(token):
+            out.append(((0,), Violation(
+                "bad-identifier", token, f"identifier {token!r} is not an [A-Za-z0-9_]+ token")))
+    seen_v: set[str] = set()
+    for v in d.vertices:
+        if v in seen_v:
+            out.append(((0,), Violation("duplicate-id", v, f"vertex id {v!r} declared twice")))
+        seen_v.add(v)
+    seen_e: set[str] = set()
+    for e in d.edges:
+        if e.id in seen_e:
+            out.append(((0,), Violation("duplicate-id", e.id, f"edge id {e.id!r} declared twice")))
+        seen_e.add(e.id)
+        for endpoint in (e.tail, e.head):
+            if endpoint not in seen_v:
+                out.append(((0,), Violation(
+                    "dangling-vertex", e.id,
+                    f"edge {e.id!r} references missing vertex {endpoint!r}")))
+    seen_x: set[str] = set()
+    for i, c in enumerate(d.crossings):
+        if c.id in seen_x:
+            out.append(((1, i, 0), Violation(
+                "duplicate-id", c.id, f"crossing id {c.id!r} declared twice")))
+        seen_x.add(c.id)
+        if c.sign not in (1, -1):
+            out.append(((1, i, 0), Violation(
+                "bad-sign", c.id, f"crossing {c.id!r} sign must be +1 or -1")))
+        for eid, _ in (c.over, c.under):
+            if eid not in seen_e:
+                out.append(((1, i, 2), Violation(
+                    "dangling-edge", c.id, f"crossing {c.id!r} references missing edge {eid!r}")))
+    return out
+
+
+def head_passage_violations(d: HeadDiagram) -> list[tuple[tuple, Violation]]:
+    """Degenerate-crossing and passage-index checks: what
+    ``head_parse_sgd(check=True)`` adds to its line checks.  Each violation comes
+    with its place in :func:`head_validate`'s order."""
+    out: list[tuple[tuple, Violation]] = []
+    refs: dict[str, list[int]] = defaultdict(list)
+    edge_map = d.edge_map
+    for i, c in enumerate(d.crossings):
+        over, under = c.over, c.under
+        if over == under:
+            out.append(((1, i, 1), Violation(
+                "crossing-degenerate", c.id,
+                f"crossing {c.id!r} over and under reference the same passage")))
+        if over[0] in edge_map:
+            refs[over[0]].append(over[1])
+        if under[0] in edge_map:
+            refs[under[0]].append(under[1])
+    for eid in sorted(refs):
+        indices = sorted(refs[eid])
+        if indices == list(range(len(indices))):
+            continue
+        dups = sorted(i for i, k in Counter(indices).items() if k > 1)
+        if dups:
+            out.append(((2,), Violation(
+                "passage-duplicate", eid, f"edge {eid!r} passage indices used twice: {dups}")))
+        else:
+            out.append(((2,), Violation(
+                "passage-gap", eid,
+                f"edge {eid!r} passage indices {indices} are not 0..{len(indices) - 1}")))
+    return out
+
+
+def head_validate(d: HeadDiagram) -> list[Violation]:
+    """Check every diagram invariant; an empty list means the diagram is valid.
+
+    Violations are data, not errors.  Codes: ``bad-identifier``,
+    ``duplicate-id``, ``dangling-vertex``, ``dangling-edge``,
+    ``crossing-degenerate``, ``bad-sign``, ``passage-duplicate`` and
+    ``passage-gap``.  They are listed identifiers first, then vertices,
+    edges and crossings in the diagram's order, then passage indices by
+    edge id.
+    """
+    found = head_reference_violations(d) + head_passage_violations(d)
+    found.sort(key=itemgetter(0))  # stable: checks that share a place keep their order
+    return [v for _, v in found]
+
+
+def head_parse_sgd(text: str, check: bool = True) -> HeadDiagram:
+    """Parse SGD text into a HeadDiagram.
+
+    Each declaration line is checked as it is read: its identifiers, its
+    keywords, indices and sign, and that its id is new and every id it
+    references was declared before it.  A line that fails raises
+    SgdParseError with the line and column.  With ``check`` (the default)
+    the finished diagram must also have no degenerate crossing and each
+    edge's passage indices must run 0..p-1 (:func:`head_validate`'s passage
+    checks; the line checks already rule out every other violation).  Pass
+    ``check=False`` to obtain the raw diagram for use with :func:`head_validate`.
+    """
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        words = raw.split("#", 1)[0].split()
+        if words:
+            if words != SGD_HEADER.split():
+                raise _error(f"expected header {SGD_HEADER!r}", raw, lineno, 0)
+            break
+    else:
+        raise SgdParseError(f"missing header {SGD_HEADER!r}", 1, 1)
+
+    # declarations so far, keyed by id in file order
+    vertices: dict[str, None] = {}
+    edges: dict[str, Edge] = {}
+    crossings: dict[str, Crossing] = {}
+    section = "vertex"  # advances vertex -> edge -> crossing
+
+    for lineno, raw in lines:
+        m = _LINE_RE.fullmatch(raw)
+        kind = m.lastgroup if m else None
+        if kind == "crossing":
+            xid, o_eid, o_idx, u_eid, u_idx, sign = m.group(5, 6, 7, 8, 9, 10)
+            if xid not in crossings and o_eid in edges and u_eid in edges:
+                try:
+                    over, under = (o_eid, int(o_idx)), (u_eid, int(u_idx))
+                except ValueError:  # past the interpreter's int/str digit limit
+                    pass
+                else:
+                    crossings[xid] = Crossing(xid, over, under, 1 if sign == "+" else -1)
+                    section = "crossing"
+                    continue
+        elif kind == "edge":
+            eid, tail, head = m.group(2, 3, 4)
+            if section != "crossing" and eid not in edges and tail in vertices and head in vertices:
+                edges[eid] = Edge(eid, tail, head)
+                section = "edge"
+                continue
+        elif kind == "vertex":
+            if section == "vertex" and m[1] not in vertices:
+                vertices[m[1]] = None
+                continue
+        elif m:
+            continue  # blank or comment only
+        _reject(raw, lineno, section, vertices, edges, crossings)
+
+    d = HeadDiagram(tuple(vertices), tuple(edges.values()), tuple(crossings.values()))
+    if check:
+        problems = head_passage_violations(d)
+        if problems:
+            detail = "; ".join(v.message for _, v in problems)
+            raise SgdParseError(f"invalid diagram: {detail}")
+    return d
+
+
+def head_serialize_sgd(d: HeadDiagram) -> str:
+    """Canonical SGD text for a diagram; equal diagrams yield identical bytes.
+
+    Vertices, edges and crossings are written in the order the diagram
+    holds them, which ``HeadDiagram`` normalises to sorted order by id.
+    """
+    lines = [SGD_HEADER]
+    for v in d.vertices:
+        lines.append(f"vertex {v}")
+    for e in d.edges:
+        lines.append(f"edge {e.id} {e.tail} {e.head}")
+    for c in d.crossings:
+        sign = "+" if c.sign > 0 else "-"
+        lines.append(
+            f"crossing {c.id} over {c.over[0]} {c.over[1]} "
+            f"under {c.under[0]} {c.under[1]} sign {sign}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 SEPARATORS = (" ", "  ", "\t", " \t", "\t\t ", "   ", "　", "\xa0")
@@ -244,6 +546,7 @@ def test_mutated_input_raises_identical_errors():
 
 SMALL = ["sgd 1", "vertex a", "vertex b", "edge e a a", "edge f b b",
          "crossing x1 over e 0 under f 0 sign +", "crossing x2 over f 1 under e 1 sign +"]
+SMALL_TEXT = "\n".join(SMALL) + "\n"
 
 
 def test_lines_the_pattern_accepts_but_a_check_rejects():
@@ -293,3 +596,148 @@ def test_failed_match_is_linear_in_the_line():
     for line in (blanks + "x", "vertex" + blanks + "a b", "crossing x over e 0" + blanks + "?"):
         with pytest.raises(SgdParseError):
             parse_sgd("sgd 1\n" + line)
+
+
+def assert_same_storage(text):
+    """``parse_sgd`` against ``head_parse_sgd``, with and without ``check``:
+    the same error, or diagrams that agree in everything a reader sees.
+    Returns the checked outcome."""
+    for check in (False, True):
+        got, want = outcome(parse_sgd, text, check), outcome(head_parse_sgd, text, check)
+        if isinstance(want, tuple):
+            assert got == want, (text, check)
+            continue
+        assert isinstance(got, Diagram), (text, check, got)
+        built = Diagram(want.vertices, want.edges, want.crossings)
+        assert got == built and hash(got) == hash(built)
+        assert (got.vertices, got.edges, got.crossings) == (
+            want.vertices, want.edges, want.crossings)
+        assert list(got.sign_sums.items()) == list(want.sign_sums.items())
+        assert got.passage_counts == want.passage_counts
+        assert got.crossing_map == want.crossing_map
+        assert got.components == want.components
+        assert serialize_sgd(got).encode() == head_serialize_sgd(want).encode()
+        assert validate(got) == head_validate(want)
+        assert repr(got) == repr(want).replace("HeadDiagram(", "Diagram(", 1)
+    return got
+
+
+def shuffled_sections(rng, text):
+    """``text`` with its vertex, edge and crossing lines each shuffled
+    within their section."""
+    lines = text.splitlines()
+    out = [lines[0]]
+    for kind in ("vertex", "edge", "crossing"):
+        part = [ln for ln in lines if ln.startswith(kind + " ")]
+        rng.shuffle(part)
+        out += part
+    return "\n".join(out) + "\n"
+
+
+def file_order_ids(text):
+    return [ln.split()[1] for ln in text.splitlines() if ln.startswith("crossing ")]
+
+
+def storage_corpus(rng):
+    texts = [p.read_text(encoding="utf-8") for p in sorted(DATA.glob("*.sgd"))]
+    texts += [serialize_sgd(random_diagram(rng)) for _ in range(100)]
+    texts += [serialize_sgd(canonical_diagram(m, n, chain))
+              for m, n, chain in ((0, 0, ()), (1, 1, (7,)), (3, 2, (1, 2)), (4, 4, (1, 2, 4, 8)))]
+    texts += [serialize_sgd(d) for d in walked_canonical(4, 60)]
+    return texts
+
+
+def test_rows_agree_with_the_object_diagram():
+    rng = random.Random(23)
+    resorted = 0
+    for text in storage_corpus(rng):
+        lines = [ln.split() for ln in text.splitlines()]
+        shuffled = shuffled_sections(rng, text)
+        ids = file_order_ids(shuffled)
+        resorted += ids != sorted(ids)
+        for variant in (text, layout(rng, lines), shuffled):
+            d = assert_same_storage(variant)
+            assert serialize_sgd(d) == text
+    assert resorted > 50  # the out-of-order path is taken
+
+
+def test_parsed_diagram_equals_one_built_from_crossing_objects():
+    rng = random.Random(29)
+    built = [random_diagram(rng) for _ in range(60)]
+    for state, seed in ((WalkState(canonical_diagram(3, 3, (1, 2, 4))), 3),
+                        (WalkState(canonical_diagram(2, 4, (2,))), 4)):
+        for _, state in walk_steps(state, 80, seed):
+            d = state.diagram()
+            built.append(Diagram(d.vertices, d.edges, d.crossings))
+            built.append(d)
+    for d in built:
+        parsed = parse_sgd(serialize_sgd(d))
+        assert parsed == d and hash(parsed) == hash(d)
+        assert parsed.crossings == d.crossings
+        assert parsed.sign_sums == d.sign_sums
+
+
+def test_passage_mutations_raise_identical_errors():
+    rng = random.Random(31)
+    bases = [t for t in storage_corpus(rng) if "crossing " in t]
+    kinds = Counter()
+    for trial in range(1500):
+        text = bases[trial % len(bases)]
+        if trial % 3 == 0:
+            text = shuffled_sections(rng, text)
+        lines = text.splitlines()
+        rows = [i for i, ln in enumerate(lines) if ln.startswith("crossing ")]
+        for i in rng.sample(rows, min(len(rows), rng.choice((1, 1, 2)))):
+            words = lines[i].split()
+            edit = rng.choice(("shift", "copy", "degenerate"))
+            k = rng.choice((4, 7))
+            if edit == "shift":  # a gap, or a duplicate of a neighbour
+                words[k] = str(max(0, int(words[k]) + rng.choice((-1, 1, 2, 5))))
+            elif edit == "copy":  # another crossing's passage
+                other = lines[rng.choice(rows)].split()
+                words[k - 1:k + 1] = other[3:5] if rng.random() < 0.5 else other[6:8]
+            else:  # over and under on one passage
+                words[6:8] = words[3:5]
+            lines[i] = " ".join(words)
+        got = assert_same_storage("\n".join(lines) + "\n")
+        if isinstance(got, tuple):
+            assert got[0] is SgdParseError and got[2:] == (None, None)
+            for code in ("passage indices used twice", "are not 0..", "the same passage"):
+                kinds[code] += code in got[1]
+    assert min(kinds.values()) > 50 and len(kinds) == 3
+
+
+def test_invariant_and_walk_build_no_crossing_objects():
+    # the rows are all the pipeline reads; Crossing objects are made only
+    # when d.crossings is read
+    for path in sorted(DATA.glob("*.sgd")):
+        d = parse_sgd(path.read_text(encoding="utf-8"))
+        if len(d.components) == 2:
+            over_under_consistent(d, linking_matrix(d))
+        state = WalkState(d)
+        for _, state in walk_steps(state, 30, 5):
+            pass
+        final = state.diagram()
+        assert parse_sgd(serialize_sgd(final)) == final
+        assert "crossings" not in vars(d) and "crossings" not in vars(final)
+        assert len(d.crossings) == len(d.rows) and "crossings" in vars(d)
+
+
+def test_constructor_keeps_the_crossing_objects_it_is_given():
+    d = parse_sgd(serialize_sgd(canonical_diagram(2, 2, (1, 5))))  # x10 < x2
+    given = list(d.crossings)
+    random.Random(37).shuffle(given)
+    built = Diagram(d.vertices, d.edges, given)
+    assert built == d and built.rows == d.rows
+    assert [c.id for c in built.crossings] == [r[0] for r in d.rows]
+    assert all(c is next(g for g in given if g.id == c.id) for c in built.crossings)
+
+
+def test_diagram_stays_immutable():
+    d = parse_sgd(SMALL_TEXT)
+    for name in ("vertices", "rows", "crossings", "sign_sums"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(d, name, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(d, name)
+    assert d == parse_sgd(SMALL_TEXT)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gen import random_matrix, random_unimodular
 from oracles import MINOR_LIMIT, cofactor_det, divisors_via_minors
+from sglink import smith
 from sglink import (
     DomainError,
     IntMatrix,
@@ -233,6 +234,33 @@ class TestSmithNormalForm:
             verify_certificate(zero, SnfCertificate(scaled, zero, ident, ()))
         with pytest.raises(SelfCheckError, match="unimodular"):
             verify_certificate(zero, SnfCertificate(ident, zero, scaled, ()))
+
+
+    @pytest.mark.parametrize("mat", [
+        rows([1, 2]),
+        rows([3, 5, 7], [2, 0, 9], [4, 8, 6]),
+    ])
+    def test_a_pivot_that_does_not_fall_raises(self, monkeypatch, mat):
+        # A seeded fault: a pivot rule that picks the largest entry leaves
+        # every smaller one as it is (its quotient is 0), so the reduction
+        # would pick the same pivot for ever.  The bound stops it on the
+        # third pick; without it the counter below ends the loop instead.
+        picks = []
+
+        def largest(a, k, m, n):
+            picks.append(k)
+            if len(picks) > 100:
+                raise RuntimeError("the reduction kept looping")
+            cells = [(abs(a[i][j]), -i, -j) for i in range(k, m) for j in range(k, n) if a[i][j]]
+            if not cells:
+                return None
+            _, i, j = max(cells)
+            return -i, -j
+
+        monkeypatch.setattr(smith, "_pivot", largest)
+        with pytest.raises(SelfCheckError, match="pivot at step 0 did not fall in two iterations"):
+            smith_normal_form(mat)
+        assert picks == [0, 0, 0]
 
 
 class TestUnimodularityProof:

@@ -292,8 +292,7 @@ def assert_state_matches(state, d):
     in ``d``, and, for two components, the matrix over those bases, which
     must equal the one rebuilt from ``d``'s crossings."""
     assert state.diagram() == d
-    inter = [c for c in d.crossings
-             if d.component_of_edge(c.over[0]) != d.component_of_edge(c.under[0])]
+    inter = [r for r in d.rows if d.component_of_edge(r[1]) != d.component_of_edge(r[3])]
     assert {k: s for k, s in state.pair_signs.items() if s} == {
         k: s for k, s in pair_signs(inter).items() if s}
     for comp in d.components:
