@@ -4,7 +4,7 @@ First homology of a connected graph is free abelian of rank E - V + 1, and
 a basis is given by the fundamental cycles of any spanning tree: one cycle
 per non-tree edge, consisting of that edge plus the unique tree path
 closing it up.  Cycles are integer coefficient vectors over the edges of
-one component, with the boundary-zero property checkable vertex by vertex.
+one component, with zero boundary at every vertex.
 
 A basis costs one breadth-first search, which records each vertex's
 parent edge and depth: over the component's edges for the default tree,
@@ -29,8 +29,6 @@ __all__ = [
     "spanning_tree",
     "cycle_basis",
     "fundamental_basis",
-    "rank",
-    "boundary",
 ]
 
 
@@ -43,12 +41,6 @@ class Cycle:
 
     component: int
     coeffs: Mapping[str, int]
-
-    def coeff(self, eid: str) -> int:
-        return self.coeffs.get(eid, 0)
-
-    def negated(self) -> "Cycle":
-        return Cycle(self.component, {e: -c for e, c in self.coeffs.items()})
 
 
 @dataclass(frozen=True)
@@ -172,22 +164,3 @@ def fundamental_basis(
         cycles.append(Cycle(component, coeffs))
     return CycleBasis(component, tuple(tree), tuple(cycles))
 
-
-def rank(d: Diagram, component: int) -> int:
-    """First-homology rank of one component: E - V + 1."""
-    comp = d.component(component)
-    return len(comp.edge_ids) - len(comp.vertices) + 1
-
-
-def boundary(d: Diagram, cycle: Cycle) -> dict[str, int]:
-    """Signed incidence sum at every vertex; all zero for a genuine cycle.
-
-    Incidence of an edge at a vertex is +1 at its head plus -1 at its tail,
-    so loops contribute nothing.
-    """
-    sums: dict[str, int] = {}
-    for eid, coeff in cycle.coeffs.items():
-        e = d.edge_map[eid]
-        sums[e.head] = sums.get(e.head, 0) + coeff
-        sums[e.tail] = sums.get(e.tail, 0) - coeff
-    return {v: s for v, s in sums.items() if s != 0}

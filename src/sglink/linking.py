@@ -1,4 +1,4 @@
-"""Linking numbers of inter-component cycles and the linking matrix.
+"""The linking matrix of the two components' cycle bases.
 
 The linking number of cycles z and w in distinct components is the signed
 count of crossings where a z-supported edge passes over a w-supported edge,
@@ -7,15 +7,19 @@ is symmetric, lk(z, w) = lk(w, z), which makes the over/under comparison a
 cheap realizability smoke test.  Zero-rank components yield 0 x n or m x 0
 matrices, not errors.
 
-Every count goes through one kernel in two parts.  :func:`pair_signs`
-makes one pass over the crossings and sums their signs per (over edge,
-under edge) pair; a diagram makes these sums once (``Diagram.sign_sums``),
-and the linking matrix and the over/under check share them.
-:func:`matrix_from_pairs` turns each list of cycles into
-a sparse incidence, edge id -> [(cycle index, coefficient)], and adds each
-pair's sign sum times the outer product of the two edges' incidence
-entries.  The cost is linear in the crossings plus the work of those outer
-products, never a rescan of the crossings per cycle pair.  A walk's
+Every count is a matrix made by one kernel in two parts.
+:func:`pair_signs` makes one pass over the crossings and sums their signs
+per (over edge, under edge) pair; a diagram makes these sums once
+(``Diagram.sign_sums``), and every count over it shares them.  The second
+part turns each list of cycles into a sparse incidence, edge id ->
+[(cycle index, coefficient)], and adds each pair's sign sum times the
+outer product of the two edges' incidence entries.  The cost is linear in
+the crossings plus the work of those outer products, never a rescan of the
+crossings per cycle pair.  :func:`linking_matrix` and
+:func:`matrix_from_pairs` count over two bases,
+:func:`over_under_consistent` over the same bases swapped, and
+:func:`linking_number`, the pairing of two arbitrary cycles, is the 1 x 1
+count, after it checks that each cycle lies in its component.  A walk's
 working state (``moves.WalkState``) keeps its own running pair sums and
 bases, and :func:`linking_matrix` given such a state returns the matrix
 the state keeps over them, read off those sums with the same second part.
@@ -92,12 +96,6 @@ def _counts_from_pairs(pairs, cycles1, cycles2) -> list[list[int]]:
     return counts
 
 
-def _linking_counts(d: Diagram, cycles1, cycles2) -> list[list[int]]:
-    """L[i][j] = sum of sign * z_i[over edge] * w_j[under edge] over all
-    crossings."""
-    return _counts_from_pairs(d.sign_sums, cycles1, cycles2)
-
-
 def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
     """Signed count of crossings where z passes over w.
 
@@ -107,7 +105,7 @@ def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
     it is integer valued on any combinatorial input.
     """
     _check_cycles(d, z, w)
-    return _linking_counts(d, (z,), (w,))[0][0]
+    return _counts_from_pairs(d.sign_sums, (z,), (w,))[0][0]
 
 
 def require_two_components(d: Diagram) -> None:
@@ -169,7 +167,7 @@ def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
     require_two_components(d)
     if mat is None:
         mat = linking_matrix(d)
-    swapped = _linking_counts(d, mat.basis2.cycles, mat.basis1.cycles)
+    swapped = _counts_from_pairs(d.sign_sums, mat.basis2.cycles, mat.basis1.cycles)
     under = IntMatrix(mat.cols, mat.rows, tuple(map(tuple, swapped))).transpose()
     return mat.entries == under.entries
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -45,7 +46,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError, SelfCheckError
 from .homology import Cycle, CycleBasis, fundamental_basis
 from .linking import LinkingMatrix, matrix_from_pairs
-from .sgd import Diagram, Edge, pair_signs, validate
+from .sgd import _ID_RE, Diagram, Edge, pair_signs, validate
 
 __all__ = [
     "MoveCheckError",
@@ -68,6 +69,10 @@ KINDS = ("crossing_change", "clasp", "contract_edge", "split_vertex")
 
 # fewest parameters each move kind takes (split_vertex lists ends after three)
 _ARITY = {"crossing_change": 1, "clasp": 5, "contract_edge": 1, "split_vertex": 3}
+
+# a replayed clasp integer: ASCII, as in SGD and matrix files (int() also
+# takes other Unicode digits and "_" between digits)
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 @dataclass(frozen=True)
@@ -508,10 +513,13 @@ class WalkState:
         (pairs of edge id and "tail"/"head"; a loop contributes both ends).
         Ends in part1 stay at ``vid``, ends in part2 move to ``new_vid``, and
         the new edge runs from ``vid`` to ``new_vid``, so contracting it undoes
-        the split.
+        the split.  Both new ids must be SGD identifiers.
         """
         if vid not in self._ends:
             raise DomainError(f"unknown vertex {vid!r}")
+        for new in (new_vid, new_eid):
+            if not _ID_RE.match(new):
+                raise DomainError(f"identifier {new!r} is not an [A-Za-z0-9_]+ token")
         if new_vid in self._ends:
             raise DomainError(f"vertex id {new_vid!r} already in use")
         if new_eid in self._edges:
@@ -626,8 +634,10 @@ class WalkState:
             self.crossing_change(p[0])
         elif kind == "clasp":
             try:
+                if not (_INT_RE.match(p[1]) and _INT_RE.match(p[3]) and _INT_RE.match(p[4])):
+                    raise ValueError
                 pos_e, pos_f, eps = int(p[1]), int(p[3]), int(p[4])
-            except ValueError:
+            except ValueError:  # an odd spelling, or past the int/str digit limit
                 raise DomainError(f"bad clasp parameters {' '.join(p)!r}") from None
             self.clasp(p[0], pos_e, p[2], pos_f, eps)
         elif kind == "contract_edge":

@@ -186,28 +186,10 @@ class Diagram:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def crossing_map(self) -> dict[str, Crossing]:
-        return {c.id: c for c in self.crossings}
-
-    @cached_property
     def sign_sums(self) -> dict[tuple[str, str], int]:
         """:func:`pair_signs` of the crossings, made once and shared by every
         count over this diagram; read it, never change it."""
         return pair_signs(self.rows)
-
-    @cached_property
-    def passage_counts(self) -> dict[str, int]:
-        counts = {e.id: 0 for e in self.edges}
-        for _, over, _, under, _, _ in self.rows:
-            for eid in (over, under):
-                if eid in counts:
-                    counts[eid] += 1
-        return counts
-
-    def passage_count(self, eid: str) -> int:
-        if eid not in self.passage_counts:
-            raise DomainError(f"unknown edge {eid!r}")
-        return self.passage_counts[eid]
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
@@ -237,15 +219,6 @@ class Diagram:
             Component(i + 1, tuple(vs), tuple(sorted(edge_groups.get(i, ()))))
             for i, vs in enumerate(parts)
         )
-
-    @cached_property
-    def _edge_component(self) -> dict[str, int]:
-        return {eid: comp.index for comp in self.components for eid in comp.edge_ids}
-
-    def component_of_edge(self, eid: str) -> int:
-        if eid not in self._edge_component:
-            raise DomainError(f"unknown edge {eid!r}")
-        return self._edge_component[eid]
 
     def component(self, index: int) -> Component:
         if not 1 <= index <= len(self.components):

@@ -40,23 +40,6 @@ class IntMatrix:
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise DomainError("entry shape does not match declared dimensions")
 
-    @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        """Build from an iterable of rows; ``cols`` disambiguates 0-row matrices."""
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if cols is not None and cols != width:
-                raise DomainError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            cols = 0
-        return cls(len(data), cols, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DomainError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -151,16 +134,6 @@ class LkInvariant:
             raise DomainError("chain entries must be positive")
         if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
             raise DomainError("chain entries must form a divisibility chain")
-
-    @classmethod
-    def zero(cls) -> "LkInvariant":
-        return cls(())
-
-    @classmethod
-    def chain(cls, *divisors: int) -> "LkInvariant":
-        if not divisors:
-            raise DomainError("a chain must be nonempty; use LkInvariant.zero()")
-        return cls(tuple(int(d) for d in divisors))
 
     @property
     def is_zero(self) -> bool:

@@ -1,11 +1,11 @@
-"""Seeded random generators, and one injected move fault, shared across
-the test modules."""
+"""Seeded random generators, diagram lookups the package does not keep,
+and one injected move fault, shared across the test modules."""
 
 from __future__ import annotations
 
 import random
 
-from sglink import Crossing, Diagram, Edge, IntMatrix, canonical_diagram
+from sglink import Crossing, Diagram, DomainError, Edge, IntMatrix, canonical_diagram
 from sglink.moves import MoveRecord, random_homotopy_walk, walk_steps
 
 
@@ -51,9 +51,8 @@ def random_diagram(rng: random.Random, max_vertices=8, max_edges=10, max_crossin
 def random_matrix(rng: random.Random, max_dim=6, bound=20) -> IntMatrix:
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
-    return IntMatrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)], cols=n
-    )
+    return IntMatrix(m, n, tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
+                                 for _ in range(m)))
 
 
 def divisor_chains(max_len: int, max_d: int) -> list[tuple[int, ...]]:
@@ -112,7 +111,7 @@ def random_unimodular(size: int, seed: int, ops: int = 30) -> IntMatrix:
             i, j = rng.sample(range(size), 2)
             q = rng.choice((-3, -2, -1, 1, 2, 3))
             m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-    return IntMatrix.from_rows(m, cols=size)
+    return IntMatrix(size, size, tuple(map(tuple, m)))
 
 
 def random_spanning_tree(d: Diagram, component: int, rng: random.Random) -> list[str]:
@@ -137,6 +136,31 @@ def random_spanning_tree(d: Diagram, component: int, rng: random.Random) -> list
             parent[a] = b
             tree.append(eid)
     return tree
+
+
+def passage_counts(d: Diagram) -> dict[str, int]:
+    """Edge id -> how many crossing passages the edge carries, read off
+    ``d.rows``."""
+    counts = {e.id: 0 for e in d.edges}
+    for _, over, _, under, _, _ in d.rows:
+        for eid in (over, under):
+            if eid in counts:
+                counts[eid] += 1
+    return counts
+
+
+def edge_components(d: Diagram) -> dict[str, int]:
+    """Edge id -> the index of the component the edge lies in."""
+    return {eid: comp.index for comp in d.components for eid in comp.edge_ids}
+
+
+def component_of_edge(d: Diagram, eid: str) -> int:
+    """:func:`edge_components` of one edge; an unknown edge raises
+    ``DomainError``."""
+    comps = edge_components(d)
+    if eid not in comps:
+        raise DomainError(f"unknown edge {eid!r}")
+    return comps[eid]
 
 
 def walk_to_closing_split(d: Diagram, steps: int, seed: int) -> list[tuple[Diagram, MoveRecord]]:

@@ -1,8 +1,9 @@
 """Oracles that share no code with the package they check.
 
-Both work on plain lists of rows and import nothing from ``sglink``, so a
-fault in ``IntMatrix.det`` or in the SNF reduction cannot pass a check and
-its oracle alike.
+They import nothing from ``sglink``.  The determinant and the divisors
+work on plain lists of rows, so a fault in ``IntMatrix.det`` or in the SNF
+reduction cannot pass a check and its oracle alike; the boundary reads
+only a diagram's edges and a cycle's coefficients.
 """
 
 from itertools import combinations
@@ -48,3 +49,17 @@ def divisors_via_minors(rows) -> list[int]:
         out.append(g // g_prev)
         g_prev = g
     return out
+
+
+def boundary(d, cycle) -> dict[str, int]:
+    """Signed incidence sum at every vertex; all zero for a genuine cycle.
+
+    Incidence of an edge at a vertex is +1 at its head plus -1 at its tail,
+    so loops contribute nothing.
+    """
+    sums: dict[str, int] = {}
+    for eid, coeff in cycle.coeffs.items():
+        e = d.edge_map[eid]
+        sums[e.head] = sums.get(e.head, 0) + coeff
+        sums[e.tail] = sums.get(e.tail, 0) - coeff
+    return {v: s for v, s in sums.items() if s != 0}

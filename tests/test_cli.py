@@ -10,7 +10,13 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from gen import dropping_closing_coefficient, random_diagram, walk_to_closing_split
+from gen import (
+    component_of_edge,
+    dropping_closing_coefficient,
+    edge_components,
+    random_diagram,
+    walk_to_closing_split,
+)
 
 import sglink.cli as cli
 import sglink.homology as homology
@@ -396,8 +402,9 @@ class TestPerturb:
 
         def flip_inter(state, xid):
             d = state.diagram()
+            comp = edge_components(d)
             return real(state, next(c.id for c in d.crossings
-                                    if d.component_of_edge(c.over[0]) != d.component_of_edge(c.under[0])))
+                                    if comp[c.over[0]] != comp[c.under[0]]))
 
         monkeypatch.setattr(moves.WalkState, "crossing_change", flip_inter)
         src = tmp_path / "c.sgd"
@@ -475,7 +482,7 @@ class TestPerturb:
         for _, state in walk_steps(d, 200, 7):
             cur = state.diagram()
             graph_steps += (cur.vertices, cur.edges) != (prev.vertices, prev.edges)
-            assert cur.component_of_edge("a1") == 1  # never renumbered
+            assert component_of_edge(cur, "a1") == 1  # never renumbered
             prev = cur
         assert 50 < graph_steps < 200
 
@@ -562,7 +569,7 @@ class TestPerturb:
     def test_renumbering_contraction_reads_the_matrix_again(self, tmp_path, monkeypatch, capsys):
         d = parse_sgd(RENUMBERED_TEXT)
         states = moves.replay_steps(d, "".join(f"{ln}\n" for ln in RENUMBERING))
-        numbers = [state.diagram().component_of_edge("a1") for _, state in states]
+        numbers = [component_of_edge(state.diagram(), "a1") for _, state in states]
         assert numbers == [1, 2, 2, 2, 2]
         entries = self._matrices(RENUMBERED_TEXT, RENUMBERING)
         assert entries == [((1,), (1,)), ((1, 1),), ((0, 1),), ((1, 1),), ((1, 1),)]
@@ -866,6 +873,43 @@ class TestExitContract:
             replay.write_text(line + "\n")
             assert cli.main(["perturb", hopf_file, "--replay", str(replay)]) == 2, line
             assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("line", [
+        "split_vertex u1 v-1 é.x", "split_vertex u1 v-1 e9", "split_vertex u1 v9 é.x",
+        "split_vertex u1 v9 e.9 a1.tail", "split_vertex u2 w² f1 b1.head",
+    ])
+    def test_replayed_split_with_an_id_sgd_cannot_write_exit_2(
+            self, hopf_file, tmp_path, capsys, line):
+        replay, out = tmp_path / "moves.txt", tmp_path / "out.sgd"
+        replay.write_text(line + "\n", encoding="utf-8")
+        assert cli.main(["perturb", hopf_file, "--replay", str(replay), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "is not an [A-Za-z0-9_]+ token" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", [
+        "a1 ٠ b1 0 1", "a1 0 b1 0_0 1", "a1 0 b1 0 １", "a1 ٠ b1 0_0 +1",
+    ])
+    def test_replayed_clasp_integer_that_is_not_ascii_exit_2(
+            self, hopf_file, tmp_path, capsys, params):
+        # int() would read each of these; a replay takes [+-]?[0-9]+ only
+        replay, moves_out = tmp_path / "moves.txt", tmp_path / "moves-out.txt"
+        replay.write_text(f"clasp {params}\n", encoding="utf-8")
+        assert cli.main(["perturb", hopf_file, "--replay", str(replay),
+                         "--moves-out", str(moves_out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad clasp parameters {params!r}\n"
+        assert not moves_out.exists()
+
+    def test_replayed_clasp_signs_are_read(self, hopf_file, tmp_path, capsys):
+        replay, moves_out = tmp_path / "moves.txt", tmp_path / "moves-out.txt"
+        replay.write_text("clasp a1 +0 b1 -0 +1\nclasp a1 0 b1 0 -1\n", encoding="utf-8")
+        assert cli.main(["perturb", hopf_file, "--replay", str(replay),
+                         "--moves-out", str(moves_out)]) == 0
+        assert moves_out.read_text() == replay.read_text()
 
     def test_unexpected_exception_exit_4(self, hopf_file, monkeypatch, capsys):
         def crash(d, check=True):

@@ -9,13 +9,14 @@ Inputs are valid files with random edits as well as arbitrary text.
 
 import contextlib
 import io
+import json
 import random
 import sys
 from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sglink.cli as cli
@@ -168,9 +169,13 @@ def test_matrix_input(work, data, command):
 
 
 @FUZZ
-@given(data=edited([REPLAY_SEED, "clasp a1 0 b1 0 1\n"]), command=st.sampled_from(REPLAY_COMMANDS))
+@example(data="split_vertex u1 v-1 é.x\n".encode(), command=REPLAY_COMMANDS[0])
+@given(data=edited([REPLAY_SEED, "clasp a1 0 b1 0 1\n", "split_vertex u1 v9 e9 a1.tail\n"]),
+       command=st.sampled_from(REPLAY_COMMANDS))
 def test_replay_input(work, data, command):
-    run_on(work, data, command)
+    code, out, _ = run_on(work, data, command)
+    if code == 0:  # a replay that succeeds writes SGD the parser reads back
+        parse_sgd(json.loads(out)["sgd"])
 
 
 @FUZZ

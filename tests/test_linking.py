@@ -45,8 +45,8 @@ class TestLinkingNumber:
         assert linking_number(HOPF, Cycle(1, {}), W) == 0
 
     def test_negation(self):
-        assert linking_number(HOPF, Z.negated(), W) == -1
-        assert linking_number(HOPF, Z, W.negated()) == -1
+        assert linking_number(HOPF, Cycle(1, {"e1": -1}), W) == -1
+        assert linking_number(HOPF, Z, Cycle(2, {"e2": -1})) == -1
 
     def test_bilinearity(self):
         rng = random.Random(21)
@@ -87,7 +87,7 @@ class TestLinkingMatrix:
     def test_zero_rank_component(self):
         m = linking_matrix(canonical_diagram(0, 2, ()))
         assert (m.rows, m.cols) == (0, 2)
-        assert diagram_invariant(canonical_diagram(0, 2, ())) == LkInvariant.zero()
+        assert diagram_invariant(canonical_diagram(0, 2, ())) == LkInvariant()
 
     def test_component_count_enforced(self):
         with pytest.raises(DomainError):
@@ -133,7 +133,7 @@ def brute_counts(d, basis1, basis2):
         total = 0
         for c in d.crossings:
             a_eid, b_eid = (c.over[0], c.under[0]) if z_over else (c.under[0], c.over[0])
-            total += c.sign * z.coeff(a_eid) * w.coeff(b_eid)
+            total += c.sign * z.coeffs.get(a_eid, 0) * w.coeffs.get(b_eid, 0)
         return total
 
     over = [[count(z, w, True) for w in basis2.cycles] for z in basis1.cycles]

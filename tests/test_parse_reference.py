@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from gen import random_diagram
+from gen import passage_counts, random_diagram
 from sglink import (
     DomainError,
     SgdParseError,
@@ -613,8 +613,8 @@ def assert_same_storage(text):
         assert (got.vertices, got.edges, got.crossings) == (
             want.vertices, want.edges, want.crossings)
         assert list(got.sign_sums.items()) == list(want.sign_sums.items())
-        assert got.passage_counts == want.passage_counts
-        assert got.crossing_map == want.crossing_map
+        assert passage_counts(got) == want.passage_counts
+        assert {c.id: c for c in got.crossings} == want.crossing_map
         assert got.components == want.components
         assert serialize_sgd(got).encode() == head_serialize_sgd(want).encode()
         assert validate(got) == head_validate(want)

@@ -198,8 +198,8 @@ def test_chain_built_matrices():
         for _ in range(size):
             d *= rng.choice((1, 1, 1, 2, 3))
             chain.append(d)
-        diag = IntMatrix.from_rows([[chain[i] if i == j else 0 for j in range(size)]
-                                    for i in range(size)])
+        diag = IntMatrix(size, size, tuple(tuple(chain[i] if i == j else 0 for j in range(size))
+                                           for i in range(size)))
         mat = (random_unimodular(size, rng.randrange(2**32), ops=size) @ diag
                @ random_unimodular(size, rng.randrange(2**32), ops=size))
         assert_same(mat.entries, size, size)

@@ -3,8 +3,10 @@ reference.
 
 The functions below, from ``_fresh_ids`` to ``replay_steps``, are the move
 engine as it stood when every move built a new ``Diagram``, copied
-verbatim.  Today each move is a method of ``moves.WalkState``, which a walk
-updates in place.  Both must draw the same moves from a seed, reach the
+verbatim but for the lookups a ``Diagram`` no longer offers (passage
+counts, the component of an edge, crossings by id), which ``gen`` and the
+crossing list provide.  Today each move is a method of
+``moves.WalkState``, which a walk updates in place.  Both must draw the same moves from a seed, reach the
 same diagrams, and reject the same bad moves with the same error text.
 The corpus covers canonical diagrams, random diagrams with self-crossings
 on one edge and any number of components, and walks that contract ``u1``
@@ -14,7 +16,7 @@ away, so the components renumber.
 import random
 from typing import Iterator, Sequence
 
-from gen import random_diagram
+from gen import component_of_edge, edge_components, passage_counts, random_diagram
 from sglink import DomainError, canonical_diagram, cycle_basis, linking_matrix, serialize_sgd
 from sglink import moves
 from sglink.linking import pair_signs
@@ -38,7 +40,7 @@ def crossing_change(d: Diagram, xid: str) -> Diagram:
 
     An involution: applying it twice restores the diagram.
     """
-    if xid not in d.crossing_map:
+    if xid not in {c.id for c in d.crossings}:
         raise DomainError(f"unknown crossing {xid!r}")
     new = tuple(
         Crossing(c.id, c.under, c.over, -c.sign) if c.id == xid else c
@@ -63,9 +65,9 @@ def clasp(d: Diagram, e: str, pos_e: int, f: str, pos_f: int, eps: int) -> Diagr
     for eid, pos in ((e, pos_e), (f, pos_f)):
         if eid not in d.edge_map:
             raise DomainError(f"unknown edge {eid!r}")
-        if not 0 <= pos <= d.passage_count(eid):
+        if not 0 <= pos <= passage_counts(d)[eid]:
             raise DomainError(
-                f"insertion index {pos} out of range 0..{d.passage_count(eid)} on edge {eid!r}"
+                f"insertion index {pos} out of range 0..{passage_counts(d)[eid]} on edge {eid!r}"
             )
 
     def shift(ref: tuple[str, int]) -> tuple[str, int]:
@@ -77,7 +79,7 @@ def clasp(d: Diagram, e: str, pos_e: int, f: str, pos_f: int, eps: int) -> Diagr
         return (eid, idx)
 
     crossings = [Crossing(c.id, shift(c.over), shift(c.under), c.sign) for c in d.crossings]
-    xa, xb = _fresh_ids("x", set(d.crossing_map), 2)
+    xa, xb = _fresh_ids("x", {c.id for c in d.crossings}, 2)
     crossings.append(Crossing(xa, (e, pos_e), (f, pos_f), eps))
     crossings.append(Crossing(xb, (f, pos_f + 1), (e, pos_e + 1), eps))
     return Diagram(d.vertices, d.edges, tuple(crossings))
@@ -95,7 +97,7 @@ def contract_edge(d: Diagram, eid: str) -> Diagram:
         raise DomainError(f"unknown edge {eid!r}")
     if edge.tail == edge.head:
         raise DomainError(f"cannot contract loop {eid!r}")
-    if d.passage_count(eid) != 0:
+    if passage_counts(d)[eid] != 0:
         raise DomainError(f"cannot contract edge {eid!r}: it carries crossing passages")
     keep, drop = edge.tail, edge.head
     edges = tuple(
@@ -168,12 +170,12 @@ def _record(d: Diagram, kind: str, params: tuple[str, ...]) -> MoveRecord:
     if len(params) < _ARITY.get(kind, 0):
         raise DomainError(f"move {kind!r} is missing parameters")
     if kind == "crossing_change":
-        c = d.crossing_map.get(params[0])
+        c = {c.id: c for c in d.crossings}.get(params[0])
         if c is None:
             raise DomainError(f"unknown crossing {params[0]!r}")
-        preserving = d.component_of_edge(c.over[0]) == d.component_of_edge(c.under[0])
+        preserving = component_of_edge(d, c.over[0]) == component_of_edge(d, c.under[0])
     elif kind == "clasp":
-        preserving = d.component_of_edge(params[0]) == d.component_of_edge(params[2])
+        preserving = component_of_edge(d, params[0]) == component_of_edge(d, params[2])
     else:
         preserving = True
     return MoveRecord(kind, params, preserving)
@@ -205,10 +207,8 @@ def _sample_move(d: Diagram, rng: random.Random) -> MoveRecord | None:
     """One attempt at drawing an applicable homotopy-preserving move."""
     kind = rng.choice(KINDS)
     if kind == "crossing_change":
-        candidates = [
-            c.id for c in d.crossings
-            if d.component_of_edge(c.over[0]) == d.component_of_edge(c.under[0])
-        ]
+        comp = edge_components(d)
+        candidates = [c.id for c in d.crossings if comp[c.over[0]] == comp[c.under[0]]]
         if not candidates:
             return None
         return _record(d, kind, (rng.choice(candidates),))
@@ -217,15 +217,13 @@ def _sample_move(d: Diagram, rng: random.Random) -> MoveRecord | None:
         if len(comp.edge_ids) < 2:
             return None
         e, f = rng.sample(comp.edge_ids, 2)
-        pos_e = rng.randint(0, d.passage_count(e))
-        pos_f = rng.randint(0, d.passage_count(f))
+        pos_e = rng.randint(0, passage_counts(d)[e])
+        pos_f = rng.randint(0, passage_counts(d)[f])
         eps = rng.choice((1, -1))
         return _record(d, kind, (e, str(pos_e), f, str(pos_f), str(eps)))
     if kind == "contract_edge":
-        candidates = [
-            e.id for e in d.edges
-            if e.tail != e.head and d.passage_count(e.id) == 0
-        ]
+        counts = passage_counts(d)
+        candidates = [e.id for e in d.edges if e.tail != e.head and counts[e.id] == 0]
         if not candidates:
             return None
         return _record(d, kind, (rng.choice(candidates),))
@@ -292,7 +290,8 @@ def assert_state_matches(state, d):
     in ``d``, and, for two components, the matrix over those bases, which
     must equal the one rebuilt from ``d``'s crossings."""
     assert state.diagram() == d
-    inter = [r for r in d.rows if d.component_of_edge(r[1]) != d.component_of_edge(r[3])]
+    comp = edge_components(d)
+    inter = [r for r in d.rows if comp[r[1]] != comp[r[3]]]
     assert {k: s for k, s in state.pair_signs.items() if s} == {
         k: s for k, s in pair_signs(inter).items() if s}
     for comp in d.components:
@@ -383,7 +382,7 @@ def test_walk_contracting_u1_renumbers_components():
     # vertex ids
     d = canonical_diagram(3, 3, (1, 2, 4))
     steps = assert_same_walk(d, 120, 22)
-    renumbered = [k for k, step in enumerate(steps) if step.component_of_edge("a1") == 2]
+    renumbered = [k for k, step in enumerate(steps) if component_of_edge(step, "a1") == 2]
     assert renumbered and renumbered[0] == 28
     assert "u1" not in steps[28].vertices
     for k in renumbered[:3]:
@@ -423,8 +422,9 @@ def test_inter_component_replays_match():
                     e, f = rng.choice(comps[0].edge_ids), rng.choice(comps[1].edge_ids)
                     if rng.random() < 0.5:
                         e, f = f, e
-                    line = (f"clasp {e} {rng.randint(0, walked.passage_count(e))} "
-                            f"{f} {rng.randint(0, walked.passage_count(f))} {rng.choice((1, -1))}")
+                    counts = passage_counts(walked)
+                    line = (f"clasp {e} {rng.randint(0, counts[e])} "
+                            f"{f} {rng.randint(0, counts[f])} {rng.choice((1, -1))}")
                 else:
                     continue
                 lines.append(line)
@@ -467,7 +467,7 @@ def test_single_moves_match_on_random_arguments():
         xid = rng.choice(xids)
         assert outcome(moves.crossing_change, d, xid) == outcome(crossing_change, d, xid)
         e, f = rng.choice(eids), rng.choice(eids)
-        count = max(d.passage_counts.values(), default=0)
+        count = max(passage_counts(d).values(), default=0)
         args = (d, e, rng.randint(-1, count + 1), f, rng.randint(-1, count + 1),
                 rng.choice((1, -1, -1, 1, 0)))
         assert outcome(moves.clasp, *args) == outcome(clasp, *args)
