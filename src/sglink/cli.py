@@ -30,7 +30,7 @@ from .homology import CycleBasis, cycle_basis
 from .linking import linking_matrix, matrix_from_pairs, over_under_consistent
 from .moves import MoveCheckError, MoveRecord, WalkState, format_move, replay_steps, walk_steps
 from .moves import canonical_diagram as _canonical
-from .sgd import _passage_violations, parse_sgd, serialize_sgd
+from .sgd import parse_sgd, serialize_sgd, validate
 from .smith import IntMatrix, lk_invariant, smith_normal_form
 
 DEFAULT_SEED = 1729
@@ -62,11 +62,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    d = _read_diagram(args.path, check=False)
-    # parse_sgd has rejected every identifier, duplicate-id, reference and
-    # sign violation line by line, so of validate's checks only the passage
-    # checks are left, and they come in validate's order
-    problems = [v for _, v in _passage_violations(d)]
+    problems = validate(_read_diagram(args.path, check=False))
     if not problems:
         print("OK")
         return EXIT_OK

@@ -12,6 +12,9 @@ whose discovery edges are that tree, or over the edges of a given tree.
 Each fundamental cycle is then read off by walking the two endpoints of
 its edge up to their common ancestor, so the whole basis is linear in its
 support.
+
+:func:`cycle_basis` is the one basis builder: the commands, the linking
+matrix and the start bases a ``moves.WalkState`` keeps all come from it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "CycleBasis",
     "spanning_tree",
     "cycle_basis",
-    "fundamental_basis",
 ]
 
 
@@ -110,19 +112,7 @@ def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -
     be a spanning tree of the same component.
     """
     comp = d.component(component)
-    return fundamental_basis(component, comp.vertices, comp.edge_ids, d.edge_map, tree)
-
-
-def fundamental_basis(
-    component: int,
-    vertices: Sequence[str],
-    edge_ids: Sequence[str],
-    edge_map: Mapping[str, Edge],
-    tree: Sequence[str] | None = None,
-) -> CycleBasis:
-    """:func:`cycle_basis` of a component given by its sorted vertex and
-    edge ids and an edge id -> Edge map, for callers that keep a graph
-    without building a ``Diagram`` (the ``perturb`` walk)."""
+    vertices, edge_ids, edge_map = comp.vertices, comp.edge_ids, d.edge_map
     if tree is None:
         tree, parent = _bfs(_adjacency(edge_map, edge_ids), vertices[0])
     else:

@@ -8,7 +8,7 @@ cheap realizability smoke test.  Zero-rank components yield 0 x n or m x 0
 matrices, not errors.
 
 Every count is a matrix made by one kernel in two parts.
-:func:`pair_signs` makes one pass over the crossings and sums their signs
+``sgd.pair_signs`` makes one pass over the crossings and sums their signs
 per (over edge, under edge) pair; a diagram makes these sums once
 (``Diagram.sign_sums``), and every count over it shares them.  The second
 part turns each list of cycles into a sparse incidence, edge id ->
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .homology import Cycle, CycleBasis, cycle_basis
-from .sgd import Diagram, pair_signs
+from .sgd import Diagram
 from .smith import IntMatrix, LkInvariant, lk_invariant
 
 if TYPE_CHECKING:
@@ -44,7 +44,6 @@ __all__ = [
     "linking_matrix",
     "matrix_from_pairs",
     "over_under_consistent",
-    "pair_signs",
     "diagram_invariant",
 ]
 
@@ -148,7 +147,7 @@ def linking_matrix(
 
 def matrix_from_pairs(pairs, basis1: CycleBasis, basis2: CycleBasis) -> LinkingMatrix:
     """Linking matrix over two bases, read off per-pair sign sums as
-    :func:`pair_signs` makes them.  Pairs whose edges lie outside the two
+    ``sgd.pair_signs`` makes them.  Pairs whose edges lie outside the two
     bases' supports add nothing, so sums kept for inter-component pairs
     only give the same matrix."""
     over = _counts_from_pairs(pairs, basis1.cycles, basis2.cycles)

@@ -19,7 +19,8 @@ walk can read the matrix off running sums.  The module functions
 one state through a whole walk and build a ``Diagram`` only when asked.
 
 A state also keeps, for each component, a spanning tree and its
-fundamental cycles, built with the state and updated by each graph move.
+fundamental cycles, built with the state by ``homology.cycle_basis`` and
+updated by each graph move.
 A split or a contraction is a homotopy equivalence of one component, so
 it changes the linking matrix only by a unimodular change of basis: the
 state updates the cycles the move touched and certifies each move as it
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DomainError, SelfCheckError
-from .homology import Cycle, CycleBasis, fundamental_basis
+from .homology import Cycle, CycleBasis, cycle_basis
 from .linking import LinkingMatrix, matrix_from_pairs
 from .sgd import _ID_RE, Diagram, Edge, pair_signs, validate
 
@@ -67,7 +68,8 @@ __all__ = [
 
 KINDS = ("crossing_change", "clasp", "contract_edge", "split_vertex")
 
-# fewest parameters each move kind takes (split_vertex lists ends after three)
+# parameters each move kind takes; split_vertex lists the ends it moves
+# after its three
 _ARITY = {"crossing_change": 1, "clasp": 5, "contract_edge": 1, "split_vertex": 3}
 
 # a replayed clasp integer: ASCII, as in SGD and matrix files (int() also
@@ -200,15 +202,22 @@ class _KeptBasis:
         self._dirty.update(keys)
         self._made = None
 
+    def boundary(self, ends) -> dict[str, int]:
+        """The boundary of each cycle through edge ends ``(edge id,
+        "tail"/"head")`` summed over those ends, by key: a head end counts
+        the cycle's coefficient on its edge, a tail end its negative."""
+        sums: dict[str, int] = {}
+        for x, side in ends:
+            for key in self.through.get(x, ()):
+                c = self.cycles[key][x]
+                sums[key] = sums.get(key, 0) + (c if side == "head" else -c)
+        return sums
+
     def split(self, moved, new_eid: str) -> None:
         """The new edge of a split joins the tree.  Each cycle through the
         moved ends takes the coefficient on it that closes the cycle at
         the new vertex, the end of the new edge."""
-        sums: dict[str, int] = {}
-        for x, side in moved:
-            for key in self.through.get(x, ()):
-                c = self.cycles[key][x]
-                sums[key] = sums.get(key, 0) + (c if side == "head" else -c)
+        sums = self.boundary(moved)
         self.tree[new_eid] = None
         closed = [key for key, s in sums.items() if s]
         if closed:
@@ -323,8 +332,7 @@ class WalkState:
             self._comp_of.update(dict.fromkeys(comp.vertices, key))
             self._comp_vertices.append(list(comp.vertices))
             self._comp_edges.append(list(comp.edge_ids))
-            self._kept.append(_KeptBasis(
-                fundamental_basis(key + 1, comp.vertices, comp.edge_ids, d.edge_map), comp.edge_ids))
+            self._kept.append(_KeptBasis(cycle_basis(d, key + 1), comp.edge_ids))
         self._order = list(range(len(self._comp_vertices)))  # keys by number
         self._vertices = list(d.vertices)
         self._edges = dict(d.edge_map)
@@ -591,11 +599,7 @@ class WalkState:
 
     def _check_boundary(self, kept: _KeptBasis, num: int, v: str) -> None:
         """Every kept cycle through vertex ``v`` has zero boundary there."""
-        sums: dict[str, int] = {}
-        for x, side in self._ends[v]:
-            for key in kept.through.get(x, ()):
-                c = kept.cycles[key][x]
-                sums[key] = sums.get(key, 0) + (c if side == "head" else -c)
+        sums = kept.boundary(self._ends[v])
         bad = [key for key, s in sums.items() if s]
         if bad:
             key = min(bad)
@@ -606,9 +610,13 @@ class WalkState:
 
     def record(self, kind: str, params: tuple[str, ...]) -> MoveRecord:
         """The record of a move as it would apply here, with whether it
-        preserves the invariant; rejects unknown crossings and edges."""
-        if len(params) < _ARITY.get(kind, 0):
+        preserves the invariant; rejects a wrong parameter count and
+        unknown crossings and edges."""
+        arity = _ARITY.get(kind, 0)
+        if len(params) < arity:
             raise DomainError(f"move {kind!r} is missing parameters")
+        if len(params) > arity and kind in _ARITY and kind != "split_vertex":
+            raise DomainError(f"move {kind!r} has {len(params)} parameters, expected {arity}")
         if kind == "crossing_change":
             c = self._crossings.get(params[0])
             if c is None:
@@ -780,7 +788,8 @@ def walk_steps(d: Diagram | WalkState, steps: int,
     changes within one component, clasps within one component, contractions
     of crossing-free edges, and vertex splittings.  Kinds are sampled
     uniformly and inapplicable draws are skipped; vertex splitting is always
-    applicable, so the walk always completes.  Reproducible from the seed.
+    applicable, so the walk always completes on a diagram with a vertex;
+    on one without, it raises ``DomainError``.  Reproducible from the seed.
     Every item carries the same :class:`WalkState`, updated in place; call
     its ``diagram()`` for a ``Diagram`` of a step.  ``d`` may be such a
     state already, which the walk then updates.  Every split and
@@ -789,6 +798,8 @@ def walk_steps(d: Diagram | WalkState, steps: int,
     """
     rng = random.Random(seed)
     state = d if isinstance(d, WalkState) else WalkState(d)
+    if steps > 0 and not state._vertices:
+        raise DomainError("a walk needs a vertex to split")
     for _ in range(steps):
         move = None
         while move is None:

@@ -29,6 +29,11 @@ The parser, the sign sums, validation, serialization and the move engine
 all read and write rows; ``Diagram.crossings`` builds ``Crossing`` objects
 from them on its first read only, unless the diagram was built from
 ``Crossing`` objects, which it then keeps.
+
+:func:`validate` lists every violation in one pass over the diagram.  The
+parser checks each line as it reads it, which rules out every violation
+but the degenerate crossings and passage indices, and tests those on the
+indices it collected; it calls :func:`validate` only to word its error.
 """
 
 from __future__ import annotations
@@ -228,78 +233,6 @@ class Diagram:
         return self.components[index - 1]
 
 
-def _reference_violations(d: Diagram) -> list[tuple[tuple, Violation]]:
-    """Identifier, uniqueness, reference and sign checks: what
-    :func:`parse_sgd` checks line by line.  Each violation comes with its
-    place in :func:`validate`'s order: (0,) before the crossings, (1, i, k)
-    for check k on crossing i, (2,) after them."""
-    out: list[tuple[tuple, Violation]] = []
-    for token in (*d.vertices, *(e.id for e in d.edges), *(r[0] for r in d.rows)):
-        if not _ID_RE.match(token):
-            out.append(((0,), Violation(
-                "bad-identifier", token, f"identifier {token!r} is not an [A-Za-z0-9_]+ token")))
-    seen_v: set[str] = set()
-    for v in d.vertices:
-        if v in seen_v:
-            out.append(((0,), Violation("duplicate-id", v, f"vertex id {v!r} declared twice")))
-        seen_v.add(v)
-    seen_e: set[str] = set()
-    for e in d.edges:
-        if e.id in seen_e:
-            out.append(((0,), Violation("duplicate-id", e.id, f"edge id {e.id!r} declared twice")))
-        seen_e.add(e.id)
-        for endpoint in (e.tail, e.head):
-            if endpoint not in seen_v:
-                out.append(((0,), Violation(
-                    "dangling-vertex", e.id,
-                    f"edge {e.id!r} references missing vertex {endpoint!r}")))
-    seen_x: set[str] = set()
-    for i, (xid, over, _, under, _, sign) in enumerate(d.rows):
-        if xid in seen_x:
-            out.append(((1, i, 0), Violation(
-                "duplicate-id", xid, f"crossing id {xid!r} declared twice")))
-        seen_x.add(xid)
-        if sign not in (1, -1):
-            out.append(((1, i, 0), Violation(
-                "bad-sign", xid, f"crossing {xid!r} sign must be +1 or -1")))
-        for eid in (over, under):
-            if eid not in seen_e:
-                out.append(((1, i, 2), Violation(
-                    "dangling-edge", xid, f"crossing {xid!r} references missing edge {eid!r}")))
-    return out
-
-
-def _passage_violations(d: Diagram) -> list[tuple[tuple, Violation]]:
-    """Degenerate-crossing and passage-index checks: what
-    ``parse_sgd(check=True)`` adds to its line checks.  Each violation comes
-    with its place in :func:`validate`'s order."""
-    out: list[tuple[tuple, Violation]] = []
-    refs: dict[str, list[int]] = defaultdict(list)
-    edge_map = d.edge_map
-    for i, (xid, over, over_idx, under, under_idx, _) in enumerate(d.rows):
-        if over == under and over_idx == under_idx:
-            out.append(((1, i, 1), Violation(
-                "crossing-degenerate", xid,
-                f"crossing {xid!r} over and under reference the same passage")))
-        if over in edge_map:
-            refs[over].append(over_idx)
-        if under in edge_map:
-            refs[under].append(under_idx)
-    for eid in sorted(refs):
-        indices = sorted(refs[eid])
-        if indices == list(range(len(indices))):
-            continue
-        dups = sorted(i for i, k in Counter(indices).items() if k > 1)
-        if dups:
-            out.append(((2,), Violation(
-                "passage-duplicate", eid, f"edge {eid!r} passage indices used twice: {dups}")))
-        else:
-            out.append(((2,), Violation(
-                "passage-gap", eid,
-                f"edge {eid!r} passage indices {indices} are not 0..{len(indices) - 1}")))
-    return out
-
-
 def validate(d: Diagram) -> list[Violation]:
     """Check every diagram invariant; an empty list means the diagram is valid.
 
@@ -308,11 +241,60 @@ def validate(d: Diagram) -> list[Violation]:
     ``crossing-degenerate``, ``bad-sign``, ``passage-duplicate`` and
     ``passage-gap``.  They are listed identifiers first, then vertices,
     edges and crossings in the diagram's order, then passage indices by
-    edge id.
+    edge id.  A crossing lists its duplicate id, bad sign, degeneracy and
+    dangling edges in that order.
     """
-    found = _reference_violations(d) + _passage_violations(d)
-    found.sort(key=itemgetter(0))  # stable: checks that share a place keep their order
-    return [v for _, v in found]
+    out: list[Violation] = []
+    for token in (*d.vertices, *(e.id for e in d.edges), *(r[0] for r in d.rows)):
+        if not _ID_RE.match(token):
+            out.append(Violation(
+                "bad-identifier", token, f"identifier {token!r} is not an [A-Za-z0-9_]+ token"))
+    seen_v: set[str] = set()
+    for v in d.vertices:
+        if v in seen_v:
+            out.append(Violation("duplicate-id", v, f"vertex id {v!r} declared twice"))
+        seen_v.add(v)
+    # each edge's passage indices, in the order the crossings name them
+    refs: dict[str, list[int]] = {}
+    for e in d.edges:
+        if e.id in refs:
+            out.append(Violation("duplicate-id", e.id, f"edge id {e.id!r} declared twice"))
+        refs[e.id] = []
+        for endpoint in (e.tail, e.head):
+            if endpoint not in seen_v:
+                out.append(Violation(
+                    "dangling-vertex", e.id,
+                    f"edge {e.id!r} references missing vertex {endpoint!r}"))
+    seen_x: set[str] = set()
+    for xid, over, over_idx, under, under_idx, sign in d.rows:
+        if xid in seen_x:
+            out.append(Violation("duplicate-id", xid, f"crossing id {xid!r} declared twice"))
+        seen_x.add(xid)
+        if sign not in (1, -1):
+            out.append(Violation("bad-sign", xid, f"crossing {xid!r} sign must be +1 or -1"))
+        if over == under and over_idx == under_idx:
+            out.append(Violation(
+                "crossing-degenerate", xid,
+                f"crossing {xid!r} over and under reference the same passage"))
+        for eid, idx in ((over, over_idx), (under, under_idx)):
+            if eid in refs:
+                refs[eid].append(idx)
+            else:
+                out.append(Violation(
+                    "dangling-edge", xid, f"crossing {xid!r} references missing edge {eid!r}"))
+    for eid in sorted(refs):
+        indices = sorted(refs[eid])
+        if indices == list(range(len(indices))):
+            continue
+        dups = sorted(i for i, k in Counter(indices).items() if k > 1)
+        if dups:
+            out.append(Violation(
+                "passage-duplicate", eid, f"edge {eid!r} passage indices used twice: {dups}"))
+        else:
+            out.append(Violation(
+                "passage-gap", eid,
+                f"edge {eid!r} passage indices {indices} are not 0..{len(indices) - 1}"))
+    return out
 
 
 def _error(message: str, raw: str, lineno: int, k: int) -> SgdParseError:
@@ -399,9 +381,10 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
     ``check=False`` to obtain the raw diagram for use with :func:`validate`.
 
     One pass over the lines makes the diagram's crossing rows and each
-    edge's passage indices, which ``check`` tests directly; the passage
-    checks run only to word the error.  A checked diagram is marked, so a
-    ``moves.WalkState`` built on it does not run :func:`validate` again.
+    edge's passage indices, which ``check`` tests directly;
+    :func:`validate` runs only to word the error.  A checked diagram is
+    marked, so a ``moves.WalkState`` built on it does not run
+    :func:`validate` again.
     """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -461,7 +444,7 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
         # names one passage twice, so it fails this too
         if any(idx and (max(idx) >= len(idx) or len(set(idx)) < len(idx))
                for idx in passages.values()):
-            detail = "; ".join(v.message for _, v in _passage_violations(d))
+            detail = "; ".join(v.message for v in validate(d))
             raise SgdParseError(f"invalid diagram: {detail}")
         d.__dict__["_checked"] = True
     return d

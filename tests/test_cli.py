@@ -19,7 +19,6 @@ from gen import (
 )
 
 import sglink.cli as cli
-import sglink.homology as homology
 import sglink.linking as linking
 import sglink.moves as moves
 import sglink.smith as smith
@@ -472,8 +471,9 @@ class TestPerturb:
         # inter-component sum or renumbers the components, so no step
         # rebuilds a basis, re-reads the matrix or runs an SNF.
         # linking_matrix runs once for the start and once per step;
-        # cycle_basis only twice, in the final check of the kept bases; one
-        # matrix comes from the final crossings.
+        # cycle_basis twice for the state's start bases and twice in the
+        # final check of the kept bases; one matrix comes from the final
+        # crossings.
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
@@ -487,8 +487,7 @@ class TestPerturb:
         assert 50 < graph_steps < 200
 
         calls = dict.fromkeys(("smith_normal_form", "linking.cycle_basis", "cli.cycle_basis",
-                               "homology.fundamental_basis", "moves.fundamental_basis",
-                               "linking_matrix", "moves.matrix_from_pairs",
+                               "moves.cycle_basis", "linking_matrix", "moves.matrix_from_pairs",
                                "cli.matrix_from_pairs"), 0)
 
         def counted(module, name, key=None):
@@ -502,17 +501,15 @@ class TestPerturb:
         counted(smith, "smith_normal_form")
         counted(linking, "cycle_basis", "linking.cycle_basis")
         counted(cli, "cycle_basis", "cli.cycle_basis")
-        counted(homology, "fundamental_basis", "homology.fundamental_basis")
-        counted(moves, "fundamental_basis", "moves.fundamental_basis")
+        counted(moves, "cycle_basis", "moves.cycle_basis")
         counted(cli, "linking_matrix")
         counted(moves, "matrix_from_pairs", "moves.matrix_from_pairs")
         counted(cli, "matrix_from_pairs", "cli.matrix_from_pairs")
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
         assert capsys.readouterr().out == (DATA / "perturb_3_3.json").read_text(encoding="utf-8")
         assert calls == {"smith_normal_form": 1, "linking.cycle_basis": 0, "cli.cycle_basis": 2,
-                         "homology.fundamental_basis": 2, "moves.fundamental_basis": 2,
-                         "linking_matrix": 1 + 200, "moves.matrix_from_pairs": 1,
-                         "cli.matrix_from_pairs": 1}
+                         "moves.cycle_basis": 2, "linking_matrix": 1 + 200,
+                         "moves.matrix_from_pairs": 1, "cli.matrix_from_pairs": 1}
 
     def test_wide_walk_runs_one_snf(self, tmp_path, monkeypatch, capsys):
         # canonical 100 100 1...1: every step used to rebuild a 100-cycle
@@ -887,6 +884,20 @@ class TestExitContract:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "is not an [A-Za-z0-9_]+ token" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, error", [
+        ("crossing_change x1 extra tokens", "move 'crossing_change' has 3 parameters, expected 1"),
+        ("contract_edge e1 junk", "move 'contract_edge' has 2 parameters, expected 1"),
+        ("clasp a1 0 b1 0 1 junk", "move 'clasp' has 6 parameters, expected 5"),
+    ])
+    def test_replayed_move_with_extra_tokens_exit_2(self, hopf_file, tmp_path, capsys,
+                                                    line, error):
+        # a move other than a split takes exactly its parameters
+        replay, out = tmp_path / "moves.txt", tmp_path / "out.sgd"
+        replay.write_text(line + "\n", encoding="utf-8")
+        assert cli.main(["perturb", hopf_file, "--replay", str(replay), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("params", [

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 from math import gcd
 from pathlib import Path
@@ -56,6 +57,19 @@ TOKENS = st.sampled_from([
 NUMBERS = st.sampled_from([
     "²", "٣", "１", "-1", "+1", "1_0", "007", "99999999999999999999", "1e3", "0x1",
 ]) | st.integers(-3, 1000).map(str)
+# stand-ins for an identifier: tokens that are not [A-Za-z0-9_]+, and other ids
+IDENTS = st.sampled_from([
+    "v-1", "é", "e.9", "x!", "w²", "٣", "a1.tail", "-", "v9", "zz", "_",
+])
+IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
+KEYWORDS = {"sgd", "vertex", "edge", "crossing", "over", "under", "sign",
+            "crossing_change", "clasp", "contract_edge", "split_vertex"}
+# edit -> (which tokens it replaces, what it puts in their place)
+STAND_INS = {
+    "number": (lambda t: t.isascii() and t.isdigit(), NUMBERS),
+    "ident": (lambda t: bool(IDENT_RE.fullmatch(t)) and not t.isdigit() and t not in KEYWORDS,
+              IDENTS),
+}
 
 
 @st.composite
@@ -65,7 +79,7 @@ def mutated(draw, seeds):
     lines = seed.splitlines()
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(
-            ["drop", "dup", "swap", "token", "retoken", "number", "insert"]))
+            ["drop", "dup", "swap", "token", "retoken", "number", "ident", "insert"]))
         i = draw(st.integers(0, max(len(lines) - 1, 0)))
         if op == "insert" or not lines:
             lines.insert(i, " ".join(draw(st.lists(TOKENS, max_size=10))))
@@ -76,14 +90,16 @@ def mutated(draw, seeds):
         elif op == "swap":
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
-        elif op == "number":
-            # any number past the header: passage indices, move positions, entries
+        elif op in STAND_INS:
+            # any number or id past the header: passage indices, move
+            # positions and entries; vertex, edge, crossing and move ids
+            fits, stand_ins = STAND_INS[op]
             spots = [(i, k) for i, line in enumerate(lines) if line != "sgd 1"
-                     for k, t in enumerate(line.split(" ")) if t.isascii() and t.isdigit()]
+                     for k, t in enumerate(line.split(" ")) if fits(t)]
             if spots:
                 i, k = draw(st.sampled_from(spots))
                 toks = lines[i].split(" ")
-                toks[k] = draw(NUMBERS)
+                toks[k] = draw(stand_ins)
                 lines[i] = " ".join(toks)
         else:
             # "retoken" reuses a token of the seed, which keeps more edits valid

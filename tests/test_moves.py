@@ -323,6 +323,15 @@ class TestWalk:
         final, records = random_homotopy_walk(d, 0, 1)
         assert final == d and records == []
 
+    def test_diagram_without_a_vertex(self):
+        # no vertex to split, so no move can be drawn
+        empty = Diagram((), ())
+        assert random_homotopy_walk(empty, 0, 1) == (empty, [])
+        with pytest.raises(DomainError, match="a walk needs a vertex to split"):
+            random_homotopy_walk(empty, 5, 1)
+        with pytest.raises(DomainError, match="a walk needs a vertex to split"):
+            next(walk_steps(empty, 1, 1))
+
     def test_invariant_preserved(self):
         rng = random.Random(51)
         for _ in range(6):

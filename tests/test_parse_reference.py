@@ -707,6 +707,53 @@ def test_passage_mutations_raise_identical_errors():
     assert min(kinds.values()) > 50 and len(kinds) == 3
 
 
+ODD_IDS = ("a-b", "é", "", "v 1", "x.1")
+CODES = {"bad-identifier", "duplicate-id", "dangling-vertex", "dangling-edge",
+         "crossing-degenerate", "bad-sign", "passage-duplicate", "passage-gap"}
+STACKED = {"duplicate-id", "bad-sign", "crossing-degenerate", "dangling-edge"}
+
+
+def hand_built(rng):
+    """Vertices, edges and crossings of a diagram built by hand, with every
+    violation mixed in: odd and reused ids, edges and crossings naming
+    what is not there, bad signs, degenerate crossings and passage gaps
+    and duplicates.  Some carry a crossing with four violations at once."""
+    def ident(prefix, count):
+        return rng.choice(ODD_IDS) if rng.random() < 0.1 else f"{prefix}{rng.randrange(count)}"
+
+    vertices = [ident("v", 6) for _ in range(rng.randint(0, 6))]
+    edges = [Edge(ident("e", 8), ident("v", 7), ident("v", 7)) for _ in range(rng.randint(0, 8))]
+    eids = [e.id for e in edges] + ["zz"]
+    crossings = []
+    for _ in range(rng.randint(0, 10)):
+        over = (rng.choice(eids), rng.randrange(4))
+        under = over if rng.random() < 0.15 else (rng.choice(eids), rng.randrange(4))
+        crossings.append(Crossing(ident("x", 10), over, under, rng.choice((1, -1, 1, -1, 0, 2))))
+    if crossings and rng.random() < 0.3:
+        # a duplicate id, a bad sign, degenerate, and twice a dangling edge
+        crossings.append(Crossing(crossings[0].id, ("zz", 0), ("zz", 0), 0))
+    return vertices, edges, crossings
+
+
+def test_validate_lists_what_the_reference_lists_on_hand_built_diagrams():
+    # the reference orders its violations by a sort over place keys; where
+    # one crossing has several, the keys decided their order
+    rng = random.Random(41)
+    codes = Counter()
+    stacked = 0
+    for _ in range(600):
+        parts = hand_built(rng)
+        got = validate(Diagram(*parts))
+        assert got == head_validate(HeadDiagram(*parts)), parts
+        codes.update(v.code for v in got)
+        by_entity = defaultdict(set)
+        for v in got:
+            by_entity[v.entity].add(v.code)
+        stacked += any(found >= STACKED for found in by_entity.values())
+    assert set(codes) == CODES and min(codes.values()) > 50
+    assert stacked > 50
+
+
 def test_invariant_and_walk_build_no_crossing_objects():
     # the rows are all the pipeline reads; Crossing objects are made only
     # when d.crossings is read

@@ -1,0 +1,100 @@
+"""Each module of the package uses every name it imports and binds every
+name its ``__all__`` lists.
+
+A stdlib-only stand-in for a linter's unused-import and undefined-export
+checks: each ``src/sglink/*.py`` is parsed with ``ast``, so a name left
+behind when the code that used it goes fails here.  A name counts as used
+when it is read anywhere in the module (annotations included) or listed
+in ``__all__``.  ``__init__`` imports the package's public names to
+re-export them, so only its ``__all__``, if any, is checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sglink"
+MODULES = sorted(SRC.glob("*.py"))
+IMPORTING = [p for p in MODULES if p.name != "__init__.py"]
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, anywhere in the module, with its line;
+    ``from __future__`` imports bind nothing."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def bound(body: list[ast.stmt]) -> set[str]:
+    """The names statements at module level bind, inside ``if`` blocks too."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.If):
+            names |= bound(node.body) | bound(node.orelse)
+    return names
+
+
+def exported(tree: ast.Module) -> list[str]:
+    """The names ``__all__`` lists; none when the module has no ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def unused_imports(tree: ast.Module) -> dict[str, int]:
+    """Imported names the module never reads nor lists in ``__all__``."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exported(tree))
+    return {name: line for name, line in imported(tree).items() if name not in read}
+
+
+def unbound_exports(tree: ast.Module) -> list[str]:
+    """Names ``__all__`` lists that the module does not bind."""
+    names = bound(tree.body)
+    return [name for name in exported(tree) if name not in names]
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "homology.py", "linking.py",
+                                         "moves.py", "sgd.py", "smith.py"}
+
+
+@pytest.mark.parametrize("path", IMPORTING, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(parse(path)) == {}, f"{path.name}: imported, never used (name: line)"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    assert unbound_exports(parse(path)) == [], f"{path.name}: in __all__ but not bound"
+
+
+def test_the_checks_find_what_they_look_for():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nfrom operator import itemgetter, le as _le\n"
+                     "__all__ = ['f', 'gone']\n"
+                     "if True:\n    X = 1\n"
+                     "def f(a: _le) -> None:\n    return X\n")
+    assert imported(tree) == {"os": 2, "itemgetter": 3, "_le": 3}
+    assert bound(tree.body) == {"annotations", "os", "itemgetter", "_le", "__all__", "X", "f"}
+    assert unused_imports(tree) == {"os": 2, "itemgetter": 3}
+    assert unbound_exports(tree) == ["gone"]

@@ -19,9 +19,8 @@ from typing import Iterator, Sequence
 from gen import component_of_edge, edge_components, passage_counts, random_diagram
 from sglink import DomainError, canonical_diagram, cycle_basis, linking_matrix, serialize_sgd
 from sglink import moves
-from sglink.linking import pair_signs
 from sglink.moves import KINDS, MoveRecord, format_move, parse_move
-from sglink.sgd import Crossing, Diagram, Edge
+from sglink.sgd import Crossing, Diagram, Edge, pair_signs
 
 
 def _fresh_ids(prefix: str, taken: set[str], count: int) -> list[str]:
