@@ -153,14 +153,17 @@ def _write_moves(path: str, move_lines: list[str]) -> None:
 
 def cmd_perturb(args) -> int:
     # The state's bases start as cycle_basis's defaults, so its first
-    # matrix is the one `invariant` reads off the start diagram.  The final
-    # checks catch running sums or kept bases that a faulty move left wrong
-    # without failing a per-step check.  A failed self-check still writes
-    # --moves-out, so the failing walk can be replayed.
+    # matrix is the one `invariant` reads off the start diagram.  Each step
+    # compares only the entries of the matrix the state keeps, which it
+    # reads without making its bases unless a move dropped the matrix, and
+    # runs SNF only when they changed.  The final checks, over the bases
+    # the walk kept, catch running sums or kept bases that a faulty move
+    # left wrong without failing a per-step check.  A failed self-check
+    # still writes --moves-out, so the failing walk can be replayed.
     d = _read_diagram(args.path)
     start = WalkState(d)
     mat = linking_matrix(start)
-    inv = lk_invariant(mat)
+    entries, inv = mat.entries, lk_invariant(mat)
 
     if args.replay:
         walk = replay_steps(start, _read_text(args.replay))
@@ -172,14 +175,15 @@ def cmd_perturb(args) -> int:
     try:
         for rec, state in walk:
             records.append(rec)
-            new_mat = linking_matrix(state)
-            new_inv = inv if new_mat.entries == mat.entries else lk_invariant(new_mat)
+            new_entries = state.linking_entries()
+            new_inv = inv if new_entries == entries else lk_invariant(state.linking_matrix())
             if rec.homotopy_preserving and new_inv != inv:
                 raise SelfCheckError(
                     f"invariant changed from {inv} to {new_inv} "
                     f"after homotopy-preserving move {format_move(rec)}"
                 )
-            mat, inv = new_mat, new_inv
+            entries, inv = new_entries, new_inv
+        mat = linking_matrix(start)  # the walk updated start in place
         final = d if state is None else state.diagram()
         rebuilt = matrix_from_pairs(final.sign_sums, mat.basis1, mat.basis2)
         if rebuilt.entries != mat.entries:

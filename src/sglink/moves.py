@@ -17,6 +17,9 @@ walk can read the matrix off running sums.  The module functions
 (``crossing_change``, ``clasp``, ...) apply one move to an immutable
 ``Diagram`` through a state; ``walk_steps`` and ``replay_steps`` drive
 one state through a whole walk and build a ``Diagram`` only when asked.
+A walk applies each move it samples through the method it drew, with the
+values drawn, and writes the move's record for the output only; a replay
+parses each record's tokens and checks them before it applies the move.
 
 A state also keeps, for each component, a spanning tree and its
 fundamental cycles, built with the state by ``homology.cycle_basis`` and
@@ -27,7 +30,10 @@ state updates the cycles the move touched and certifies each move as it
 goes (no passage on the edge the move adds or removes, zero boundary at
 the move's vertices, and every cycle a non-tree contraction changed
 still the fundamental cycle of its edge over the new tree).  A failed
-certificate raises :class:`MoveCheckError`, which names the move.
+certificate raises :class:`MoveCheckError`, which names the move.  The
+kept bases are made as ``CycleBasis`` values only when read, and can be
+read at any point of a walk; the entries of the linking matrix over them
+are read with no basis made while no move has dropped the matrix.
 
 The canonical generator builds, for ranks (m, n) and a divisor chain d, two
 bouquets joined by parallel clasps so that loop i of each side links loop i
@@ -42,7 +48,7 @@ import random
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, SelfCheckError
 from .homology import Cycle, CycleBasis, cycle_basis
@@ -127,20 +133,23 @@ class _FreshIds:
             return int(rest)
         return None
 
-    def peek(self) -> str:
+    def _smallest(self) -> int:
         free, used = self._free, self._used
         while free and free[0] in used:
             heapq.heappop(free)
         if free:
-            return f"{self.prefix}{free[0]}"
+            return free[0]
         while self._next in used:
             self._next += 1
-        return f"{self.prefix}{self._next}"
+        return self._next
+
+    def peek(self) -> str:
+        return f"{self.prefix}{self._smallest()}"
 
     def new(self) -> str:
-        s = self.peek()
-        self.take(s)
-        return s
+        k = self._smallest()
+        self._used.add(k)
+        return f"{self.prefix}{k}"
 
     def take(self, s: str) -> None:
         k = self._number(s)
@@ -274,6 +283,7 @@ class _KeptBasis:
         _discard(self.keys, eid)
         insort(self.keys, t)
         self._objs.pop(eid, None)
+        self._dirty.discard(eid)
         self._changed(changed)
         return changed
 
@@ -307,6 +317,8 @@ class WalkState:
       it is.  A changed inter-component sign sum, the rare contraction of
       a non-tree edge (which changes the basis) or a renumbering of the
       components drops it, and the next read takes it off the sums again.
+      :meth:`linking_entries` reads a kept matrix's entries with no basis
+      made; the bases are made as ``CycleBasis`` values only when read.
 
     A split or contraction is certified before it returns, and raises
     ``SelfCheckError`` when a check fails: the edge it adds or
@@ -386,7 +398,9 @@ class WalkState:
         return self._kept[self._order[k - 1]].basis(k)
 
     def linking_matrix(self) -> LinkingMatrix:
-        """The linking matrix over the kept bases.
+        """The linking matrix over the kept bases, as a ``LinkingMatrix``
+        that carries those bases, so each call makes the bases that
+        changed since the last one.
 
         It is read off the running sign sums the first time, and again
         after any move that changed a sign sum, renumbered the components
@@ -404,6 +418,13 @@ class WalkState:
             mat = LinkingMatrix(mat.rows, mat.cols, mat.entries, b1, b2)
         self._matrix = mat
         return mat
+
+    def linking_entries(self) -> tuple[tuple[int, ...], ...]:
+        """The entries of :meth:`linking_matrix`.  While the state keeps
+        the matrix they are read with no basis made; only after a move
+        dropped it are the sign sums read again, over bases made anew."""
+        mat = self._matrix
+        return (mat if mat is not None else self.linking_matrix()).entries
 
     def diagram(self) -> Diagram:
         """The ``Diagram`` this state holds now."""
@@ -534,7 +555,8 @@ class WalkState:
             raise DomainError(f"edge id {new_eid!r} already in use")
         p1, p2 = set(part1), set(part2)
         ends = self._ends[vid]
-        if p1 & p2 or p1 | p2 != ends or len(p1) + len(p2) != len(ends):
+        # as many ends listed as there are, and all of them: each just once
+        if len(part1) + len(part2) != len(ends) or p1 | p2 != ends:
             raise DomainError("partition must cover the incident edge-ends exactly once")
         key = self._comp_of[vid]
         self._kept[key].split(p2, new_eid)
@@ -631,8 +653,14 @@ class WalkState:
     def apply(self, move: MoveRecord) -> None:
         """Apply one recorded move; a failed certificate raises
         :class:`MoveCheckError` naming it."""
+        self._certified(move, self._apply, move)
+
+    @staticmethod
+    def _certified(move: MoveRecord, method, *args) -> None:
+        """Call ``method(*args)``, which applies ``move``; a failed
+        certificate raises :class:`MoveCheckError` naming the move."""
         try:
-            self._apply(move)
+            method(*args)
         except SelfCheckError as exc:
             raise MoveCheckError(move, str(exc)) from None
 
@@ -659,16 +687,20 @@ class WalkState:
         else:
             raise DomainError(f"unknown move kind {kind!r}")
 
-    def sample(self, rng: random.Random) -> MoveRecord | None:
+    def sample(self, rng: random.Random) -> tuple[MoveRecord, Callable[..., None], tuple] | None:
         """One attempt at drawing an applicable homotopy-preserving move.
 
-        Candidates are taken in id order, so a seed draws the same moves
-        whatever the state's history."""
+        Returns the move's record, made by :meth:`record` from the values
+        drawn, with the move method and those values, which apply the move
+        the record names: ``method(*args)``.  Candidates are taken in id
+        order, so a seed draws the same moves whatever the state's
+        history."""
         kind = rng.choice(KINDS)
         if kind == "crossing_change":
             if not self._intra:
                 return None
-            return self.record(kind, (rng.choice(self._intra),))
+            xid = rng.choice(self._intra)
+            return self.record(kind, (xid,)), self.crossing_change, (xid,)
         if kind == "clasp":
             edge_ids = self._comp_edges[self._order[rng.randrange(len(self._order))]]
             if len(edge_ids) < 2:
@@ -677,16 +709,22 @@ class WalkState:
             pos_e = rng.randint(0, len(self._passages[e]))
             pos_f = rng.randint(0, len(self._passages[f]))
             eps = rng.choice((1, -1))
-            return self.record(kind, (e, str(pos_e), f, str(pos_f), str(eps)))
+            return (self.record(kind, (e, str(pos_e), f, str(pos_f), str(eps))),
+                    self.clasp, (e, pos_e, f, pos_f, eps))
         if kind == "contract_edge":
             if not self._contractible:
                 return None
-            return self.record(kind, (rng.choice(self._contractible),))
+            eid = rng.choice(self._contractible)
+            return self.record(kind, (eid,)), self.contract_edge, (eid,)
         # split_vertex: always applicable
         vid = rng.choice(self._vertices)
         new_vid, new_eid = self._vids.peek(), self._eids.peek()
-        part2 = tuple(f"{eid}.{end}" for eid, end in self.ends_at(vid) if rng.random() < 0.5)
-        return self.record("split_vertex", (vid, new_vid, new_eid) + part2)
+        part1, part2 = [], []
+        for end in self.ends_at(vid):
+            (part2 if rng.random() < 0.5 else part1).append(end)
+        tokens = tuple(f"{eid}.{side}" for eid, side in part2)
+        return (self.record("split_vertex", (vid, new_vid, new_eid) + tokens),
+                self.split_vertex, (vid, part1, part2, new_vid, new_eid))
 
 
 def _applied(d: Diagram, move, *args) -> Diagram:
@@ -801,10 +839,11 @@ def walk_steps(d: Diagram | WalkState, steps: int,
     if steps > 0 and not state._vertices:
         raise DomainError("a walk needs a vertex to split")
     for _ in range(steps):
-        move = None
-        while move is None:
-            move = state.sample(rng)
-        state.apply(move)
+        drawn = None
+        while drawn is None:
+            drawn = state.sample(rng)
+        move, method, args = drawn
+        state._certified(move, method, *args)
         yield move, state
 
 

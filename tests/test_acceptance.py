@@ -27,6 +27,7 @@ from sglink import (
     canonical_diagram,
     clasp,
     classify,
+    cycle_basis,
     diagram_invariant,
     linking_matrix,
     linking_number,
@@ -160,6 +161,25 @@ def test_criterion_4_homotopy_invariance(tmp_path):
         if final != expected:
             failures.append((i, str(expected), str(final)))
     _report(4, f"homotopy invariance, {WALK_SEEDS} x {WALK_STEPS}-step walks", failures)
+
+
+def test_kept_bases_can_be_read_at_any_point_of_a_walk():
+    # read only after the last move, a walk's kept bases are the ones read
+    # after every move, and the fundamental bases of their trees in the
+    # final diagram
+    failures = []
+    for i, (d, _expected, seed) in enumerate(_walk_cases()):
+        for _rec, state in walk_steps(d, WALK_STEPS, seed):
+            every_step = [state.basis(k) for k in (1, 2)]
+        for _rec, state in walk_steps(d, WALK_STEPS, seed):
+            pass
+        at_end = [state.basis(k) for k in (1, 2)]
+        final = state.diagram()
+        if at_end != every_step:
+            failures.append((i, "differ"))
+        elif any(b != cycle_basis(final, b.component, tree=b.tree_edges) for b in at_end):
+            failures.append((i, "not fundamental"))
+    assert not failures, f"{len(failures)} of {len(_walk_cases())} walks; first: {failures[0]}"
 
 
 def test_criterion_5_rank1_clasp_update():

@@ -468,12 +468,13 @@ class TestPerturb:
         # once, at the start, and the start matrix is the state's.  Every
         # split and contraction after that carries them by a certified
         # change of basis, and no move of this walk changes an
-        # inter-component sum or renumbers the components, so no step
-        # rebuilds a basis, re-reads the matrix or runs an SNF.
-        # linking_matrix runs once for the start and once per step;
-        # cycle_basis twice for the state's start bases and twice in the
-        # final check of the kept bases; one matrix comes from the final
-        # crossings.
+        # inter-component sum, contracts a non-tree edge or renumbers the
+        # components, so no step drops the matrix: each step reads its
+        # entries with no basis made, and none runs an SNF.
+        # linking_matrix runs for the start and for the final check, which
+        # makes each kept basis once; cycle_basis runs twice for the
+        # state's start bases and twice in the final check of the kept
+        # bases; one matrix comes from the final crossings.
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
@@ -488,7 +489,7 @@ class TestPerturb:
 
         calls = dict.fromkeys(("smith_normal_form", "linking.cycle_basis", "cli.cycle_basis",
                                "moves.cycle_basis", "linking_matrix", "moves.matrix_from_pairs",
-                               "cli.matrix_from_pairs"), 0)
+                               "cli.matrix_from_pairs", "moves.CycleBasis"), 0)
 
         def counted(module, name, key=None):
             fn = getattr(module, name)
@@ -505,11 +506,32 @@ class TestPerturb:
         counted(cli, "linking_matrix")
         counted(moves, "matrix_from_pairs", "moves.matrix_from_pairs")
         counted(cli, "matrix_from_pairs", "cli.matrix_from_pairs")
+        counted(moves, "CycleBasis", "moves.CycleBasis")  # the bases a state makes
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
         assert capsys.readouterr().out == (DATA / "perturb_3_3.json").read_text(encoding="utf-8")
         assert calls == {"smith_normal_form": 1, "linking.cycle_basis": 0, "cli.cycle_basis": 2,
-                         "moves.cycle_basis": 2, "linking_matrix": 1 + 200,
-                         "moves.matrix_from_pairs": 1, "cli.matrix_from_pairs": 1}
+                         "moves.cycle_basis": 2, "linking_matrix": 2,
+                         "moves.matrix_from_pairs": 1, "cli.matrix_from_pairs": 1,
+                         "moves.CycleBasis": 2}
+
+        # Seed 2 contracts a non-tree edge once, at a step where both bases
+        # have changed since the start: that step alone reads the sums
+        # again, over both bases made anew, and the final check makes only
+        # the bases that changed after it.
+        dropped = []
+        start = moves.WalkState(d)
+        start.linking_entries()
+        for rec, state in walk_steps(start, 200, 2):
+            if state._matrix is None:
+                dropped.append(rec.kind)
+                state.linking_entries()
+        assert dropped == ["contract_edge"]
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "2", "--json"]) == 0
+        capsys.readouterr()
+        assert {k: calls[k] for k in ("linking_matrix", "moves.matrix_from_pairs",
+                                      "moves.CycleBasis")} == {
+            "linking_matrix": 2, "moves.matrix_from_pairs": 2, "moves.CycleBasis": 4}
 
     def test_wide_walk_runs_one_snf(self, tmp_path, monkeypatch, capsys):
         # canonical 100 100 1...1: every step used to rebuild a 100-cycle
@@ -884,6 +906,21 @@ class TestExitContract:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "is not an [A-Za-z0-9_]+ token" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "split_vertex u1 v9 e9 a1.tail a1.tail",
+        "split_vertex u1 v9 e9 a1.tail a1.head a2.tail a2.head a1.head",
+        "split_vertex u2 v9 e9 b1.tail b1.tail b1.head",
+    ])
+    def test_replayed_split_listing_an_end_twice_exit_2(self, tmp_path, capsys, line):
+        src, replay, out = tmp_path / "c.sgd", tmp_path / "moves.txt", tmp_path / "out.sgd"
+        assert cli.main(["canonical", "2", "2", "1", "--out", str(src)]) == 0
+        replay.write_text(line + "\n", encoding="utf-8")
+        assert cli.main(["perturb", str(src), "--replay", str(replay), "--out", str(out),
+                         "--moves-out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: partition must cover the incident edge-ends exactly once\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("line, error", [

@@ -251,8 +251,14 @@ class TestContractSplit:
         with pytest.raises(DomainError):
             split_vertex(d, "a", [], [("e1", "tail"), ("e3", "head"),
                                       ("l1", "tail"), ("l1", "head")], "b", "f1")
-        # new ids that SGD cannot write
+        # an end listed twice, in one part or in both, with every end listed
         ends_at_a = [("e1", "tail"), ("e3", "head"), ("l1", "tail"), ("l1", "head")]
+        for part1, part2 in ((ends_at_a[:2], ends_at_a[2:] + [("l1", "head")]),
+                             (ends_at_a[:1] * 2 + ends_at_a[1:2], ends_at_a[2:]),
+                             (ends_at_a, ends_at_a[:1])):
+            with pytest.raises(DomainError, match="exactly once"):
+                split_vertex(d, "a", part1, part2, "w1", "f1")
+        # new ids that SGD cannot write
         for new_vid, new_eid in (("v-1", "f1"), ("w1", "é"), ("w1", "f.x"), ("", "f1"),
                                  ("w1\n", "f1")):
             with pytest.raises(DomainError, match="is not an"):
