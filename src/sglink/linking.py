@@ -15,14 +15,15 @@ part turns each list of cycles into a sparse incidence, edge id ->
 [(cycle index, coefficient)], and adds each pair's sign sum times the
 outer product of the two edges' incidence entries.  The cost is linear in
 the crossings plus the work of those outer products, never a rescan of the
-crossings per cycle pair.  :func:`linking_matrix` and
-:func:`matrix_from_pairs` count over two bases,
-:func:`over_under_consistent` over the same bases swapped, and
-:func:`linking_number`, the pairing of two arbitrary cycles, is the 1 x 1
-count, after it checks that each cycle lies in its component.  A walk's
-working state (``moves.WalkState``) keeps its own running pair sums and
-bases, and :func:`linking_matrix` given such a state returns the matrix
-the state keeps over them, read off those sums with the same second part.
+crossings per cycle pair.  :func:`matrix_from_pairs` is the one count over
+two bases the caller chooses; :func:`linking_matrix` is that count over a
+diagram's default bases, :func:`over_under_consistent` the count over the
+same bases swapped, and :func:`linking_number`, the pairing of two
+arbitrary cycles, the 1 x 1 count, after it checks that each cycle lies
+in its component.  A walk's working state (``moves.WalkState``) keeps its
+own running pair sums and bases, and :func:`linking_matrix` given such a
+state returns the matrix the state keeps over them, read off those sums
+by :func:`matrix_from_pairs`.
 """
 
 from __future__ import annotations
@@ -112,37 +113,20 @@ def require_two_components(d: Diagram) -> None:
         raise DomainError(f"diagram has {len(d.components)} components, expected 2")
 
 
-def linking_matrix(
-    d: Diagram | WalkState,
-    basis1: CycleBasis | None = None,
-    basis2: CycleBasis | None = None,
-) -> LinkingMatrix:
-    """Linking matrix over cycle bases of the two components.
+def linking_matrix(d: Diagram | WalkState) -> LinkingMatrix:
+    """Linking matrix over the default cycle bases of the two components.
 
-    Defaults to the deterministic fundamental bases; explicit bases (for
-    example over a randomized spanning tree) let callers confirm that the
-    divisor chain does not depend on the choice.  ``d`` may also be a
-    ``moves.WalkState``; its matrix is over the bases the state keeps:
-    the default bases of the diagram it was built from, updated since by
-    each graph move over the spanning tree the move left, so in general
-    not the default bases of the diagram it holds now.  The state
-    reads it off the inter-component sign sums it keeps running, with no
-    pass over the crossings, and keeps it through a split or the
-    contraction of a tree edge, which leave it as it was
-    (:meth:`moves.WalkState.linking_matrix`).
+    ``d`` may also be a ``moves.WalkState``; its matrix is over the bases
+    the state keeps: the default bases of the diagram it was built from,
+    updated since by each graph move over the spanning tree the move left,
+    so in general not the default bases of the diagram it holds now
+    (:meth:`moves.WalkState.linking_matrix`).  :func:`matrix_from_pairs`
+    counts over bases of the caller's choosing.
     """
     if not isinstance(d, Diagram):
-        if basis1 is not None or basis2 is not None:
-            raise DomainError("a walk state's linking matrix is over its kept bases")
         return d.linking_matrix()
     require_two_components(d)
-    if basis1 is None:
-        basis1 = cycle_basis(d, 1)
-    if basis2 is None:
-        basis2 = cycle_basis(d, 2)
-    if basis1.component != 1 or basis2.component != 2:
-        raise DomainError("bases must belong to components 1 and 2 in that order")
-    return matrix_from_pairs(d.sign_sums, basis1, basis2)
+    return matrix_from_pairs(d.sign_sums, cycle_basis(d, 1), cycle_basis(d, 2))
 
 
 def matrix_from_pairs(pairs, basis1: CycleBasis, basis2: CycleBasis) -> LinkingMatrix:

@@ -32,8 +32,10 @@ the move's vertices, and every cycle a non-tree contraction changed
 still the fundamental cycle of its edge over the new tree).  A failed
 certificate raises :class:`MoveCheckError`, which names the move.  The
 kept bases are made as ``CycleBasis`` values only when read, and can be
-read at any point of a walk; the entries of the linking matrix over them
-are read with no basis made while no move has dropped the matrix.
+read at any point of a walk; a basis read once never changes, as a move
+gives each cycle it changes a new dict.  The state keeps the linking
+matrix over its bases as entries only, read with no basis made while no
+move has dropped them.
 
 The canonical generator builds, for ranks (m, n) and a divisor chain d, two
 bouquets joined by parallel clasps so that loop i of each side links loop i
@@ -175,6 +177,8 @@ class _KeptBasis:
       int).  A changed cycle gets a new dict, so a basis handed out by
       :meth:`basis` never changes.
     - ``through`` maps each edge to the keys of the cycles that hold it.
+    - ``_made`` is the basis :meth:`basis` last made, or None after a
+      move.
     """
 
     def __init__(self, b: CycleBasis, edge_ids: Sequence[str]):
@@ -188,28 +192,15 @@ class _KeptBasis:
             for x in c.coeffs:
                 self.through.setdefault(x, set()).add(key)
         self._made: CycleBasis | None = b
-        self._objs = dict(zip(self.keys, b.cycles))  # key -> Cycle as last made
-        self._k = b.component  # the component number of those Cycles
-        self._dirty: set[str] = set()
 
     def basis(self, k: int) -> CycleBasis:
-        """The basis as a ``CycleBasis`` of component number ``k``; only the
-        cycles changed since the last call are made anew."""
+        """The basis as a ``CycleBasis`` of component number ``k``, made
+        anew after a move or a renumbering."""
         made = self._made
         if made is None or made.component != k:
-            objs, dirty = self._objs, self._dirty
-            if self._k != k:  # renumbered: every cycle is made anew
-                self._k, dirty = k, self.keys
-            for key in dirty:
-                objs[key] = Cycle(k, self.cycles[key])
-            self._dirty = set()
-            cycles = tuple(map(objs.__getitem__, self.keys))
-            made = self._made = CycleBasis(k, tuple(self.tree), cycles)
+            made = self._made = CycleBasis(
+                k, tuple(self.tree), tuple(Cycle(k, self.cycles[key]) for key in self.keys))
         return made
-
-    def _changed(self, keys) -> None:
-        self._dirty.update(keys)
-        self._made = None
 
     def boundary(self, ends) -> dict[str, int]:
         """The boundary of each cycle through edge ends ``(edge id,
@@ -233,7 +224,7 @@ class _KeptBasis:
             self.through[new_eid] = set(closed)
             for key in closed:
                 self.cycles[key] = {**self.cycles[key], new_eid: -sums[key]}
-        self._changed(closed)
+        self._made = None
 
     def contract(self, eid: str) -> list[str] | None:
         """Contract edge ``eid`` in the basis.
@@ -253,7 +244,7 @@ class _KeptBasis:
                 z = dict(self.cycles[key])
                 del z[eid]
                 self.cycles[key] = z
-            self._changed(keys)
+            self._made = None
             return None
         ze = self.cycles.pop(eid)
         t = min(x for x in ze if x != eid)
@@ -282,9 +273,7 @@ class _KeptBasis:
         del self.tree[t]
         _discard(self.keys, eid)
         insort(self.keys, t)
-        self._objs.pop(eid, None)
-        self._dirty.discard(eid)
-        self._changed(changed)
+        self._made = None
         return changed
 
 
@@ -312,13 +301,14 @@ class WalkState:
       split and contraction updates where it touches them.  The kept tree
       starts as ``cycle_basis``'s breadth-first default and is then
       wherever the moves took it.
-    - With two components the linking matrix over the kept bases is kept
-      once read.  A split or the contraction of a tree edge leaves it as
-      it is.  A changed inter-component sign sum, the rare contraction of
-      a non-tree edge (which changes the basis) or a renumbering of the
-      components drops it, and the next read takes it off the sums again.
-      :meth:`linking_entries` reads a kept matrix's entries with no basis
-      made; the bases are made as ``CycleBasis`` values only when read.
+    - With two components the entries of the linking matrix over the kept
+      bases are kept once read.  A split or the contraction of a tree edge
+      leaves them as they are.  A changed inter-component sign sum, the
+      rare contraction of a non-tree edge (which changes the basis) or a
+      renumbering of the components drops them, and the next read takes
+      them off the sums again.  :meth:`linking_entries` reads them with
+      no basis made; :meth:`linking_matrix` adds the kept bases, each made
+      as a ``CycleBasis`` value at its first read after a move.
 
     A split or contraction is certified before it returns, and raises
     ``SelfCheckError`` when a check fails: the edge it adds or
@@ -372,7 +362,7 @@ class WalkState:
         self._xids = _FreshIds("x", self._crossings)
         self._vids = _FreshIds("v", self._vertices)
         self._eids = _FreshIds("e", self._edges)
-        self._matrix: LinkingMatrix | None = None  # over the kept bases; None when stale
+        self._entries: tuple | None = None  # the matrix over the kept bases; None when stale
 
     # -- reading --------------------------------------------------------
 
@@ -397,34 +387,29 @@ class WalkState:
             raise DomainError(f"no such component {k} (diagram has {len(self._order)})")
         return self._kept[self._order[k - 1]].basis(k)
 
-    def linking_matrix(self) -> LinkingMatrix:
-        """The linking matrix over the kept bases, as a ``LinkingMatrix``
-        that carries those bases, so each call makes the bases that
-        changed since the last one.
-
-        It is read off the running sign sums the first time, and again
-        after any move that changed a sign sum, renumbered the components
-        or contracted a non-tree edge.  A split or the contraction of a
-        tree edge changes the cycles only on an edge without passages and
-        keeps their order, so the matrix stays as it was, over the new
-        bases."""
-        if len(self._order) != 2:
-            raise DomainError(f"diagram has {len(self._order)} components, expected 2")
-        b1, b2 = self.basis(1), self.basis(2)
-        mat = self._matrix
-        if mat is None:
-            mat = matrix_from_pairs(self.pair_signs, b1, b2)
-        elif mat.basis1 is not b1 or mat.basis2 is not b2:
-            mat = LinkingMatrix(mat.rows, mat.cols, mat.entries, b1, b2)
-        self._matrix = mat
-        return mat
-
     def linking_entries(self) -> tuple[tuple[int, ...], ...]:
-        """The entries of :meth:`linking_matrix`.  While the state keeps
-        the matrix they are read with no basis made; only after a move
-        dropped it are the sign sums read again, over bases made anew."""
-        mat = self._matrix
-        return (mat if mat is not None else self.linking_matrix()).entries
+        """The entries of the linking matrix over the kept bases.
+
+        They are read off the running sign sums the first time, and again
+        after any move that changed a sign sum, renumbered the components
+        or contracted a non-tree edge; in between they are read with no
+        basis made.  A split or the contraction of a tree edge changes the
+        cycles only on an edge without passages and keeps their order, so
+        the entries stay as they were, over the new bases."""
+        entries = self._entries
+        if entries is None:
+            if len(self._order) != 2:
+                raise DomainError(f"diagram has {len(self._order)} components, expected 2")
+            entries = self._entries = matrix_from_pairs(
+                self.pair_signs, self.basis(1), self.basis(2)).entries
+        return entries
+
+    def linking_matrix(self) -> LinkingMatrix:
+        """:meth:`linking_entries` as a ``LinkingMatrix`` that carries the
+        kept bases, made anew when a move changed them."""
+        entries = self.linking_entries()
+        b1, b2 = self.basis(1), self.basis(2)
+        return LinkingMatrix(len(b1.cycles), len(b2.cycles), entries, b1, b2)
 
     def diagram(self) -> Diagram:
         """The ``Diagram`` this state holds now."""
@@ -452,7 +437,7 @@ class WalkState:
         if self._comp(o) != self._comp(u):
             self._add_sign(o, u, -sign)
             self._add_sign(u, o, -sign)
-            self._matrix = None
+            self._entries = None
 
     def clasp(self, e: str, pos_e: int, f: str, pos_f: int, eps: int) -> None:
         """Insert a clasp (two same-sign crossings) joining edges e and f.
@@ -489,7 +474,7 @@ class WalkState:
         else:
             self._add_sign(e, f, eps)
             self._add_sign(f, e, eps)
-            self._matrix = None
+            self._entries = None
 
     def contract_edge(self, eid: str) -> None:
         """Contract a crossing-free non-loop edge, merging its head into its tail.
@@ -617,7 +602,7 @@ class WalkState:
         before = list(self._order)
         self._order.sort(key=lambda k: self._comp_vertices[k][0])
         if rebased is not None or self._order != before:
-            self._matrix = None
+            self._entries = None
 
     def _check_boundary(self, kept: _KeptBasis, num: int, v: str) -> None:
         """Every kept cycle through vertex ``v`` has zero boundary there."""

@@ -27,8 +27,8 @@ A ``Diagram`` holds its crossings as plain rows ``(id, over edge, over
 index, under edge, under index, sign)`` in id order (``Diagram.rows``).
 The parser, the sign sums, validation, serialization and the move engine
 all read and write rows; ``Diagram.crossings`` builds ``Crossing`` objects
-from them on its first read only, unless the diagram was built from
-``Crossing`` objects, which it then keeps.
+from them on its first read only, also when the diagram was built from
+``Crossing`` objects.
 
 :func:`validate` lists every violation in one pass over the diagram.  The
 parser checks each line as it reads it, which rules out every violation
@@ -42,8 +42,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import islice
-from operator import attrgetter, itemgetter, le
+from operator import attrgetter, itemgetter
 from typing import NoReturn
 
 from .errors import DomainError, SelfCheckError, SgdParseError
@@ -115,25 +114,16 @@ def pair_signs(rows) -> dict[tuple[str, str], int]:
     return sums
 
 
-def _in_order(items, key=None) -> tuple:
-    """``items`` as a tuple in ``key`` order: sorted (stably) only when it
-    is not already in order, as parsed and generated inputs are."""
-    items = tuple(items)
-    keys = items if key is None else list(map(key, items))
-    if all(map(le, keys, islice(keys, 1, None))):
-        return items
-    return tuple(sorted(items, key=key))
-
-
 class Diagram:
     """Immutable diagram value: vertex ids, edges and crossings, each held
-    in sorted id order (sorted only when given out of order).
+    in sorted id order (a stable sort, linear on input already in order).
 
     Crossings are held as plain rows ``(id, over edge, over index, under
     edge, under index, sign)`` in :attr:`rows`, the form the parser makes
-    and every count reads.  ``Diagram(vertices, edges, crossings)`` takes
-    ``Crossing`` objects and keeps them; a diagram made from rows, by
-    :func:`parse_sgd` or the move engine, builds them on the first read of
+    and every count reads, and the one crossing store.
+    ``Diagram(vertices, edges, crossings)`` takes ``Crossing`` objects and
+    keeps their rows; every diagram, whether made so, by :func:`parse_sgd`
+    or by the move engine, builds ``Crossing`` objects on the first read of
     :attr:`crossings` only.  Two diagrams are equal, and hash alike, when
     their vertices, edges and crossings are equal.
     """
@@ -143,11 +133,9 @@ class Diagram:
     _checked = False
 
     def __init__(self, vertices, edges=(), crossings=()):
-        crossings = _in_order(crossings, attrgetter("id"))
         self._hold(vertices, edges,
                    [(c.id, c.over[0], c.over[1], c.under[0], c.under[1], c.sign)
                     for c in crossings])
-        self.__dict__["crossings"] = crossings  # what the first read would build
 
     @classmethod
     def _from_rows(cls, vertices, edges, rows) -> Diagram:
@@ -159,9 +147,9 @@ class Diagram:
 
     def _hold(self, vertices, edges, rows) -> None:
         held = self.__dict__
-        held["vertices"] = _in_order(vertices)
-        held["edges"] = _in_order(edges, attrgetter("id"))
-        held["rows"] = _in_order(rows, itemgetter(0))
+        held["vertices"] = tuple(sorted(vertices))
+        held["edges"] = tuple(sorted(edges, key=attrgetter("id")))
+        held["rows"] = tuple(sorted(rows, key=itemgetter(0)))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

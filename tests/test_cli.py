@@ -447,7 +447,7 @@ class TestPerturb:
             for n, (rec, state) in enumerate(real_walk(d, steps, seed)):
                 if n == 0:
                     state.pair_signs["a1", "b1"] = -state.pair_signs["a1", "b1"]
-                    state._matrix = None
+                    state._entries = None
                 yield rec, state
 
         src = tmp_path / "c.sgd"
@@ -514,15 +514,16 @@ class TestPerturb:
                          "moves.matrix_from_pairs": 1, "cli.matrix_from_pairs": 1,
                          "moves.CycleBasis": 2}
 
-        # Seed 2 contracts a non-tree edge once, at a step where both bases
-        # have changed since the start: that step alone reads the sums
-        # again, over both bases made anew, and the final check makes only
-        # the bases that changed after it.
+        # Seed 2 has one contraction that renumbers the components, at a
+        # step where both bases have changed since the start: that step
+        # alone reads the sums again, over both bases made anew, and the
+        # final check makes the bases anew once more, as moves changed both
+        # after it.
         dropped = []
         start = moves.WalkState(d)
         start.linking_entries()
         for rec, state in walk_steps(start, 200, 2):
-            if state._matrix is None:
+            if state._entries is None:
                 dropped.append(rec.kind)
                 state.linking_entries()
         assert dropped == ["contract_edge"]
@@ -669,7 +670,7 @@ class TestPerturb:
                     kept = state._kept[state._order[0]]
                     del kept.tree[next(iter(kept.tree))]
                     kept._made = None
-                    state._matrix = None
+                    state._entries = None
                 yield rec, state
 
         src = tmp_path / "c.sgd"

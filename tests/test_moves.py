@@ -1,7 +1,9 @@
 """Move engine: involution, rank-1 clasp updates, inverses, canonical forms,
 and invariant preservation along random walks."""
 
+import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -38,6 +40,7 @@ from sglink import (
     validate,
 )
 from sglink import moves
+from sglink.linking import matrix_from_pairs
 from sglink.moves import MoveCheckError, format_move, parse_move, replay_steps, walk_steps
 
 HOPF = canonical_diagram(1, 1, (1,))
@@ -360,10 +363,35 @@ class TestWalk:
             cur = state.diagram()
             for k, b in ((1, mat.basis1), (2, mat.basis2)):
                 assert b == state.basis(k) == cycle_basis(cur, k, tree=b.tree_edges)
-            assert mat.entries == linking_matrix(cur, mat.basis1, mat.basis2).entries
-            assert linking_matrix(state) is mat
-        with pytest.raises(DomainError, match="kept bases"):
-            linking_matrix(state, mat.basis1)
+            assert mat.entries == matrix_from_pairs(cur.sign_sums, mat.basis1, mat.basis2).entries
+            assert linking_matrix(state) == mat
+
+    def test_a_basis_read_never_changes(self):
+        # each basis read from the start and after every move, against a
+        # deep copy taken when it was read, after the walk went on through
+        # splits and contractions of tree and non-tree edges: every move
+        # gives each cycle it changes a new dict, so a basis once handed
+        # out keeps its values
+        d = canonical_diagram(3, 3, (2,))  # loops without passages
+        kinds = Counter()
+        for seed in (1, 2, 3, 5):
+            state, held = moves.WalkState(d), []
+
+            def read():
+                bases = (state.basis(1), state.basis(2))
+                held.extend((b, copy.deepcopy(b)) for b in bases)
+                return {eid for b in bases for eid in b.tree_edges}
+
+            tree = read()
+            for rec, _ in walk_steps(state, 200, seed):
+                if rec.kind == "contract_edge":
+                    kinds["tree" if rec.params[0] in tree else "non-tree"] += 1
+                else:
+                    kinds[rec.kind] += 1
+                tree = read()
+            for n, (b, at_read) in enumerate(held):
+                assert b == at_read, f"seed {seed}: basis {n} changed after it was read"
+        assert kinds["split_vertex"] > 100 and kinds["tree"] > 100 and kinds["non-tree"] == 4
 
     def test_every_walk_is_certified(self, monkeypatch):
         # a split that drops one closing coefficient of a kept cycle fails

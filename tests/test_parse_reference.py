@@ -770,14 +770,16 @@ def test_invariant_and_walk_build_no_crossing_objects():
         assert len(d.crossings) == len(d.rows) and "crossings" in vars(d)
 
 
-def test_constructor_keeps_the_crossing_objects_it_is_given():
+def test_constructor_keeps_only_the_rows_of_the_crossings_it_is_given():
+    # the rows are the one crossing store: the Crossing objects are built
+    # from them on the first read, equal to the ones given, in id order
     d = parse_sgd(serialize_sgd(canonical_diagram(2, 2, (1, 5))))  # x10 < x2
     given = list(d.crossings)
     random.Random(37).shuffle(given)
     built = Diagram(d.vertices, d.edges, given)
     assert built == d and built.rows == d.rows
-    assert [c.id for c in built.crossings] == [r[0] for r in d.rows]
-    assert all(c is next(g for g in given if g.id == c.id) for c in built.crossings)
+    assert "crossings" not in vars(built)
+    assert built.crossings == tuple(sorted(given, key=lambda c: c.id)) == d.crossings
 
 
 def test_diagram_stays_immutable():

@@ -1,12 +1,17 @@
 """Each module of the package uses every name it imports and binds every
-name its ``__all__`` lists.
+name its ``__all__`` lists, and the package reads every private name its
+modules define.
 
-A stdlib-only stand-in for a linter's unused-import and undefined-export
-checks: each ``src/sglink/*.py`` is parsed with ``ast``, so a name left
-behind when the code that used it goes fails here.  A name counts as used
-when it is read anywhere in the module (annotations included) or listed
-in ``__all__``.  ``__init__`` imports the package's public names to
-re-export them, so only its ``__all__``, if any, is checked.
+A stdlib-only stand-in for a linter's unused-import, undefined-export and
+dead-code checks: each ``src/sglink/*.py`` is parsed with ``ast``, so a
+name left behind when the code that used it goes fails here.  An imported
+name counts as used when it is read anywhere in the module (annotations
+included) or listed in ``__all__``.  ``__init__`` imports the package's
+public names to re-export them, so only its ``__all__``, if any, is
+checked.  A private name (``_x``, not ``__x__``) bound at module level or
+in a class body, a method included, counts as used when some module of
+the package reads it, as a name, an attribute or an imported name;
+comments and docstrings do not count.
 """
 
 import ast
@@ -73,6 +78,48 @@ def unbound_exports(tree: ast.Module) -> list[str]:
     return [name for name in exported(tree) if name not in names]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name bound at module level or in a class body of the
+    module (functions, classes, methods and constants), with its line."""
+    names = {}
+    for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            for name in targets:
+                if name.startswith("_") and not name.endswith("__"):
+                    names[name] = node.lineno
+    return names
+
+
+def reads(tree: ast.Module) -> set[str]:
+    """The names the module reads: as a name, as an attribute, or in an
+    import from another module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """Private names a module defines that no module reads, as
+    ``module:name`` -> line."""
+    read = set().union(*map(reads, trees.values()))
+    return {f"{module}:{name}": line for module, tree in trees.items()
+            for name, line in private_definitions(tree).items() if name not in read}
+
+
 def test_every_module_is_checked():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "homology.py", "linking.py",
                                          "moves.py", "sgd.py", "smith.py"}
@@ -88,6 +135,11 @@ def test_every_exported_name_is_bound(path):
     assert unbound_exports(parse(path)) == [], f"{path.name}: in __all__ but not bound"
 
 
+def test_every_private_name_is_read():
+    trees = {p.name: parse(p) for p in MODULES}
+    assert unread_private_names(trees) == {}, "defined, never read (module:name: line)"
+
+
 def test_the_checks_find_what_they_look_for():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os.path\nfrom operator import itemgetter, le as _le\n"
@@ -98,3 +150,13 @@ def test_the_checks_find_what_they_look_for():
     assert bound(tree.body) == {"annotations", "os", "itemgetter", "_le", "__all__", "X", "f"}
     assert unused_imports(tree) == {"os": 2, "itemgetter": 3}
     assert unbound_exports(tree) == ["gone"]
+    other = ast.parse('_KEPT = _DEAD = 1\n_X: int = 2\n'
+                      'class _C:\n    _flag = False\n    def _used(self):\n'
+                      '        self._dead = 0\n        return self._used\n'
+                      '    def _unused(self):\n        pass\n    def __len__(self):\n'
+                      '        return 0\n'
+                      'def _f():\n    "_DEAD, _unused"  # _X\n    return _KEPT\n')
+    assert private_definitions(other) == {"_KEPT": 1, "_DEAD": 1, "_X": 2, "_C": 3, "_flag": 4,
+                                          "_used": 5, "_unused": 8, "_f": 12}
+    assert unread_private_names({"a.py": other, "b.py": ast.parse("from a import _C, _f\n")}) == {
+        "a.py:_DEAD": 1, "a.py:_X": 2, "a.py:_flag": 4, "a.py:_unused": 8}

@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 from gen import component_of_edge, edge_components, passage_counts, random_diagram
 from sglink import DomainError, canonical_diagram, cycle_basis, linking_matrix, serialize_sgd
 from sglink import moves
+from sglink.linking import matrix_from_pairs
 from sglink.moves import KINDS, MoveRecord, format_move, parse_move
 from sglink.sgd import Crossing, Diagram, Edge, pair_signs
 
@@ -298,7 +299,7 @@ def assert_state_matches(state, d):
         assert b == cycle_basis(d, comp.index, tree=b.tree_edges)
     if len(d.components) == 2:
         mat = linking_matrix(state)
-        assert mat.entries == linking_matrix(d, mat.basis1, mat.basis2).entries
+        assert mat.entries == matrix_from_pairs(d.sign_sums, mat.basis1, mat.basis2).entries
 
 
 def assert_same_walk(d, steps, seed, every_step=True):
