@@ -10,7 +10,7 @@ vertex splittings (``moves``), which is what the classifier relies on
 """
 
 from .classify import Result, Verdict, classify
-from .errors import DomainError, SelfCheckError, SgdParseError, SglinkError
+from .errors import DomainError, FrozenValueError, SelfCheckError, SgdParseError, SglinkError
 from .homology import Cycle, CycleBasis, cycle_basis, spanning_tree
 from .linking import (
     LinkingMatrix,

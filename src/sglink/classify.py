@@ -11,12 +11,12 @@ handlebody pairs, the same verdict describes its ranks as genera.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .linking import linking_matrix
 from .sgd import Diagram
 from .smith import LkInvariant, lk_invariant
+from .value import Value
 
 __all__ = ["Result", "Verdict", "classify"]
 
@@ -26,15 +26,24 @@ class Result(Enum):
     INEQUIVALENT = "inequivalent"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a classification, with the evidence that produced it."""
+class Verdict(Value):
+    """Outcome of a classification, with the evidence that produced it.
 
-    result: Result
-    pairing: str  # "ordered" | "swapped" | "none"
-    ranks: tuple[tuple[int, int], tuple[int, int]]
-    invariants: tuple[LkInvariant, LkInvariant]
-    obstruction: str | None  # "rank" | "divisors" | None
+    ``pairing`` is "ordered", "swapped" or "none"; ``obstruction`` is
+    "rank", "divisors" or None.
+    """
+
+    _fields = ("result", "pairing", "ranks", "invariants", "obstruction")
+
+    def __init__(self, result: Result, pairing: str,
+                 ranks: tuple[tuple[int, int], tuple[int, int]],
+                 invariants: tuple[LkInvariant, LkInvariant], obstruction: str | None):
+        held = self.__dict__
+        held["result"] = result
+        held["pairing"] = pairing
+        held["ranks"] = ranks
+        held["invariants"] = invariants
+        held["obstruction"] = obstruction
 
     def describe(self, handlebody: bool = False) -> str:
         label = "genera" if handlebody else "ranks"

@@ -26,3 +26,7 @@ class DomainError(SglinkError):
 
 class SelfCheckError(SglinkError):
     """An internal consistency check failed; this signals a bug."""
+
+
+class FrozenValueError(SglinkError, AttributeError):
+    """Raised on setting or deleting an attribute of an immutable value."""

@@ -20,11 +20,11 @@ matrix and the start bases a ``moves.WalkState`` keeps all come from it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .sgd import Diagram, Edge
+from .value import Value
 
 __all__ = [
     "Cycle",
@@ -34,19 +34,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Value):
     """Integer 1-cycle supported on the edges of one component.
 
     ``coeffs`` maps edge id to a nonzero integer coefficient; absent means 0.
     """
 
-    component: int
-    coeffs: Mapping[str, int]
+    _fields = ("component", "coeffs")
+
+    def __init__(self, component: int, coeffs: Mapping[str, int]):
+        held = self.__dict__
+        held["component"] = component
+        held["coeffs"] = coeffs
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(Value):
     """Fundamental cycles of a spanning tree, one per non-tree edge.
 
     Cycle k has coefficient +1 on its defining non-tree edge and 0 on the
@@ -54,9 +56,13 @@ class CycleBasis:
     is the identity.
     """
 
-    component: int
-    tree_edges: tuple[str, ...]
-    cycles: tuple[Cycle, ...]
+    _fields = ("component", "tree_edges", "cycles")
+
+    def __init__(self, component: int, tree_edges: tuple[str, ...], cycles: tuple[Cycle, ...]):
+        held = self.__dict__
+        held["component"] = component
+        held["tree_edges"] = tree_edges
+        held["cycles"] = cycles
 
 
 def _adjacency(edge_map: Mapping[str, Edge], edge_ids) -> dict[str, list[tuple[str, str]]]:

@@ -28,7 +28,6 @@ by :func:`matrix_from_pairs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -49,13 +48,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LinkingMatrix(IntMatrix):
     """Pairwise linking numbers of the two components' basis cycles: an
     integer matrix that also carries the bases its rows and columns index."""
 
-    basis1: CycleBasis
-    basis2: CycleBasis
+    _fields = IntMatrix._fields + ("basis1", "basis2")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...],
+                 basis1: CycleBasis, basis2: CycleBasis):
+        super().__init__(rows, cols, entries)
+        held = self.__dict__
+        held["basis1"] = basis1
+        held["basis2"] = basis2
 
 
 def _check_cycles(d: Diagram, z: Cycle, w: Cycle) -> None:

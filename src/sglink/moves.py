@@ -49,13 +49,13 @@ import heapq
 import random
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, SelfCheckError
 from .homology import Cycle, CycleBasis, cycle_basis
 from .linking import LinkingMatrix, matrix_from_pairs
 from .sgd import _ID_RE, Diagram, Edge, pair_signs, validate
+from .value import Value
 
 __all__ = [
     "MoveCheckError",
@@ -85,14 +85,17 @@ _ARITY = {"crossing_change": 1, "clasp": 5, "contract_edge": 1, "split_vertex": 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(Value):
     """One applied move: kind, its parameter tokens, and whether it
     preserves the divisor-chain invariant."""
 
-    kind: str
-    params: tuple[str, ...]
-    homotopy_preserving: bool
+    _fields = ("kind", "params", "homotopy_preserving")
+
+    def __init__(self, kind: str, params: tuple[str, ...], homotopy_preserving: bool):
+        held = self.__dict__
+        held["kind"] = kind
+        held["params"] = params
+        held["homotopy_preserving"] = homotopy_preserving
 
 
 class MoveCheckError(SelfCheckError):
@@ -125,9 +128,10 @@ class _FreshIds:
         self._free: list[int] = []
         self._next = 1
         for s in ids:
-            self.take(s)
+            self.use(self.number(s))
 
-    def _number(self, s: str) -> int | None:
+    def number(self, s: str) -> int | None:
+        """The k of an id ``prefix`` + k, None for an id of another form."""
         rest = s[len(self.prefix):]
         # f"{prefix}{k}" never has a leading zero; 19 digits are never reached
         if (s.startswith(self.prefix) and rest.isascii() and rest.isdigit()
@@ -145,21 +149,23 @@ class _FreshIds:
             self._next += 1
         return self._next
 
-    def peek(self) -> str:
-        return f"{self.prefix}{self._smallest()}"
+    def peek(self) -> tuple[str, int]:
+        """The id :meth:`new` would hand out next, and its number."""
+        k = self._smallest()
+        return f"{self.prefix}{k}", k
 
     def new(self) -> str:
         k = self._smallest()
         self._used.add(k)
         return f"{self.prefix}{k}"
 
-    def take(self, s: str) -> None:
-        k = self._number(s)
+    def use(self, k: int | None) -> None:
+        """Mark number ``k`` used; None, for an id of another form, is a no-op."""
         if k is not None:
             self._used.add(k)
 
     def free(self, s: str) -> None:
-        k = self._number(s)
+        k = self.number(s)
         if k is not None:
             self._used.discard(k)
             if k < self._next:
@@ -529,6 +535,12 @@ class WalkState:
         the new edge runs from ``vid`` to ``new_vid``, so contracting it undoes
         the split.  Both new ids must be SGD identifiers.
         """
+        self._split(vid, part1, part2, new_vid, new_eid,
+                    self._vids.number(new_vid), self._eids.number(new_eid))
+
+    def _split(self, vid, part1, part2, new_vid, new_eid, kv: int | None, ke: int | None) -> None:
+        """:meth:`split_vertex`, given the numbers the id pools know the new
+        ids by: :meth:`sample` hands over the ones it drew, unparsed."""
         if vid not in self._ends:
             raise DomainError(f"unknown vertex {vid!r}")
         for new in (new_vid, new_eid):
@@ -557,8 +569,8 @@ class WalkState:
         insort(self._vertices, new_vid)
         insort(self._comp_vertices[key], new_vid)
         insort(self._comp_edges[key], new_eid)
-        self._vids.take(new_vid)
-        self._eids.take(new_eid)
+        self._vids.use(kv)
+        self._eids.use(ke)
         self._graph_moved(key, new_eid, self._passages[new_eid], (vid, new_vid))
 
     def _add_sign(self, o: str, u: str, s: int) -> None:
@@ -703,13 +715,13 @@ class WalkState:
             return self.record(kind, (eid,)), self.contract_edge, (eid,)
         # split_vertex: always applicable
         vid = rng.choice(self._vertices)
-        new_vid, new_eid = self._vids.peek(), self._eids.peek()
+        (new_vid, kv), (new_eid, ke) = self._vids.peek(), self._eids.peek()
         part1, part2 = [], []
         for end in self.ends_at(vid):
             (part2 if rng.random() < 0.5 else part1).append(end)
         tokens = tuple(f"{eid}.{side}" for eid, side in part2)
         return (self.record("split_vertex", (vid, new_vid, new_eid) + tokens),
-                self.split_vertex, (vid, part1, part2, new_vid, new_eid))
+                self._split, (vid, part1, part2, new_vid, new_eid, kv, ke))
 
 
 def _applied(d: Diagram, move, *args) -> Diagram:

@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import NoReturn
 
 from .errors import DomainError, SelfCheckError, SgdParseError
+from .value import Value
 
 _ID = r"[A-Za-z0-9_]+"
 _ID_RE = re.compile(_ID + r"\Z")
@@ -67,41 +67,53 @@ _LINE_RE = re.compile(
 SGD_HEADER = "sgd 1"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value):
     """Oriented edge; tail == head is a loop."""
 
-    id: str
-    tail: str
-    head: str
+    _fields = ("id", "tail", "head")
+
+    def __init__(self, id: str, tail: str, head: str):
+        held = self.__dict__
+        held["id"] = id
+        held["tail"] = tail
+        held["head"] = head
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Value):
     """Signed crossing between two (edge id, passage index) references."""
 
-    id: str
-    over: tuple[str, int]
-    under: tuple[str, int]
-    sign: int
+    _fields = ("id", "over", "under", "sign")
+
+    def __init__(self, id: str, over: tuple[str, int], under: tuple[str, int], sign: int):
+        held = self.__dict__
+        held["id"] = id
+        held["over"] = over
+        held["under"] = under
+        held["sign"] = sign
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Value):
     """One connected component of the abstract graph, 1-based index."""
 
-    index: int
-    vertices: tuple[str, ...]
-    edge_ids: tuple[str, ...]
+    _fields = ("index", "vertices", "edge_ids")
+
+    def __init__(self, index: int, vertices: tuple[str, ...], edge_ids: tuple[str, ...]):
+        held = self.__dict__
+        held["index"] = index
+        held["vertices"] = vertices
+        held["edge_ids"] = edge_ids
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """A named invariant breach tied to the offending entity."""
 
-    code: str
-    entity: str
-    message: str
+    _fields = ("code", "entity", "message")
+
+    def __init__(self, code: str, entity: str, message: str):
+        held = self.__dict__
+        held["code"] = code
+        held["entity"] = entity
+        held["message"] = message
 
 
 def pair_signs(rows) -> dict[tuple[str, str], int]:
@@ -114,7 +126,7 @@ def pair_signs(rows) -> dict[tuple[str, str], int]:
     return sums
 
 
-class Diagram:
+class Diagram(Value):
     """Immutable diagram value: vertex ids, edges and crossings, each held
     in sorted id order (a stable sort, linear on input already in order).
 
@@ -127,6 +139,9 @@ class Diagram:
     :attr:`crossings` only.  Two diagrams are equal, and hash alike, when
     their vertices, edges and crossings are equal.
     """
+
+    _fields = ("vertices", "edges", "crossings")
+    _compared = ("vertices", "edges", "rows")
 
     # set by parse_sgd(check=True) on a diagram it returns: such a diagram
     # has passed every check validate() runs
@@ -150,24 +165,6 @@ class Diagram:
         held["vertices"] = tuple(sorted(vertices))
         held["edges"] = tuple(sorted(edges, key=attrgetter("id")))
         held["rows"] = tuple(sorted(rows, key=itemgetter(0)))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.edges, self.rows) == (other.vertices, other.edges, other.rows)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges, self.rows))
-
-    def __repr__(self):
-        return (f"Diagram(vertices={self.vertices!r}, edges={self.edges!r}, "
-                f"crossings={self.crossings!r})")
 
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:

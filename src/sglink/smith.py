@@ -18,27 +18,28 @@ For a square ``M`` with a divisor per row, ``|det M| = prod(d) != 0`` leaves
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import prod
 from operator import mul
 
 from .errors import DomainError, SelfCheckError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix, row-major, exact arithmetic throughout."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise DomainError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DomainError("entry shape does not match declared dimensions")
+        held = self.__dict__
+        held["rows"] = rows
+        held["cols"] = cols
+        held["entries"] = entries
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -108,32 +109,34 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class SnfCertificate:
+class SnfCertificate(Value):
     """Diagonal form D with unimodular transforms satisfying U @ M @ V == D."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    divisors: tuple[int, ...]
+    _fields = ("U", "D", "V", "divisors")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, divisors: tuple[int, ...]):
+        held = self.__dict__
+        held["U"] = U
+        held["D"] = D
+        held["V"] = V
+        held["divisors"] = divisors
 
 
-@dataclass(frozen=True)
-class LkInvariant:
+class LkInvariant(Value):
     """Divisor-chain invariant: empty tuple means the zero invariant.
 
     A nonempty chain is a sequence of positive integers d1 | d2 | ... | dl.
     Equality is structural.
     """
 
-    divisors: tuple[int, ...] = ()
+    _fields = ("divisors",)
 
-    def __post_init__(self):
-        ds = self.divisors
-        if any(d <= 0 for d in ds):
+    def __init__(self, divisors: tuple[int, ...] = ()):
+        if any(d <= 0 for d in divisors):
             raise DomainError("chain entries must be positive")
-        if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
+        if any(divisors[i + 1] % divisors[i] for i in range(len(divisors) - 1)):
             raise DomainError("chain entries must form a divisibility chain")
+        self.__dict__["divisors"] = divisors
 
     @property
     def is_zero(self) -> bool:

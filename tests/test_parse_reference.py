@@ -20,7 +20,7 @@ or not, and in every error.
 
 import random
 from collections import Counter, defaultdict
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
@@ -30,12 +30,16 @@ import pytest
 from gen import passage_counts, random_diagram
 from sglink import (
     DomainError,
+    FrozenValueError,
     SgdParseError,
     canonical_diagram,
+    classify,
     linking_matrix,
+    lk_invariant,
     over_under_consistent,
     parse_sgd,
     serialize_sgd,
+    smith_normal_form,
 )
 from sglink.moves import WalkState, random_homotopy_walk, walk_steps
 from sglink.sgd import (
@@ -782,11 +786,38 @@ def test_constructor_keeps_only_the_rows_of_the_crossings_it_is_given():
     assert built.crossings == tuple(sorted(given, key=lambda c: c.id)) == d.crossings
 
 
+def immutable(value, names) -> None:
+    """Setting or deleting each name raises ``FrozenValueError`` itself,
+    not a subclass nor a bare ``AttributeError``, and changes nothing."""
+    before = repr(value), dict(vars(value))
+    for name in names:
+        for attempt in (lambda: setattr(value, name, ()), lambda: delattr(value, name)):
+            with pytest.raises(AttributeError) as caught:
+                attempt()
+            assert caught.type is FrozenValueError, (type(value), name, caught.type)
+    assert (repr(value), vars(value)) == before
+
+
 def test_diagram_stays_immutable():
     d = parse_sgd(SMALL_TEXT)
-    for name in ("vertices", "rows", "crossings", "sign_sums"):
-        with pytest.raises(FrozenInstanceError):
-            setattr(d, name, ())
-        with pytest.raises(FrozenInstanceError):
-            delattr(d, name)
+    immutable(d, ("vertices", "rows", "crossings", "sign_sums"))
     assert d == parse_sgd(SMALL_TEXT)
+
+
+VALUE_TYPES = {"Diagram", "Edge", "Crossing", "Component", "Violation", "Cycle", "CycleBasis",
+               "LinkingMatrix", "SnfCertificate", "IntMatrix", "LkInvariant", "MoveRecord",
+               "Verdict"}
+
+
+def test_every_value_type_stays_immutable():
+    d = canonical_diagram(2, 2, (1, 3))
+    mat = linking_matrix(d)
+    cert = smith_normal_form(mat)
+    _, moves = random_homotopy_walk(d, steps=5, seed=3)
+    bad = Diagram(("a",), (Edge("e", "a", "b"),))
+    values = [d, d.edges[0], d.crossings[0], d.components[0], validate(bad)[0],
+              mat.basis1.cycles[0], mat.basis1, mat, cert, cert.U, lk_invariant(mat),
+              moves[0], classify(d, d)]
+    assert {type(v).__name__ for v in values} == VALUE_TYPES
+    for value in values:
+        immutable(value, [*vars(value), "unheld"])
