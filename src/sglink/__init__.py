@@ -19,17 +19,8 @@ from .linking import (
     linking_number,
     over_under_consistent,
 )
-from .moves import (
-    MoveRecord,
-    apply_move,
-    canonical_diagram,
-    clasp,
-    contract_edge,
-    crossing_change,
-    random_homotopy_walk,
-    split_vertex,
-)
-from .sgd import Crossing, Diagram, Edge, Violation, parse_sgd, serialize_sgd, validate
+from .moves import MoveRecord, apply_move, canonical_diagram, random_homotopy_walk
+from .sgd import Diagram, Edge, Violation, parse_sgd, serialize_sgd, validate
 from .smith import (
     IntMatrix,
     LkInvariant,

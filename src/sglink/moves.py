@@ -13,10 +13,10 @@ time proportional to what the move touches.  Edges hold their crossing
 passages as ordered lists of crossing ends, so a clasp is two list
 inserts; the state also keeps the sign sums of the inter-component
 (over edge, under edge) pairs, which determine the linking matrix, so a
-walk can read the matrix off running sums.  The module functions
-(``crossing_change``, ``clasp``, ...) apply one move to an immutable
-``Diagram`` through a state; ``walk_steps`` and ``replay_steps`` drive
-one state through a whole walk and build a ``Diagram`` only when asked.
+walk can read the matrix off running sums.  One move on an immutable
+``Diagram`` is ``WalkState(d)``, then the move's method, then
+:meth:`WalkState.diagram`; ``walk_steps`` and ``replay_steps`` drive one
+state through a whole walk and build a ``Diagram`` only when asked.
 A walk applies each move it samples through the method it drew, with the
 values drawn, and writes the move's record for the output only; a replay
 parses each record's tokens and checks them before it applies the move.
@@ -61,10 +61,6 @@ __all__ = [
     "MoveCheckError",
     "MoveRecord",
     "WalkState",
-    "crossing_change",
-    "clasp",
-    "contract_edge",
-    "split_vertex",
     "canonical_diagram",
     "random_homotopy_walk",
     "walk_steps",
@@ -74,11 +70,10 @@ __all__ = [
     "parse_move",
 ]
 
-KINDS = ("crossing_change", "clasp", "contract_edge", "split_vertex")
-
-# parameters each move kind takes; split_vertex lists the ends it moves
-# after its three
+# the move kinds, in the order a walk draws from, with the parameters each
+# takes; split_vertex lists the ends it moves after its three
 _ARITY = {"crossing_change": 1, "clasp": 5, "contract_edge": 1, "split_vertex": 3}
+KINDS = tuple(_ARITY)
 
 # a replayed clasp integer: ASCII, as in SGD and matrix files (int() also
 # takes other Unicode digits and "_" between digits)
@@ -287,8 +282,7 @@ class WalkState:
     """A valid diagram as a mutable working state that moves update in place;
     building one from a diagram that fails ``sgd.validate`` raises
     ``DomainError``.  A diagram ``parse_sgd`` has checked is not validated
-    again, and the diagram's crossing rows are read with no ``Crossing``
-    object made.
+    again.
 
     - Each edge holds its passages as a list of crossing ends ``(xid, 0)``
       and ``(xid, 1)``; a passage's index is its place in the list.
@@ -425,7 +419,7 @@ class WalkState:
                 at[end] = (eid, i)
         rows = [(xid, *at[xid, over], *at[xid, 1 - over], sign)
                 for xid, (_, _, over, sign) in self._crossings.items()]
-        return Diagram._from_rows(self._vertices, self._edges.values(), rows)
+        return Diagram(self._vertices, self._edges.values(), rows)
 
     # -- moves ----------------------------------------------------------
 
@@ -724,43 +718,11 @@ class WalkState:
                 self._split, (vid, part1, part2, new_vid, new_eid, kv, ke))
 
 
-def _applied(d: Diagram, move, *args) -> Diagram:
-    """The diagram a ``WalkState`` method makes of a copy of ``d``."""
-    state = WalkState(d)
-    move(state, *args)
-    return state.diagram()
-
-
-def crossing_change(d: Diagram, xid: str) -> Diagram:
-    """:meth:`WalkState.crossing_change` on a copy of ``d``."""
-    return _applied(d, WalkState.crossing_change, xid)
-
-
-def clasp(d: Diagram, e: str, pos_e: int, f: str, pos_f: int, eps: int) -> Diagram:
-    """:meth:`WalkState.clasp` on a copy of ``d``."""
-    return _applied(d, WalkState.clasp, e, pos_e, f, pos_f, eps)
-
-
-def contract_edge(d: Diagram, eid: str) -> Diagram:
-    """:meth:`WalkState.contract_edge` on a copy of ``d``."""
-    return _applied(d, WalkState.contract_edge, eid)
-
-
-def split_vertex(
-    d: Diagram,
-    vid: str,
-    part1: Sequence[tuple[str, str]],
-    part2: Sequence[tuple[str, str]],
-    new_vid: str,
-    new_eid: str,
-) -> Diagram:
-    """:meth:`WalkState.split_vertex` on a copy of ``d``."""
-    return _applied(d, WalkState.split_vertex, vid, part1, part2, new_vid, new_eid)
-
-
 def apply_move(d: Diagram, move: MoveRecord) -> Diagram:
     """Replay one recorded move on a diagram."""
-    return _applied(d, WalkState.apply, move)
+    state = WalkState(d)
+    state.apply(move)
+    return state.diagram()
 
 
 def canonical_diagram(m: int, n: int, chain: Sequence[int]) -> Diagram:
@@ -796,7 +758,7 @@ def canonical_diagram(m: int, n: int, chain: Sequence[int]) -> Diagram:
             t = len(rows)
             rows.append((f"x{t + 1}", a, p, b, p, 1))
             rows.append((f"x{t + 2}", b, p + 1, a, p + 1, 1))
-    return Diagram._from_rows(
+    return Diagram(
         ("u1", "u2"),
         [Edge(eid, "u1", "u1") for eid in loops_a] + [Edge(eid, "u2", "u2") for eid in loops_b],
         rows,

@@ -23,12 +23,10 @@ Identifiers are opaque ASCII tokens matching [A-Za-z0-9_]+.  Serialization
 is canonical (identifiers emitted in sorted order), so structurally equal
 diagrams produce identical bytes.
 
-A ``Diagram`` holds its crossings as plain rows ``(id, over edge, over
-index, under edge, under index, sign)`` in id order (``Diagram.rows``).
-The parser, the sign sums, validation, serialization and the move engine
-all read and write rows; ``Diagram.crossings`` builds ``Crossing`` objects
-from them on its first read only, also when the diagram was built from
-``Crossing`` objects.
+A crossing is one plain row ``(id, over edge, over index, under edge,
+under index, sign)``; a ``Diagram`` holds its rows in id order
+(``Diagram.rows``).  The parser, the sign sums, validation, serialization
+and the move engine all read and write rows, the one crossing form.
 
 :func:`validate` lists every violation in one pass over the diagram.  The
 parser checks each line as it reads it, which rules out every violation
@@ -79,19 +77,6 @@ class Edge(Value):
         held["head"] = head
 
 
-class Crossing(Value):
-    """Signed crossing between two (edge id, passage index) references."""
-
-    _fields = ("id", "over", "under", "sign")
-
-    def __init__(self, id: str, over: tuple[str, int], under: tuple[str, int], sign: int):
-        held = self.__dict__
-        held["id"] = id
-        held["over"] = over
-        held["under"] = under
-        held["sign"] = sign
-
-
 class Component(Value):
     """One connected component of the abstract graph, 1-based index."""
 
@@ -127,49 +112,26 @@ def pair_signs(rows) -> dict[tuple[str, str], int]:
 
 
 class Diagram(Value):
-    """Immutable diagram value: vertex ids, edges and crossings, each held
-    in sorted id order (a stable sort, linear on input already in order).
-
-    Crossings are held as plain rows ``(id, over edge, over index, under
-    edge, under index, sign)`` in :attr:`rows`, the form the parser makes
-    and every count reads, and the one crossing store.
-    ``Diagram(vertices, edges, crossings)`` takes ``Crossing`` objects and
-    keeps their rows; every diagram, whether made so, by :func:`parse_sgd`
-    or by the move engine, builds ``Crossing`` objects on the first read of
-    :attr:`crossings` only.  Two diagrams are equal, and hash alike, when
-    their vertices, edges and crossings are equal.
+    """Immutable diagram value: vertex ids, edges and crossing rows
+    ``(id, over edge, over index, under edge, under index, sign)``, each
+    held in sorted id order (a stable sort, linear on input already in
+    order).  ``Diagram(vertices, edges, rows)`` takes ``Edge`` objects and
+    rows as given; :func:`validate` checks a diagram built so.  Two
+    diagrams are equal, and hash alike, when their vertices, edges and
+    rows are equal.
     """
 
-    _fields = ("vertices", "edges", "crossings")
-    _compared = ("vertices", "edges", "rows")
+    _fields = ("vertices", "edges", "rows")
 
     # set by parse_sgd(check=True) on a diagram it returns: such a diagram
     # has passed every check validate() runs
     _checked = False
 
-    def __init__(self, vertices, edges=(), crossings=()):
-        self._hold(vertices, edges,
-                   [(c.id, c.over[0], c.over[1], c.under[0], c.under[1], c.sign)
-                    for c in crossings])
-
-    @classmethod
-    def _from_rows(cls, vertices, edges, rows) -> Diagram:
-        """The diagram of these crossing rows: how the parser and the move
-        engine make one, with no ``Crossing`` object."""
-        d = cls.__new__(cls)
-        d._hold(vertices, edges, rows)
-        return d
-
-    def _hold(self, vertices, edges, rows) -> None:
+    def __init__(self, vertices, edges=(), rows=()):
         held = self.__dict__
         held["vertices"] = tuple(sorted(vertices))
         held["edges"] = tuple(sorted(edges, key=attrgetter("id")))
         held["rows"] = tuple(sorted(rows, key=itemgetter(0)))
-
-    @cached_property
-    def crossings(self) -> tuple[Crossing, ...]:
-        return tuple(Crossing(xid, (oe, oi), (ue, ui), sign)
-                     for xid, oe, oi, ue, ui, sign in self.rows)
 
     @cached_property
     def edge_map(self) -> dict[str, Edge]:
@@ -423,7 +385,7 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
             continue  # blank or comment only
         _reject(raw, lineno, section, vertices, edges, crossings)
 
-    d = Diagram._from_rows(vertices, edges.values(), rows)
+    d = Diagram(vertices, edges.values(), rows)
     if check:
         # n distinct indices below n are 0..n-1; a degenerate crossing
         # names one passage twice, so it fails this too

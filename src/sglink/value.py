@@ -11,10 +11,8 @@ its own ``__init__`` checks its arguments and writes them straight into
   (a ``Cycle``) cannot be hashed;
 - ``repr`` reads ``Name(field=value, ...)``.
 
-A type whose equality should read other attributes than its constructor
-takes, as ``Diagram`` compares its rows where it takes crossings, names
-them in ``_compared``.  Fields live in ``__dict__``, so
-``functools.cached_property``, ``copy`` and ``pickle`` work on values.
+Fields live in ``__dict__``, so ``functools.cached_property``, ``copy``
+and ``pickle`` work on values.
 """
 
 from __future__ import annotations
@@ -29,15 +27,14 @@ class Value:
 
     __slots__ = ()
 
-    # the constructor's fields in order, which repr shows, and the fields
-    # equality and the hash read (``_fields`` unless a class sets it)
+    # the constructor's fields in order, which repr shows and equality and
+    # the hash read
     _fields: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls._compared if "_compared" in cls.__dict__ else cls._fields
-        # the tuple of the compared fields, read off ``__dict__``
+        names = cls._fields
+        # the tuple of the fields, read off ``__dict__``
         cls._key = staticmethod(itemgetter(*names) if len(names) > 1
                                 else lambda held, name=names[0]: (held[name],))
 

@@ -1,12 +1,14 @@
 """Seeded random generators, diagram lookups the package does not keep,
-and one injected move fault, shared across the test modules."""
+one move on a diagram, the crossing objects of the reference copies, and
+one injected move fault, shared across the test modules."""
 
 from __future__ import annotations
 
 import random
 
-from sglink import Crossing, Diagram, DomainError, Edge, IntMatrix, canonical_diagram
-from sglink.moves import MoveRecord, random_homotopy_walk, walk_steps
+from sglink import Diagram, DomainError, Edge, IntMatrix, canonical_diagram
+from sglink.moves import MoveRecord, WalkState, random_homotopy_walk, walk_steps
+from sglink.value import Value
 
 
 def random_diagram(rng: random.Random, max_vertices=8, max_edges=10, max_crossings=12) -> Diagram:
@@ -20,7 +22,7 @@ def random_diagram(rng: random.Random, max_vertices=8, max_edges=10, max_crossin
         Edge(f"e{i}", rng.choice(vertices), rng.choice(vertices))
         for i in range(rng.randint(0, max_edges))
     ]
-    crossings = []
+    rows = []
     counter = {e.id: 0 for e in edges}
     if edges:
         for i in range(rng.randint(0, max_crossings)):
@@ -30,22 +32,50 @@ def random_diagram(rng: random.Random, max_vertices=8, max_edges=10, max_crossin
             counter[over] += 1
             ui = counter[under]
             counter[under] += 1
-            crossings.append(Crossing(f"x{i}", (over, oi), (under, ui), rng.choice((1, -1))))
+            rows.append((f"x{i}", over, oi, under, ui, rng.choice((1, -1))))
         perm = {}
         for eid, count in counter.items():
             p = list(range(count))
             rng.shuffle(p)
             perm[eid] = p
-        crossings = [
-            Crossing(
-                c.id,
-                (c.over[0], perm[c.over[0]][c.over[1]]),
-                (c.under[0], perm[c.under[0]][c.under[1]]),
-                c.sign,
-            )
-            for c in crossings
-        ]
-    return Diagram(tuple(vertices), tuple(edges), tuple(crossings))
+        rows = [(xid, over, perm[over][oi], under, perm[under][ui], sign)
+                for xid, over, oi, under, ui, sign in rows]
+    return Diagram(tuple(vertices), tuple(edges), tuple(rows))
+
+
+def moved(d: Diagram, kind: str, *args) -> Diagram:
+    """The diagram one move makes of ``d``: ``WalkState(d)``, the state's
+    method ``kind`` on ``args``, then ``.diagram()``."""
+    state = WalkState(d)
+    getattr(state, kind)(*args)
+    return state.diagram()
+
+
+class Crossing(Value):
+    """Signed crossing between two (edge id, passage index) references: the
+    crossing object diagrams held before rows were their one crossing
+    form, which the reference copies in the tests still build."""
+
+    _fields = ("id", "over", "under", "sign")
+
+    def __init__(self, id: str, over: tuple[str, int], under: tuple[str, int], sign: int):
+        held = self.__dict__
+        held["id"] = id
+        held["over"] = over
+        held["under"] = under
+        held["sign"] = sign
+
+
+def rows_of(crossings) -> tuple[tuple, ...]:
+    """The rows ``(id, over edge, over index, under edge, under index,
+    sign)`` of ``Crossing`` objects, in their order."""
+    return tuple((c.id, *c.over, *c.under, c.sign) for c in crossings)
+
+
+def crossings_of(d: Diagram) -> tuple[Crossing, ...]:
+    """The ``Crossing`` objects of a diagram's rows, in id order."""
+    return tuple(Crossing(xid, (oe, oi), (ue, ui), sign)
+                 for xid, oe, oi, ue, ui, sign in d.rows)
 
 
 def random_matrix(rng: random.Random, max_dim=6, bound=20) -> IntMatrix:

@@ -14,6 +14,7 @@ from pathlib import Path
 import sglink.cli as cli
 from gen import (
     divisor_chains,
+    moved,
     passage_counts,
     random_chain,
     random_diagram,
@@ -25,7 +26,6 @@ from sglink import (
     LkInvariant,
     Result,
     canonical_diagram,
-    clasp,
     classify,
     cycle_basis,
     diagram_invariant,
@@ -98,7 +98,7 @@ def _clasp_cases():
         pos_e = rng.randint(0, counts[e])
         pos_f = rng.randint(0, counts[f])
         eps = rng.choice((1, -1))
-        cases.append((d, e, pos_e, f, pos_f, eps, clasp(d, e, pos_e, f, pos_f, eps)))
+        cases.append((d, e, pos_e, f, pos_f, eps, moved(d, "clasp", e, pos_e, f, pos_f, eps)))
     return cases
 
 

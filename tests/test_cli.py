@@ -298,10 +298,10 @@ class TestCanonical:
         p = tmp_path / "long.sgd"
         assert cli.main(["canonical", "1", "1", "20000", "--out", str(p)]) == 0
         d = parse_sgd(p.read_text())  # raises on any violation
-        assert len(d.crossings) == 40000
+        assert len(d.rows) == 40000
         for loop in ("a1", "b1"):
-            passages = sorted(idx for c in d.crossings for eid, idx in (c.over, c.under)
-                              if eid == loop)
+            passages = sorted(idx for _, oe, oi, ue, ui, _ in d.rows
+                              for eid, idx in ((oe, oi), (ue, ui)) if eid == loop)
             assert passages == list(range(40000))
         assert cli.main(["invariant", str(p)]) == 0
         assert capsys.readouterr().out == "20000\n"
@@ -402,8 +402,7 @@ class TestPerturb:
         def flip_inter(state, xid):
             d = state.diagram()
             comp = edge_components(d)
-            return real(state, next(c.id for c in d.crossings
-                                    if comp[c.over[0]] != comp[c.under[0]]))
+            return real(state, next(r[0] for r in d.rows if comp[r[1]] != comp[r[3]]))
 
         monkeypatch.setattr(moves.WalkState, "crossing_change", flip_inter)
         src = tmp_path / "c.sgd"

@@ -95,7 +95,7 @@ class TestCycleBasis:
         rng = random.Random(12)
         for _ in range(20):
             d = random_diagram(rng)
-            again = Diagram(d.vertices, d.edges, d.crossings)
+            again = Diagram(d.vertices, d.edges, d.rows)
             for comp in d.components:
                 assert cycle_basis(d, comp.index) == cycle_basis(again, comp.index)
 

@@ -132,9 +132,9 @@ def brute_counts(d, basis1, basis2):
     crossings."""
     def count(z, w, z_over):
         total = 0
-        for c in d.crossings:
-            a_eid, b_eid = (c.over[0], c.under[0]) if z_over else (c.under[0], c.over[0])
-            total += c.sign * z.coeffs.get(a_eid, 0) * w.coeffs.get(b_eid, 0)
+        for _, over, _, under, _, sign in d.rows:
+            a_eid, b_eid = (over, under) if z_over else (under, over)
+            total += sign * z.coeffs.get(a_eid, 0) * w.coeffs.get(b_eid, 0)
         return total
 
     over = [[count(z, w, True) for w in basis2.cycles] for z in basis1.cycles]

@@ -10,6 +10,7 @@ import pytest
 from gen import (
     dropping_closing_coefficient,
     edge_components,
+    moved,
     passage_counts,
     random_canonical,
     random_chain,
@@ -17,7 +18,6 @@ from gen import (
     walk_to_closing_split,
 )
 from sglink import (
-    Crossing,
     Cycle,
     Diagram,
     DomainError,
@@ -25,9 +25,6 @@ from sglink import (
     LkInvariant,
     apply_move,
     canonical_diagram,
-    clasp,
-    contract_edge,
-    crossing_change,
     cycle_basis,
     diagram_invariant,
     linking_matrix,
@@ -36,7 +33,6 @@ from sglink import (
     parse_sgd,
     random_homotopy_walk,
     serialize_sgd,
-    split_vertex,
     validate,
 )
 from sglink import moves
@@ -61,7 +57,7 @@ def reference_canonical(m, n, chain):
     for i, di in enumerate(chain):
         for _ in range(di):
             counts = passage_counts(d)
-            d = clasp(d, loops_a[i], counts[loops_a[i]], loops_b[i], counts[loops_b[i]], 1)
+            d = moved(d, "clasp", loops_a[i], counts[loops_a[i]], loops_b[i], counts[loops_b[i]], 1)
     return d
 
 
@@ -69,31 +65,30 @@ def pendant_split(d, vid="u1"):
     """Split off an empty part: adds a crossing-free pendant edge at vid."""
     ends = [(e.id, end) for e in d.edges for end, v in (("tail", e.tail), ("head", e.head))
             if v == vid]
-    return split_vertex(d, vid, ends, [], "v9", "e9")
+    return moved(d, "split_vertex", vid, ends, [], "v9", "e9")
 
 
 class TestCrossingChange:
     def test_involution(self):
         for xid in ("x1", "x2"):
-            assert crossing_change(crossing_change(HOPF, xid), xid) == HOPF
+            assert moved(moved(HOPF, "crossing_change", xid), "crossing_change", xid) == HOPF
 
     def test_unknown_crossing(self):
         with pytest.raises(DomainError):
-            crossing_change(HOPF, "nope")
+            moved(HOPF, "crossing_change", "nope")
 
     def test_invalid_diagram_is_a_domain_error(self):
         # built by hand, past parse_sgd's check: a crossing on a missing
         # edge, and passage indices with a gap, which a working state would
         # otherwise renumber
-        x1, x2 = HOPF.crossings
+        x1, (_, over, _, under, under_idx, sign) = HOPF.rows
         missing = Diagram(HOPF.vertices, HOPF.edges,
-                          (x1, Crossing("x2", ("nope", 0), x2.under, x2.sign)))
-        gap = Diagram(HOPF.vertices, HOPF.edges,
-                      (x1, Crossing("x2", (x2.over[0], 5), x2.under, x2.sign)))
+                          (x1, ("x2", "nope", 0, under, under_idx, sign)))
+        gap = Diagram(HOPF.vertices, HOPF.edges, (x1, ("x2", over, 5, under, under_idx, sign)))
         with pytest.raises(DomainError, match="references missing edge 'nope'"):
-            crossing_change(missing, "x1")
+            moved(missing, "crossing_change", "x1")
         with pytest.raises(DomainError, match="passage"):
-            crossing_change(gap, "x1")
+            moved(gap, "crossing_change", "x1")
         with pytest.raises(DomainError, match="invalid diagram"):
             next(walk_steps(gap, 1, 1))
 
@@ -106,14 +101,14 @@ class TestCrossingChange:
         checked = parse_sgd(text)
         moves.WalkState(checked)
         assert calls == []
-        for d in (parse_sgd(text, check=False), Diagram(checked.vertices, checked.edges,
-                                                        checked.crossings)):
+        for d in (parse_sgd(text, check=False),
+                  Diagram(checked.vertices, checked.edges, checked.rows)):
             assert d == checked
             moves.WalkState(d)
             assert calls[-1] is d
         # a diagram built by hand, or parsed unchecked, that fails validate
-        x1 = HOPF.crossings[0]
-        degenerate = Diagram(HOPF.vertices, HOPF.edges, (x1, Crossing("x2", x1.over, x1.over, 1)))
+        x1 = HOPF.rows[0]
+        degenerate = Diagram(HOPF.vertices, HOPF.edges, (x1, ("x2", *x1[1:3], *x1[1:3], 1)))
         unchecked = parse_sgd(serialize_sgd(degenerate), check=False)
         for d in (degenerate, unchecked):
             with pytest.raises(DomainError, match="over and under reference the same passage"):
@@ -123,43 +118,43 @@ class TestCrossingChange:
         z, w = Cycle(1, {"a1": 1}), Cycle(2, {"b1": 1})
         # flipping either Hopf crossing leaves one +1 and one -1 over-count
         for xid in ("x1", "x2"):
-            flipped = crossing_change(HOPF, xid)
+            flipped = moved(HOPF, "crossing_change", xid)
             assert linking_number(flipped, z, w) == 0
 
     def test_intra_component_change_preserves_invariant(self):
         d = pendant_split(canonical_diagram(2, 2, (1, 6)))
-        d = clasp(d, "a1", passage_counts(d)["a1"], "e9", 0, 1)  # intra-component clasp
+        d = moved(d, "clasp", "a1", passage_counts(d)["a1"], "e9", 0, 1)  # intra-component clasp
         inv = diagram_invariant(d)
         comp = edge_components(d)
-        intra = [c.id for c in d.crossings if comp[c.over[0]] == comp[c.under[0]]]
+        intra = [r[0] for r in d.rows if comp[r[1]] == comp[r[3]]]
         assert intra
         for xid in intra:
-            assert diagram_invariant(crossing_change(d, xid)) == inv
+            assert diagram_invariant(moved(d, "crossing_change", xid)) == inv
 
 
 class TestClasp:
     def test_split_bouquets_become_hopf(self):
-        d = clasp(canonical_diagram(1, 1, ()), "a1", 0, "b1", 0, 1)
+        d = moved(canonical_diagram(1, 1, ()), "clasp", "a1", 0, "b1", 0, 1)
         assert linking_matrix(d).entries == ((1,),)
         assert d == HOPF
 
     def test_cancelling_pair(self):
-        d = clasp(canonical_diagram(1, 1, ()), "a1", 0, "b1", 0, 1)
-        d = clasp(d, "a1", 2, "b1", 2, -1)
+        d = moved(canonical_diagram(1, 1, ()), "clasp", "a1", 0, "b1", 0, 1)
+        d = moved(d, "clasp", "a1", 2, "b1", 2, -1)
         assert linking_matrix(d).entries == ((0,),)
         assert over_under_consistent(d)
 
     def test_intra_component_clasp_preserves_invariant(self):
         d = pendant_split(canonical_diagram(2, 2, (1, 6)))
         inv = diagram_invariant(d)
-        d2 = clasp(d, "a1", 0, "e9", 0, -1)
+        d2 = moved(d, "clasp", "a1", 0, "e9", 0, -1)
         assert diagram_invariant(d2) == inv
 
     def test_passage_shift_keeps_diagram_valid(self):
         from sglink import validate
 
         d = canonical_diagram(1, 1, (3,))
-        mid = clasp(d, "a1", 2, "b1", 0, -1)  # insert between existing clasps
+        mid = moved(d, "clasp", "a1", 2, "b1", 0, -1)  # insert between existing clasps
         assert validate(mid) == []
         assert linking_matrix(mid).entries == ((2,),)
 
@@ -173,7 +168,7 @@ class TestClasp:
             f = rng.choice(comp2.edge_ids)
             eps = rng.choice((1, -1))
             counts = passage_counts(d)
-            d2 = clasp(d, e, rng.randint(0, counts[e]), f, rng.randint(0, counts[f]), eps)
+            d2 = moved(d, "clasp", e, rng.randint(0, counts[e]), f, rng.randint(0, counts[f]), eps)
             after = linking_matrix(d2)
             u = [z.coeffs.get(e, 0) for z in before.basis1.cycles]
             v = [w.coeffs.get(f, 0) for w in before.basis2.cycles]
@@ -183,11 +178,11 @@ class TestClasp:
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
-            clasp(HOPF, "a1", 0, "a1", 0, 1)
+            moved(HOPF, "clasp", "a1", 0, "a1", 0, 1)
         with pytest.raises(DomainError):
-            clasp(HOPF, "a1", 3, "b1", 0, 1)
+            moved(HOPF, "clasp", "a1", 3, "b1", 0, 1)
         with pytest.raises(DomainError):
-            clasp(HOPF, "a1", 0, "b1", 0, 2)
+            moved(HOPF, "clasp", "a1", 0, "b1", 0, 2)
 
 
 class TestContractSplit:
@@ -197,46 +192,46 @@ class TestContractSplit:
             "sgd 1\nvertex a\nvertex b\nvertex c\nvertex z\n"
             "edge e1 a b\nedge e2 b c\nedge e3 c a\nedge l1 a a\nedge m1 z z\n"
         )
-        return clasp(d, "l1", 0, "m1", 0, 1)
+        return moved(d, "clasp", "l1", 0, "m1", 0, 1)
 
     def test_contract_tree_edge_preserves_everything(self):
         d = self.triangle_plus_loop()
         inv = diagram_invariant(d)
         r = len(cycle_basis(d, 1).cycles)
-        d2 = contract_edge(d, "e1")
+        d2 = moved(d, "contract_edge", "e1")
         assert len(cycle_basis(d2, 1).cycles) == r
         assert diagram_invariant(d2) == inv
         assert len(d2.components) == 2
 
     def test_contract_path_to_point(self):
         d = parse_sgd("sgd 1\nvertex a\nvertex b\nedge e1 a b\n")
-        d2 = contract_edge(d, "e1")
+        d2 = moved(d, "contract_edge", "e1")
         assert d2.vertices == ("a",) and d2.edges == ()
 
     def test_contract_rejections(self):
         d = self.triangle_plus_loop()
         with pytest.raises(DomainError):
-            contract_edge(d, "l1")  # loop
+            moved(d, "contract_edge", "l1")  # loop
         with pytest.raises(DomainError):
-            contract_edge(HOPF, "a1")  # loop carrying passages
+            moved(HOPF, "contract_edge", "a1")  # loop carrying passages
         with pytest.raises(DomainError):
-            contract_edge(d, "zz")
-        d3 = clasp(d, "e1", 0, "m1", 2, 1)
+            moved(d, "contract_edge", "zz")
+        d3 = moved(d, "clasp", "e1", 0, "m1", 2, 1)
         with pytest.raises(DomainError):
-            contract_edge(d3, "e1")  # now carries passages
+            moved(d3, "contract_edge", "e1")  # now carries passages
 
     def test_split_then_contract_is_identity(self):
         d = self.triangle_plus_loop()
         ends_at_a = [("e1", "tail"), ("e3", "head"), ("l1", "tail"), ("l1", "head")]
-        d2 = split_vertex(d, "a", ends_at_a[:2], ends_at_a[2:], "w1", "f1")
+        d2 = moved(d, "split_vertex", "a", ends_at_a[:2], ends_at_a[2:], "w1", "f1")
         assert len(cycle_basis(d2, 1).cycles) == len(cycle_basis(d, 1).cycles)
         assert diagram_invariant(d2) == diagram_invariant(d)
-        assert contract_edge(d2, "f1") == d
+        assert moved(d2, "contract_edge", "f1") == d
 
     def test_split_moving_whole_loop(self):
         d = canonical_diagram(2, 1, (1,))
         inv = diagram_invariant(d)
-        d2 = split_vertex(d, "u1", [("a1", "tail"), ("a1", "head")],
+        d2 = moved(d, "split_vertex", "u1", [("a1", "tail"), ("a1", "head")],
                           [("a2", "tail"), ("a2", "head")], "w1", "f1")
         assert len(cycle_basis(d2, 1).cycles) == 2
         assert diagram_invariant(d2) == inv
@@ -244,15 +239,15 @@ class TestContractSplit:
     def test_split_rejections(self):
         d = self.triangle_plus_loop()
         with pytest.raises(DomainError):
-            split_vertex(d, "a", [("e1", "tail")], [("l1", "tail"), ("l1", "head")], "w1", "f1")
+            moved(d, "split_vertex", "a", [("e1", "tail")], [("l1", "tail"), ("l1", "head")], "w1", "f1")
         with pytest.raises(DomainError):
-            split_vertex(d, "a", [("e1", "tail"), ("l1", "tail")],
+            moved(d, "split_vertex", "a", [("e1", "tail"), ("l1", "tail")],
                          [("e3", "head"), ("l1", "tail"), ("l1", "head")], "w1", "f1")
         with pytest.raises(DomainError):
-            split_vertex(d, "a", [("e1", "tail"), ("e2", "tail")],
+            moved(d, "split_vertex", "a", [("e1", "tail"), ("e2", "tail")],
                          [("e3", "head"), ("l1", "tail"), ("l1", "head")], "w1", "f1")
         with pytest.raises(DomainError):
-            split_vertex(d, "a", [], [("e1", "tail"), ("e3", "head"),
+            moved(d, "split_vertex", "a", [], [("e1", "tail"), ("e3", "head"),
                                       ("l1", "tail"), ("l1", "head")], "b", "f1")
         # an end listed twice, in one part or in both, with every end listed
         ends_at_a = [("e1", "tail"), ("e3", "head"), ("l1", "tail"), ("l1", "head")]
@@ -260,12 +255,12 @@ class TestContractSplit:
                              (ends_at_a[:1] * 2 + ends_at_a[1:2], ends_at_a[2:]),
                              (ends_at_a, ends_at_a[:1])):
             with pytest.raises(DomainError, match="exactly once"):
-                split_vertex(d, "a", part1, part2, "w1", "f1")
+                moved(d, "split_vertex", "a", part1, part2, "w1", "f1")
         # new ids that SGD cannot write
         for new_vid, new_eid in (("v-1", "f1"), ("w1", "é"), ("w1", "f.x"), ("", "f1"),
                                  ("w1\n", "f1")):
             with pytest.raises(DomainError, match="is not an"):
-                split_vertex(d, "a", ends_at_a[:2], ends_at_a[2:], new_vid, new_eid)
+                moved(d, "split_vertex", "a", ends_at_a[:2], ends_at_a[2:], new_vid, new_eid)
 
 
 class TestCanonical:
@@ -274,7 +269,7 @@ class TestCanonical:
 
     def test_empty_chain_is_split(self):
         d = canonical_diagram(2, 3, ())
-        assert d.crossings == ()
+        assert d.rows == ()
         assert diagram_invariant(d) == LkInvariant()
 
     def test_chain_1_6(self):
@@ -475,6 +470,6 @@ class TestWalk:
 class TestFreshIds:
     def test_clasp_ids_avoid_collisions(self):
         d = canonical_diagram(1, 1, (3,))
-        assert sorted(c.id for c in d.crossings) == ["x1", "x2", "x3", "x4", "x5", "x6"]
-        d2 = clasp(d, "a1", 0, "b1", 0, 1)
-        assert sorted(c.id for c in d2.crossings)[-2:] == ["x7", "x8"]
+        assert sorted(r[0] for r in d.rows) == ["x1", "x2", "x3", "x4", "x5", "x6"]
+        d2 = moved(d, "clasp", "a1", 0, "b1", 0, 1)
+        assert sorted(r[0] for r in d2.rows)[-2:] == ["x7", "x8"]

@@ -13,9 +13,11 @@ the column arithmetic is exercised, not just the messages.
 ``parse_sgd`` as they stood when a diagram held one frozen ``Crossing``
 per crossing and the parser made them all, with the ``pair_signs``,
 ``validate`` and ``serialize_sgd`` that read them; copied verbatim, apart
-from the names.  Today's diagram holds plain rows and builds ``Crossing``
-objects only when they are read.  Both must agree on every diagram, valid
-or not, and in every error.
+from the names.  Today's diagram holds plain rows, its one crossing form,
+and ``Crossing`` survives only as ``gen``'s copy for these references;
+``gen.rows_of`` gives the rows of their crossing objects where they meet
+today's diagrams.  Both must agree on every diagram, valid or not, and in
+every error.
 """
 
 import random
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from gen import passage_counts, random_diagram
+from gen import Crossing, crossings_of, passage_counts, random_diagram, rows_of
 from sglink import (
     DomainError,
     FrozenValueError,
@@ -41,6 +43,7 @@ from sglink import (
     serialize_sgd,
     smith_normal_form,
 )
+from sglink import moves
 from sglink.moves import WalkState, random_homotopy_walk, walk_steps
 from sglink.sgd import (
     _ID_RE,
@@ -48,7 +51,6 @@ from sglink.sgd import (
     _TOKEN_RE,
     SGD_HEADER,
     Component,
-    Crossing,
     Diagram,
     Edge,
     Violation,
@@ -151,7 +153,7 @@ def reference_parse_sgd(text: str, check: bool = True) -> Diagram:
 
     if not saw_header:
         raise SgdParseError(f"missing header {SGD_HEADER!r}", 1, 1)
-    d = Diagram(tuple(vertices), tuple(edges), tuple(crossings))
+    d = Diagram(tuple(vertices), tuple(edges), rows_of(crossings))
     if check:
         problems = validate(d)
         if problems:
@@ -612,17 +614,18 @@ def assert_same_storage(text):
             assert got == want, (text, check)
             continue
         assert isinstance(got, Diagram), (text, check, got)
-        built = Diagram(want.vertices, want.edges, want.crossings)
+        rows = rows_of(want.crossings)
+        built = Diagram(want.vertices, want.edges, rows)
         assert got == built and hash(got) == hash(built)
-        assert (got.vertices, got.edges, got.crossings) == (
-            want.vertices, want.edges, want.crossings)
+        assert (got.vertices, got.edges, got.rows) == (want.vertices, want.edges, rows)
         assert list(got.sign_sums.items()) == list(want.sign_sums.items())
         assert passage_counts(got) == want.passage_counts
-        assert {c.id: c for c in got.crossings} == want.crossing_map
+        assert {c.id: c for c in crossings_of(got)} == want.crossing_map
         assert got.components == want.components
         assert serialize_sgd(got).encode() == head_serialize_sgd(want).encode()
         assert validate(got) == head_validate(want)
-        assert repr(got) == repr(want).replace("HeadDiagram(", "Diagram(", 1)
+        assert repr(got) == (f"Diagram(vertices={want.vertices!r}, edges={want.edges!r}, "
+                             f"rows={rows!r})")
     return got
 
 
@@ -665,19 +668,19 @@ def test_rows_agree_with_the_object_diagram():
     assert resorted > 50  # the out-of-order path is taken
 
 
-def test_parsed_diagram_equals_one_built_from_crossing_objects():
+def test_parsed_diagram_equals_one_built_from_its_rows():
     rng = random.Random(29)
     built = [random_diagram(rng) for _ in range(60)]
     for state, seed in ((WalkState(canonical_diagram(3, 3, (1, 2, 4))), 3),
                         (WalkState(canonical_diagram(2, 4, (2,))), 4)):
         for _, state in walk_steps(state, 80, seed):
             d = state.diagram()
-            built.append(Diagram(d.vertices, d.edges, d.crossings))
+            built.append(Diagram(d.vertices, d.edges, d.rows))
             built.append(d)
     for d in built:
         parsed = parse_sgd(serialize_sgd(d))
         assert parsed == d and hash(parsed) == hash(d)
-        assert parsed.crossings == d.crossings
+        assert parsed.rows == d.rows
         assert parsed.sign_sums == d.sign_sums
 
 
@@ -747,7 +750,8 @@ def test_validate_lists_what_the_reference_lists_on_hand_built_diagrams():
     stacked = 0
     for _ in range(600):
         parts = hand_built(rng)
-        got = validate(Diagram(*parts))
+        vertices, edges, crossings = parts
+        got = validate(Diagram(vertices, edges, rows_of(crossings)))
         assert got == head_validate(HeadDiagram(*parts)), parts
         codes.update(v.code for v in got)
         by_entity = defaultdict(set)
@@ -758,9 +762,11 @@ def test_validate_lists_what_the_reference_lists_on_hand_built_diagrams():
     assert stacked > 50
 
 
-def test_invariant_and_walk_build_no_crossing_objects():
-    # the rows are all the pipeline reads; Crossing objects are made only
-    # when d.crossings is read
+def test_invariant_and_walk_keep_only_rows():
+    # the rows are the one crossing form: what the pipeline and a walk
+    # leave on a diagram is its fields, the parser's mark and the caches
+    # the counts read, and no crossing objects
+    kept = {"vertices", "edges", "rows", "_checked", "edge_map", "sign_sums", "components"}
     for path in sorted(DATA.glob("*.sgd")):
         d = parse_sgd(path.read_text(encoding="utf-8"))
         if len(d.components) == 2:
@@ -770,20 +776,29 @@ def test_invariant_and_walk_build_no_crossing_objects():
             pass
         final = state.diagram()
         assert parse_sgd(serialize_sgd(final)) == final
-        assert "crossings" not in vars(d) and "crossings" not in vars(final)
-        assert len(d.crossings) == len(d.rows) and "crossings" in vars(d)
+        for x in (d, final):
+            assert set(vars(x)) <= kept and not hasattr(x, "crossings")
 
 
-def test_constructor_keeps_only_the_rows_of_the_crossings_it_is_given():
-    # the rows are the one crossing store: the Crossing objects are built
-    # from them on the first read, equal to the ones given, in id order
+def test_constructor_takes_vertices_edges_and_rows_out_of_id_order(monkeypatch):
+    # Diagram(vertices, edges, rows) sorts each part by id and keeps the
+    # rows as given: it equals and hashes like the diagram its text parses
+    # to, and shows its rows in repr; as the parser has not checked it, a
+    # walk state built on it runs validate
     d = parse_sgd(serialize_sgd(canonical_diagram(2, 2, (1, 5))))  # x10 < x2
-    given = list(d.crossings)
-    random.Random(37).shuffle(given)
-    built = Diagram(d.vertices, d.edges, given)
-    assert built == d and built.rows == d.rows
-    assert "crossings" not in vars(built)
-    assert built.crossings == tuple(sorted(given, key=lambda c: c.id)) == d.crossings
+    vertices, edges, rows = d.vertices[::-1], d.edges[::-1], d.rows[::-1]
+    assert [r[0] for r in rows][-3:] == ["x11", "x10", "x1"]
+    built = Diagram(vertices, edges, rows)
+    parsed = parse_sgd(serialize_sgd(built))
+    assert built == parsed == d and hash(built) == hash(parsed)
+    assert (built.vertices, built.edges, built.rows) == (
+        tuple(sorted(vertices)), tuple(sorted(edges, key=lambda e: e.id)), tuple(sorted(rows)))
+    assert repr(built) == f"Diagram(vertices=('u1', 'u2'), edges={d.edges!r}, rows={d.rows!r})"
+    calls = []
+    monkeypatch.setattr(moves, "validate", lambda x: calls.append(x) or validate(x))
+    WalkState(parsed)
+    assert calls == []
+    assert WalkState(built).diagram() == built and calls == [built]
 
 
 def immutable(value, names) -> None:
@@ -800,11 +815,11 @@ def immutable(value, names) -> None:
 
 def test_diagram_stays_immutable():
     d = parse_sgd(SMALL_TEXT)
-    immutable(d, ("vertices", "rows", "crossings", "sign_sums"))
+    immutable(d, ("vertices", "edges", "rows", "sign_sums"))
     assert d == parse_sgd(SMALL_TEXT)
 
 
-VALUE_TYPES = {"Diagram", "Edge", "Crossing", "Component", "Violation", "Cycle", "CycleBasis",
+VALUE_TYPES = {"Diagram", "Edge", "Component", "Violation", "Cycle", "CycleBasis",
                "LinkingMatrix", "SnfCertificate", "IntMatrix", "LkInvariant", "MoveRecord",
                "Verdict"}
 
@@ -815,7 +830,7 @@ def test_every_value_type_stays_immutable():
     cert = smith_normal_form(mat)
     _, moves = random_homotopy_walk(d, steps=5, seed=3)
     bad = Diagram(("a",), (Edge("e", "a", "b"),))
-    values = [d, d.edges[0], d.crossings[0], d.components[0], validate(bad)[0],
+    values = [d, d.edges[0], d.components[0], validate(bad)[0],
               mat.basis1.cycles[0], mat.basis1, mat, cert, cert.U, lk_invariant(mat),
               moves[0], classify(d, d)]
     assert {type(v).__name__ for v in values} == VALUE_TYPES

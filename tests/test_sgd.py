@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gen import passage_counts, random_diagram
 from sglink import (
-    Crossing,
     Diagram,
     DomainError,
     Edge,
@@ -37,7 +36,7 @@ class TestParse:
     def test_empty_diagram(self):
         d = parse_sgd("sgd 1\nvertex a\nvertex b\n")
         assert d.vertices == ("a", "b")
-        assert d.edges == () and d.crossings == ()
+        assert d.edges == () and d.rows == ()
         assert len(d.components) == 2
 
     def test_hopf(self):
@@ -129,7 +128,7 @@ class TestValidate:
         d = Diagram(
             ("v",),
             (Edge("e", "v", "v"),),
-            (Crossing("x", ("e", 0), ("e", 0), 1),),
+            (("x", "e", 0, "e", 0, 1),),
         )
         codes = [v.code for v in validate(d)]
         assert "crossing-degenerate" in codes
@@ -141,9 +140,9 @@ class TestValidate:
         cases = {
             "duplicate-id": Diagram(("v", "v"), (edge,)),
             "dangling-vertex": Diagram(("v",), (Edge("f", "v", "w"),)),
-            "dangling-edge": Diagram(("v",), (edge,), (Crossing("x", ("g", 0), ("e", 0), 1),)),
-            "bad-sign": Diagram(("v",), (edge,), (Crossing("x", ("e", 0), ("e", 1), 2),)),
-            "passage-gap": Diagram(("v",), (edge,), (Crossing("x", ("e", 0), ("e", 2), 1),)),
+            "dangling-edge": Diagram(("v",), (edge,), (("x", "g", 0, "e", 0, 1),)),
+            "bad-sign": Diagram(("v",), (edge,), (("x", "e", 0, "e", 1, 2),)),
+            "passage-gap": Diagram(("v",), (edge,), (("x", "e", 0, "e", 2, 1),)),
             "bad-identifier": Diagram(("v w",), ()),
         }
         for code, diagram in cases.items():
@@ -152,14 +151,14 @@ class TestValidate:
     def test_duplicate_and_gap_messages(self):
         edge = Edge("e", "v", "v")
         dup = Diagram(("v",), (edge,), (
-            Crossing("x1", ("e", 2), ("e", 0), 1),
-            Crossing("x2", ("e", 2), ("e", 0), 1),
-            Crossing("x3", ("e", 1), ("e", 3), 1),
+            ("x1", "e", 2, "e", 0, 1),
+            ("x2", "e", 2, "e", 0, 1),
+            ("x3", "e", 1, "e", 3, 1),
         ))
         assert [v.message for v in validate(dup)] == [
             "edge 'e' passage indices used twice: [0, 2]"
         ]
-        gap = Diagram(("v",), (edge,), (Crossing("x", ("e", 3), ("e", 0), 1),))
+        gap = Diagram(("v",), (edge,), (("x", "e", 3, "e", 0, 1),))
         assert [v.message for v in validate(gap)] == [
             "edge 'e' passage indices [0, 3] are not 0..1"
         ]
@@ -171,10 +170,10 @@ class TestValidate:
         d = Diagram(
             ("v", "v", "w-"),
             (Edge("e", "v", "v"), Edge("f", "v", "u"), Edge("f", "w-", "w-")),
-            (Crossing("x1", ("e", 0), ("e", 0), 1),
-             Crossing("x2", ("g", 0), ("g", 0), 2),
-             Crossing("x2", ("e", 1), ("h", 0), 1),
-             Crossing("x3", ("e", 1), ("e", 3), 0)),
+            (("x1", "e", 0, "e", 0, 1),
+             ("x2", "g", 0, "g", 0, 2),
+             ("x2", "e", 1, "h", 0, 1),
+             ("x3", "e", 1, "e", 3, 0)),
         )
         assert [(v.code, v.message) for v in validate(d)] == [
             ("bad-identifier", "identifier 'w-' is not an [A-Za-z0-9_]+ token"),

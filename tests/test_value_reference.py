@@ -1,13 +1,14 @@
 """The value types against the dataclasses they replaced, kept here as a
 reference.
 
-The twelve classes below are ``Edge``, ``Crossing``, ``Component`` and
-``Violation`` (``sgd``), ``Cycle`` and ``CycleBasis`` (``homology``),
-``IntMatrix``, ``SnfCertificate`` and ``LkInvariant`` (``smith``),
-``LinkingMatrix`` (``linking``), ``MoveRecord`` (``moves``) and
-``Verdict`` (``classify``) as they stood when each was a frozen
-dataclass; copied verbatim, names included, so the package's classes are
-read as ``sglink.X``.  Today's classes are plain classes on one frozen
+The eleven classes below are ``Edge``, ``Component`` and ``Violation``
+(``sgd``), ``Cycle`` and ``CycleBasis`` (``homology``), ``IntMatrix``,
+``SnfCertificate`` and ``LkInvariant`` (``smith``), ``LinkingMatrix``
+(``linking``), ``MoveRecord`` (``moves``) and ``Verdict`` (``classify``)
+as they stood when each was a frozen dataclass; copied verbatim, names
+included, so the package's classes are read as ``sglink.X``.  The
+twelfth, ``Crossing``, is gone from the package, as a crossing is now a
+plain row of its diagram.  Today's classes are plain classes on one frozen
 base with their own ``__init__``.  On a seeded corpus of values made by
 the pipeline, both must agree in equality, inequality and hash (the
 cross-class ``IntMatrix``/``LinkingMatrix`` case and the unhashable
@@ -43,16 +44,6 @@ class Edge:
     id: str
     tail: str
     head: str
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """Signed crossing between two (edge id, passage index) references."""
-
-    id: str
-    over: tuple[str, int]
-    under: tuple[str, int]
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -259,9 +250,9 @@ class Verdict:
         )
 
 
-HEAD = {cls.__name__: cls for cls in (Edge, Crossing, Component, Violation, Cycle, CycleBasis,
-                                      IntMatrix, SnfCertificate, LkInvariant, LinkingMatrix,
-                                      MoveRecord, Verdict)}
+HEAD = {cls.__name__: cls for cls in (Edge, Component, Violation, Cycle, CycleBasis, IntMatrix,
+                                      SnfCertificate, LkInvariant, LinkingMatrix, MoveRecord,
+                                      Verdict)}
 
 
 def names(value) -> list[str]:
@@ -293,7 +284,7 @@ def outcome(f, *a, **kw):
 
 
 def corpus(seed: int) -> list:
-    """Values of all twelve types, as the pipeline makes them, with equal
+    """Values of all eleven types, as the pipeline makes them, with equal
     values made twice so that equality has pairs to find."""
     rng = random.Random(seed)
     diagrams = [sglink.canonical_diagram(m, n, chain) for m, n, chain in
@@ -304,7 +295,7 @@ def corpus(seed: int) -> list:
     for d in diagrams:
         for again in (d, sglink.parse_sgd(sglink.serialize_sgd(d))):
             mat = sglink.linking_matrix(again)
-            values += [*again.edges[:3], *again.crossings[:3], *again.components, mat,
+            values += [*again.edges[:3], *again.components, mat,
                        mat.basis1, mat.basis2, *mat.basis1.cycles[:2],
                        sglink.smith_normal_form(mat), sglink.lk_invariant(mat),
                        sglink.IntMatrix(mat.rows, mat.cols, mat.entries)]
@@ -312,8 +303,8 @@ def corpus(seed: int) -> list:
         values.append(sglink.classify(d, diagrams[rng.randrange(len(diagrams))]))
     for _ in range(30):
         d = random_diagram(rng)
-        values += [*d.edges[:2], *d.crossings[:2], *d.components[:2]]
-        values += sglink.validate(sglink.Diagram(d.vertices[1:], d.edges, d.crossings))[:3]
+        values += [*d.edges[:2], *d.components[:2]]
+        values += sglink.validate(sglink.Diagram(d.vertices[1:], d.edges, d.rows))[:3]
     for _ in range(20):
         m = random_matrix(rng)
         values += [m, sglink.IntMatrix(m.rows, m.cols, m.entries), sglink.smith_normal_form(m)]

@@ -5,9 +5,13 @@ The functions below, from ``_fresh_ids`` to ``replay_steps``, are the move
 engine as it stood when every move built a new ``Diagram``, copied
 verbatim but for the lookups a ``Diagram`` no longer offers (passage
 counts, the component of an edge, crossings by id), which ``gen`` and the
-crossing list provide.  Today each move is a method of
-``moves.WalkState``, which a walk updates in place.  Both must draw the same moves from a seed, reach the
-same diagrams, and reject the same bad moves with the same error text.
+crossing list provide, and for ``gen``'s conversions between the
+``Crossing`` objects they build and the rows a ``Diagram`` holds
+(``crossings_of`` and ``rows_of``).  Today each move is a method of
+``moves.WalkState``, which a walk updates in place, and one move on a
+diagram is ``gen.moved``.  Both must draw the same moves from a seed,
+reach the same diagrams, and reject the same bad moves with the same
+error text.
 The corpus covers canonical diagrams, random diagrams with self-crossings
 on one edge and any number of components, and walks that contract ``u1``
 away, so the components renumber.
@@ -16,12 +20,21 @@ away, so the components renumber.
 import random
 from typing import Iterator, Sequence
 
-from gen import component_of_edge, edge_components, passage_counts, random_diagram
+from gen import (
+    Crossing,
+    component_of_edge,
+    crossings_of,
+    edge_components,
+    moved,
+    passage_counts,
+    random_diagram,
+    rows_of,
+)
 from sglink import DomainError, canonical_diagram, cycle_basis, linking_matrix, serialize_sgd
 from sglink import moves
 from sglink.linking import matrix_from_pairs
 from sglink.moves import KINDS, MoveRecord, format_move, parse_move
-from sglink.sgd import Crossing, Diagram, Edge, pair_signs
+from sglink.sgd import Diagram, Edge, pair_signs
 
 
 def _fresh_ids(prefix: str, taken: set[str], count: int) -> list[str]:
@@ -40,13 +53,13 @@ def crossing_change(d: Diagram, xid: str) -> Diagram:
 
     An involution: applying it twice restores the diagram.
     """
-    if xid not in {c.id for c in d.crossings}:
+    if xid not in {c.id for c in crossings_of(d)}:
         raise DomainError(f"unknown crossing {xid!r}")
     new = tuple(
         Crossing(c.id, c.under, c.over, -c.sign) if c.id == xid else c
-        for c in d.crossings
+        for c in crossings_of(d)
     )
-    return Diagram(d.vertices, d.edges, new)
+    return Diagram(d.vertices, d.edges, rows_of(new))
 
 
 def clasp(d: Diagram, e: str, pos_e: int, f: str, pos_f: int, eps: int) -> Diagram:
@@ -78,11 +91,11 @@ def clasp(d: Diagram, e: str, pos_e: int, f: str, pos_f: int, eps: int) -> Diagr
             idx += 2
         return (eid, idx)
 
-    crossings = [Crossing(c.id, shift(c.over), shift(c.under), c.sign) for c in d.crossings]
-    xa, xb = _fresh_ids("x", {c.id for c in d.crossings}, 2)
+    crossings = [Crossing(c.id, shift(c.over), shift(c.under), c.sign) for c in crossings_of(d)]
+    xa, xb = _fresh_ids("x", {c.id for c in crossings_of(d)}, 2)
     crossings.append(Crossing(xa, (e, pos_e), (f, pos_f), eps))
     crossings.append(Crossing(xb, (f, pos_f + 1), (e, pos_e + 1), eps))
-    return Diagram(d.vertices, d.edges, tuple(crossings))
+    return Diagram(d.vertices, d.edges, rows_of(crossings))
 
 
 def contract_edge(d: Diagram, eid: str) -> Diagram:
@@ -106,7 +119,7 @@ def contract_edge(d: Diagram, eid: str) -> Diagram:
         if x.id != eid
     )
     vertices = tuple(v for v in d.vertices if v != drop)
-    return Diagram(vertices, edges, d.crossings)
+    return Diagram(vertices, edges, d.rows)
 
 
 def _ends_at(d: Diagram, vid: str) -> list[tuple[str, str]]:
@@ -159,7 +172,7 @@ def split_vertex(
         for e in d.edges
     ]
     edges.append(Edge(new_eid, vid, new_vid))
-    return Diagram(d.vertices + (new_vid,), tuple(edges), d.crossings)
+    return Diagram(d.vertices + (new_vid,), tuple(edges), d.rows)
 
 
 # fewest parameters each move kind takes (split_vertex lists ends after three)
@@ -170,7 +183,7 @@ def _record(d: Diagram, kind: str, params: tuple[str, ...]) -> MoveRecord:
     if len(params) < _ARITY.get(kind, 0):
         raise DomainError(f"move {kind!r} is missing parameters")
     if kind == "crossing_change":
-        c = {c.id: c for c in d.crossings}.get(params[0])
+        c = {c.id: c for c in crossings_of(d)}.get(params[0])
         if c is None:
             raise DomainError(f"unknown crossing {params[0]!r}")
         preserving = component_of_edge(d, c.over[0]) == component_of_edge(d, c.under[0])
@@ -208,7 +221,7 @@ def _sample_move(d: Diagram, rng: random.Random) -> MoveRecord | None:
     kind = rng.choice(KINDS)
     if kind == "crossing_change":
         comp = edge_components(d)
-        candidates = [c.id for c in d.crossings if comp[c.over[0]] == comp[c.under[0]]]
+        candidates = [c.id for c in crossings_of(d) if comp[c.over[0]] == comp[c.under[0]]]
         if not candidates:
             return None
         return _record(d, kind, (rng.choice(candidates),))
@@ -370,7 +383,7 @@ def test_random_diagram_walks_match():
     self_crossings = many_components = 0
     for _ in range(80):
         d = random_diagram(rng)
-        self_crossings += any(c.over[0] == c.under[0] for c in d.crossings)
+        self_crossings += any(over == under for _, over, _, under, _, _ in d.rows)
         many_components += len(d.components) > 2
         assert_same_walk(d, 30, rng.randrange(2**32))
     assert self_crossings > 10 and many_components > 10
@@ -416,8 +429,8 @@ def test_inter_component_replays_match():
             comps = walked.components
             for _ in range(12):
                 kind = rng.choice(("crossing_change", "clasp"))
-                if kind == "crossing_change" and walked.crossings:
-                    line = f"crossing_change {rng.choice(walked.crossings).id}"
+                if kind == "crossing_change" and walked.rows:
+                    line = f"crossing_change {rng.choice(walked.rows)[0]}"
                 elif len(comps) == 2 and comps[0].edge_ids and comps[1].edge_ids:
                     e, f = rng.choice(comps[0].edge_ids), rng.choice(comps[1].edge_ids)
                     if rng.random() < 0.5:
@@ -462,17 +475,17 @@ def test_single_moves_match_on_random_arguments():
     for _ in range(300):
         d = random_diagram(rng)
         eids = [e.id for e in d.edges] + ["zz"]
-        xids = [c.id for c in d.crossings] + ["x999"]
+        xids = [r[0] for r in d.rows] + ["x999"]
         vids = list(d.vertices) + ["zz"]
         xid = rng.choice(xids)
-        assert outcome(moves.crossing_change, d, xid) == outcome(crossing_change, d, xid)
+        assert outcome(moved, d, "crossing_change", xid) == outcome(crossing_change, d, xid)
         e, f = rng.choice(eids), rng.choice(eids)
         count = max(passage_counts(d).values(), default=0)
-        args = (d, e, rng.randint(-1, count + 1), f, rng.randint(-1, count + 1),
+        args = (e, rng.randint(-1, count + 1), f, rng.randint(-1, count + 1),
                 rng.choice((1, -1, -1, 1, 0)))
-        assert outcome(moves.clasp, *args) == outcome(clasp, *args)
+        assert outcome(moved, d, "clasp", *args) == outcome(clasp, d, *args)
         eid = rng.choice(eids)
-        assert outcome(moves.contract_edge, d, eid) == outcome(contract_edge, d, eid)
+        assert outcome(moved, d, "contract_edge", eid) == outcome(contract_edge, d, eid)
         vid = rng.choice(vids)
         ends = _ends_at(d, vid)
         rng.shuffle(ends)
@@ -482,9 +495,9 @@ def test_single_moves_match_on_random_arguments():
             (part1 if rng.random() < 0.5 else part2).append(rng.choice(ends + [("zz", "tail")]))
         new_vid = rng.choice(vids + ["v9", "w1"])
         new_eid = rng.choice(eids + ["e9", "f1"])
-        args = (d, vid, part1, part2, new_vid, new_eid)
-        want = outcome(split_vertex, *args)
+        args = (vid, part1, part2, new_vid, new_eid)
+        want = outcome(split_vertex, d, *args)
         if isinstance(want, str) and len(part1) + len(part2) > len(ends):
             # an end listed twice in one part, which the reference took
             want = (DomainError, "partition must cover the incident edge-ends exactly once")
-        assert outcome(moves.split_vertex, *args) == want
+        assert outcome(moved, d, "split_vertex", *args) == want
