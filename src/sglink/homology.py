@@ -14,7 +14,8 @@ its edge up to their common ancestor, so the whole basis is linear in its
 support.
 
 :func:`cycle_basis` is the one basis builder: the commands, the linking
-matrix and the start bases a ``moves.WalkState`` keeps all come from it.
+matrix and every basis a ``moves.WalkState`` hands out come from it; a
+state takes its start trees from :func:`spanning_tree`.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -
     with coefficient +1 (traversed tail to head) plus the unique tree path
     from its head back to its tail, tree edges signed by traversal
     direction.  ``tree`` overrides the deterministic spanning tree; it must
-    be a spanning tree of the same component.
+    be a spanning tree of the same component.  ``d`` may be anything with
+    a diagram's ``component(k)`` and ``edge_map``, as a ``moves.WalkState``
+    has.
     """
     comp = d.component(component)
     vertices, edge_ids, edge_map = comp.vertices, comp.edge_ids, d.edge_map

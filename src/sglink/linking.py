@@ -21,9 +21,10 @@ diagram's default bases, :func:`over_under_consistent` the count over the
 same bases swapped, and :func:`linking_number`, the pairing of two
 arbitrary cycles, the 1 x 1 count, after it checks that each cycle lies
 in its component.  A walk's working state (``moves.WalkState``) keeps its
-own running pair sums and bases, and :func:`linking_matrix` given such a
-state returns the matrix the state keeps over them, read off those sums
-by :func:`matrix_from_pairs`.
+own running pair sums and a spanning tree per component, and
+:func:`linking_matrix` given such a state returns the matrix the state
+keeps over the fundamental bases of those trees, read off those sums by
+:func:`matrix_from_pairs`.
 """
 
 from __future__ import annotations
@@ -120,11 +121,11 @@ def require_two_components(d: Diagram) -> None:
 def linking_matrix(d: Diagram | WalkState) -> LinkingMatrix:
     """Linking matrix over the default cycle bases of the two components.
 
-    ``d`` may also be a ``moves.WalkState``; its matrix is over the bases
-    the state keeps: the default bases of the diagram it was built from,
-    updated since by each graph move over the spanning tree the move left,
-    so in general not the default bases of the diagram it holds now
-    (:meth:`moves.WalkState.linking_matrix`).  :func:`matrix_from_pairs`
+    ``d`` may also be a ``moves.WalkState``; its matrix is over the
+    fundamental bases of the spanning trees the state keeps, which start
+    as the default trees of the diagram it was built from and go wherever
+    the graph moves take them, so in general not the default bases of the
+    diagram it holds now (:meth:`moves.WalkState.linking_matrix`).  :func:`matrix_from_pairs`
     counts over bases of the caller's choosing.
     """
     if not isinstance(d, Diagram):

@@ -21,21 +21,17 @@ A walk applies each move it samples through the method it drew, with the
 values drawn, and writes the move's record for the output only; a replay
 parses each record's tokens and checks them before it applies the move.
 
-A state also keeps, for each component, a spanning tree and its
-fundamental cycles, built with the state by ``homology.cycle_basis`` and
-updated by each graph move.
-A split or a contraction is a homotopy equivalence of one component, so
-it changes the linking matrix only by a unimodular change of basis: the
-state updates the cycles the move touched and certifies each move as it
-goes (no passage on the edge the move adds or removes, zero boundary at
-the move's vertices, and every cycle a non-tree contraction changed
-still the fundamental cycle of its edge over the new tree).  A failed
-certificate raises :class:`MoveCheckError`, which names the move.  The
-kept bases are made as ``CycleBasis`` values only when read, and can be
-read at any point of a walk; a basis read once never changes, as a move
-gives each cycle it changes a new dict.  The state keeps the linking
-matrix over its bases as entries only, read with no basis made while no
-move has dropped them.
+A state also keeps a spanning tree of each component, taken from
+``homology.spanning_tree`` and carried through each split and
+contraction; a component's basis is the fundamental basis of its tree,
+made by ``homology.cycle_basis`` when read.  Such a move is a homotopy
+equivalence of one component, and the fundamental bases of two spanning
+trees differ by a unimodular change of basis, so the matrix over the
+kept bases keeps its divisors.  Each move is certified in
+constant time (no passage on the edge it adds or removes, and a tree one
+edge short of its component's vertex count); a failed certificate raises
+:class:`MoveCheckError`, which names the move.  A tree that does not
+span its component fails when its basis is read.
 
 The canonical generator builds, for ranks (m, n) and a divisor chain d, two
 bouquets joined by parallel clasps so that loop i of each side links loop i
@@ -52,9 +48,9 @@ from bisect import bisect_left, insort
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, SelfCheckError
-from .homology import Cycle, CycleBasis, cycle_basis
+from .homology import CycleBasis, cycle_basis, spanning_tree
 from .linking import LinkingMatrix, matrix_from_pairs
-from .sgd import _ID_RE, Diagram, Edge, pair_signs, validate
+from .sgd import _ID_RE, Component, Diagram, Edge, pair_signs, validate
 from .value import Value
 
 __all__ = [
@@ -167,117 +163,6 @@ class _FreshIds:
                 heapq.heappush(self._free, k)
 
 
-class _KeptBasis:
-    """One component's spanning tree and its fundamental cycles, kept
-    through graph moves.
-
-    - ``tree`` holds the tree edges in the order they joined the tree.
-    - ``keys`` holds the non-tree edges in id order; the cycle of a key is
-      its fundamental cycle, +1 on the key and 0 on the other keys.
-    - ``cycles`` maps each key to its coefficients (edge id -> nonzero
-      int).  A changed cycle gets a new dict, so a basis handed out by
-      :meth:`basis` never changes.
-    - ``through`` maps each edge to the keys of the cycles that hold it.
-    - ``_made`` is the basis :meth:`basis` last made, or None after a
-      move.
-    """
-
-    def __init__(self, b: CycleBasis, edge_ids: Sequence[str]):
-        tree = set(b.tree_edges)
-        self.tree = dict.fromkeys(b.tree_edges)
-        self.keys = [eid for eid in edge_ids if eid not in tree]
-        self.cycles: dict[str, dict[str, int]] = {}
-        self.through: dict[str, set[str]] = {}
-        for key, c in zip(self.keys, b.cycles):
-            self.cycles[key] = c.coeffs
-            for x in c.coeffs:
-                self.through.setdefault(x, set()).add(key)
-        self._made: CycleBasis | None = b
-
-    def basis(self, k: int) -> CycleBasis:
-        """The basis as a ``CycleBasis`` of component number ``k``, made
-        anew after a move or a renumbering."""
-        made = self._made
-        if made is None or made.component != k:
-            made = self._made = CycleBasis(
-                k, tuple(self.tree), tuple(Cycle(k, self.cycles[key]) for key in self.keys))
-        return made
-
-    def boundary(self, ends) -> dict[str, int]:
-        """The boundary of each cycle through edge ends ``(edge id,
-        "tail"/"head")`` summed over those ends, by key: a head end counts
-        the cycle's coefficient on its edge, a tail end its negative."""
-        sums: dict[str, int] = {}
-        for x, side in ends:
-            for key in self.through.get(x, ()):
-                c = self.cycles[key][x]
-                sums[key] = sums.get(key, 0) + (c if side == "head" else -c)
-        return sums
-
-    def split(self, moved, new_eid: str) -> None:
-        """The new edge of a split joins the tree.  Each cycle through the
-        moved ends takes the coefficient on it that closes the cycle at
-        the new vertex, the end of the new edge."""
-        sums = self.boundary(moved)
-        self.tree[new_eid] = None
-        closed = [key for key, s in sums.items() if s]
-        if closed:
-            self.through[new_eid] = set(closed)
-            for key in closed:
-                self.cycles[key] = {**self.cycles[key], new_eid: -sums[key]}
-        self._made = None
-
-    def contract(self, eid: str) -> list[str] | None:
-        """Contract edge ``eid`` in the basis.
-
-        A tree edge leaves the tree and its coefficient is dropped; every
-        cycle keeps its key, and None is returned.  For a non-tree edge e,
-        the smallest tree edge t on its cycle z_e leaves the tree: sigma *
-        (z_e - e), sigma = z_e[t], becomes t's cycle, and every other cycle
-        z through t becomes z - z[t] * (t's cycle).  The keys of the cycles
-        that changed so are returned.
-        """
-        through = self.through
-        if eid in self.tree:
-            del self.tree[eid]
-            keys = through.pop(eid, ())
-            for key in keys:
-                z = dict(self.cycles[key])
-                del z[eid]
-                self.cycles[key] = z
-            self._made = None
-            return None
-        ze = self.cycles.pop(eid)
-        t = min(x for x in ze if x != eid)
-        sigma = ze[t]
-        ct = {x: sigma * c for x, c in ze.items() if x != eid}
-        for x in ze:
-            through[x].discard(eid)
-        del through[eid]
-        changed = [t]
-        for key in list(through[t]):
-            z = dict(self.cycles[key])
-            f = z[t]
-            for x, c in ct.items():
-                v = z.get(x, 0) - f * c
-                if v:
-                    z[x] = v
-                    through[x].add(key)
-                else:
-                    del z[x]
-                    through[x].discard(key)
-            self.cycles[key] = z
-            changed.append(key)
-        self.cycles[t] = ct
-        for x in ct:
-            through[x].add(t)
-        del self.tree[t]
-        _discard(self.keys, eid)
-        insort(self.keys, t)
-        self._made = None
-        return changed
-
-
 class WalkState:
     """A valid diagram as a mutable working state that moves update in place;
     building one from a diagram that fails ``sgd.validate`` raises
@@ -296,27 +181,26 @@ class WalkState:
     - Each vertex keeps its incident edge ends; each component keeps its
       vertices and edges in id order, and components are numbered by their
       smallest vertex id, as ``Diagram.components`` numbers them.
-    - Each component keeps a basis from the start: a spanning tree and
-      its fundamental cycles, with an edge -> cycles index, which each
-      split and contraction updates where it touches them.  The kept tree
-      starts as ``cycle_basis``'s breadth-first default and is then
-      wherever the moves took it.
+    - Each component keeps a spanning tree, its edges in join order:
+      ``spanning_tree``'s at the start, then wherever the moves took it.
+      A split adds its new edge, a contraction removes its edge, or, for
+      a non-tree edge, the smallest tree edge on its fundamental cycle.
+      :meth:`basis` makes the fundamental basis of the tree with
+      ``cycle_basis`` when read and keeps it until the next graph move
+      or renumbering.
     - With two components the entries of the linking matrix over the kept
       bases are kept once read.  A split or the contraction of a tree edge
       leaves them as they are.  A changed inter-component sign sum, the
       rare contraction of a non-tree edge (which changes the basis) or a
       renumbering of the components drops them, and the next read takes
       them off the sums again.  :meth:`linking_entries` reads them with
-      no basis made; :meth:`linking_matrix` adds the kept bases, each made
-      as a ``CycleBasis`` value at its first read after a move.
+      no basis made; :meth:`linking_matrix` adds the kept bases.
 
     A split or contraction is certified before it returns, and raises
-    ``SelfCheckError`` when a check fails: the edge it adds or
-    removes carries no passage; every cycle through the move's vertices has
-    zero boundary there; and every cycle a non-tree contraction changed is
-    +1 on its own edge and 0 on every other edge outside the new tree, so
-    the basis is still the fundamental basis of the kept tree, a
-    unimodular change of basis from the one before.
+    ``SelfCheckError`` when a check fails: the edge it adds or removes
+    carries no passage, and the kept tree has one edge fewer than its
+    component has vertices.  A tree that does not span its component
+    raises ``SelfCheckError`` when its basis is read.
 
     :meth:`diagram` builds the ``Diagram`` in time linear in its size.
     """
@@ -329,13 +213,14 @@ class WalkState:
         self._comp_of: dict[str, int] = {}  # vertex -> component key
         self._comp_vertices: list[list[str]] = []
         self._comp_edges: list[list[str]] = []
-        self._kept: list[_KeptBasis] = []  # component key -> its kept basis
+        self._trees: list[dict[str, None]] = []  # component key -> its tree edges
         for key, comp in enumerate(d.components):
             self._comp_of.update(dict.fromkeys(comp.vertices, key))
             self._comp_vertices.append(list(comp.vertices))
             self._comp_edges.append(list(comp.edge_ids))
-            self._kept.append(_KeptBasis(cycle_basis(d, key + 1), comp.edge_ids))
+            self._trees.append(dict.fromkeys(spanning_tree(d, key + 1)))
         self._order = list(range(len(self._comp_vertices)))  # keys by number
+        self._made: list[CycleBasis | None] = [None] * len(self._order)  # key -> basis read
         self._vertices = list(d.vertices)
         self._edges = dict(d.edge_map)
         self._ends: dict[str, set[tuple[str, str]]] = {v: set() for v in d.vertices}
@@ -376,16 +261,36 @@ class WalkState:
         """The (edge id, "tail"/"head") ends at a vertex, sorted."""
         return sorted(self._ends.get(vid, ()))
 
-    def basis(self, k: int) -> CycleBasis:
-        """The kept basis of component ``k``: the fundamental cycles of a
-        spanning tree the state keeps, equal to ``cycle_basis(d, k,
-        tree=b.tree_edges)`` for the diagram ``d`` the state holds.  The
-        state builds it over ``cycle_basis``'s default tree; from then on
-        the graph moves carry the tree and the cycles, so it is in general
-        not the default basis of the diagram it has become."""
+    @property
+    def edge_map(self) -> dict[str, Edge]:
+        """Edge id -> ``Edge``, as ``Diagram.edge_map``."""
+        return self._edges
+
+    def _key(self, k: int) -> int:
+        """The key of component number ``k``."""
         if not 1 <= k <= len(self._order):
             raise DomainError(f"no such component {k} (diagram has {len(self._order)})")
-        return self._kept[self._order[k - 1]].basis(k)
+        return self._order[k - 1]
+
+    def component(self, k: int) -> Component:
+        """Component number ``k`` as ``Diagram.component`` gives it."""
+        key = self._key(k)
+        return Component(k, tuple(self._comp_vertices[key]), tuple(self._comp_edges[key]))
+
+    def basis(self, k: int) -> CycleBasis:
+        """The kept basis of component ``k``: ``cycle_basis`` over the
+        spanning tree the state keeps, which starts as the default tree and
+        then goes wherever the graph moves take it, so it is in general not
+        the default basis of the diagram the state has become.  A kept tree
+        that does not span the component raises ``SelfCheckError``."""
+        key = self._key(k)
+        made = self._made[key]
+        if made is None or made.component != k:
+            try:
+                made = self._made[key] = cycle_basis(self, k, tree=tuple(self._trees[key]))
+            except DomainError as exc:
+                raise SelfCheckError(f"the tree kept for component {k}: {exc}") from None
+        return made
 
     def linking_entries(self) -> tuple[tuple[int, ...], ...]:
         """The entries of the linking matrix over the kept bases.
@@ -486,6 +391,16 @@ class WalkState:
         edge = self._contractible_edge(eid)
         keep, drop = edge.tail, edge.head
         key = self._comp_of.pop(drop)
+        tree = self._trees[key]
+        rebased = eid not in tree
+        if rebased:
+            # the smallest tree edge on the edge's fundamental cycle, read
+            # before the graph changes, leaves the tree
+            basis = self.basis(self._order.index(key) + 1)
+            z = next(c.coeffs for c in basis.cycles if eid in c.coeffs)
+            del tree[min(x for x in z if x != eid)]
+        else:
+            del tree[eid]
         del self._edges[eid]
         passages = self._passages.pop(eid)
         _discard(self._contractible, eid)
@@ -499,8 +414,7 @@ class WalkState:
         _discard(self._comp_edges[key], eid)
         self._vids.free(drop)
         self._eids.free(eid)
-        rebased = self._kept[key].contract(eid)
-        self._graph_moved(key, eid, passages, (keep,), rebased)
+        self._graph_moved(key, eid, passages, rebased)
 
     def _contractible_edge(self, eid: str) -> Edge:
         """The edge ``eid``, if it can be contracted."""
@@ -550,7 +464,7 @@ class WalkState:
         if len(part1) + len(part2) != len(ends) or p1 | p2 != ends:
             raise DomainError("partition must cover the incident edge-ends exactly once")
         key = self._comp_of[vid]
-        self._kept[key].split(p2, new_eid)
+        self._trees[key][new_eid] = None
         self._comp_of[new_vid] = key
         self._move_ends(p2, new_vid)
         ends -= p2
@@ -565,7 +479,7 @@ class WalkState:
         insort(self._comp_edges[key], new_eid)
         self._vids.use(kv)
         self._eids.use(ke)
-        self._graph_moved(key, new_eid, self._passages[new_eid], (vid, new_vid))
+        self._graph_moved(key, new_eid, self._passages[new_eid])
 
     def _add_sign(self, o: str, u: str, s: int) -> None:
         total = self.pair_signs.get((o, u), 0) + s
@@ -587,37 +501,22 @@ class WalkState:
             elif was and not now:
                 _discard(self._contractible, x)
 
-    def _graph_moved(self, key: int, eid: str, passages, vertices,
-                     rebased: list[str] | None = None) -> None:
+    def _graph_moved(self, key: int, eid: str, passages, rebased: bool = False) -> None:
         """Certify a split or contraction of component ``key`` that added or
         removed edge ``eid``, whose passages were ``passages``, and renumber
-        the components.  ``rebased`` holds the keys of the cycles a non-tree
-        contraction changed, None after any other graph move.  A non-tree
-        contraction or a renumbering drops the matrix."""
+        the components.  A non-tree contraction (``rebased``) or a
+        renumbering drops the matrix."""
         if passages:
             raise SelfCheckError(f"the edge {eid!r} added or removed carries crossing passages")
-        num = self._order.index(key) + 1
-        kept = self._kept[key]
-        for v in vertices:
-            self._check_boundary(kept, num, v)
-        for c in sorted(rebased or ()):
-            z = kept.cycles[c]
-            if z.get(c) != 1 or any(x != c and x not in kept.tree for x in z):
-                raise SelfCheckError(f"cycle {c!r} of component {num} is not the "
-                                     "fundamental cycle of its edge over the kept tree")
+        self._made[key] = None
+        edges, vertices = len(self._trees[key]), len(self._comp_vertices[key])
+        if edges != vertices - 1:
+            raise SelfCheckError(f"the tree kept for component {self._order.index(key) + 1} "
+                                 f"has {edges} edges for {vertices} vertices")
         before = list(self._order)
         self._order.sort(key=lambda k: self._comp_vertices[k][0])
-        if rebased is not None or self._order != before:
+        if rebased or self._order != before:
             self._entries = None
-
-    def _check_boundary(self, kept: _KeptBasis, num: int, v: str) -> None:
-        """Every kept cycle through vertex ``v`` has zero boundary there."""
-        sums = kept.boundary(self._ends[v])
-        bad = [key for key, s in sums.items() if s]
-        if bad:
-            key = min(bad)
-            raise SelfCheckError(
-                f"cycle {key!r} of component {num} has boundary {sums[key]:+d} at vertex {v!r}")
 
     # -- move records ---------------------------------------------------
 

@@ -180,19 +180,27 @@ class Diagram(Value):
         return self.components[index - 1]
 
 
+_ROW_TYPES = (str, str, int, str, int, int)  # a crossing row's fields
+
+
 def validate(d: Diagram) -> list[Violation]:
     """Check every diagram invariant; an empty list means the diagram is valid.
 
     Violations are data, not errors.  Codes: ``bad-identifier``,
-    ``duplicate-id``, ``dangling-vertex``, ``dangling-edge``,
+    ``duplicate-id``, ``dangling-vertex``, ``dangling-edge``, ``bad-row``,
     ``crossing-degenerate``, ``bad-sign``, ``passage-duplicate`` and
     ``passage-gap``.  They are listed identifiers first, then vertices,
     edges and crossings in the diagram's order, then passage indices by
     edge id.  A crossing lists its duplicate id, bad sign, degeneracy and
-    dangling edges in that order.
+    dangling edges in that order.  A row that is not a 6-tuple (str id,
+    str edge, int index, str edge, int index, int sign) is one ``bad-row``
+    violation, and none of its other checks run.
     """
     out: list[Violation] = []
-    for token in (*d.vertices, *(e.id for e in d.edges), *(r[0] for r in d.rows)):
+    well_formed = [isinstance(row, tuple) and len(row) == 6
+                   and all(map(isinstance, row, _ROW_TYPES)) for row in d.rows]
+    xids = (row[0] for row, ok in zip(d.rows, well_formed) if ok)
+    for token in (*d.vertices, *(e.id for e in d.edges), *xids):
         if not _ID_RE.match(token):
             out.append(Violation(
                 "bad-identifier", token, f"identifier {token!r} is not an [A-Za-z0-9_]+ token"))
@@ -213,7 +221,12 @@ def validate(d: Diagram) -> list[Violation]:
                     "dangling-vertex", e.id,
                     f"edge {e.id!r} references missing vertex {endpoint!r}"))
     seen_x: set[str] = set()
-    for xid, over, over_idx, under, under_idx, sign in d.rows:
+    for row, ok in zip(d.rows, well_formed):
+        if not ok:
+            out.append(Violation("bad-row", repr(row), f"crossing row {row!r} is not "
+                                 "(id, over edge, over index, under edge, under index, sign)"))
+            continue
+        xid, over, over_idx, under, under_idx, sign = row
         if xid in seen_x:
             out.append(Violation("duplicate-id", xid, f"crossing id {xid!r} declared twice"))
         seen_x.add(xid)

@@ -193,29 +193,25 @@ def component_of_edge(d: Diagram, eid: str) -> int:
     return comps[eid]
 
 
-def walk_to_closing_split(d: Diagram, steps: int, seed: int) -> list[tuple[Diagram, MoveRecord]]:
+def walk_to_first_split(d: Diagram, steps: int, seed: int) -> list[tuple[Diagram, MoveRecord]]:
     """(diagram before, move) for each move of ``walk_steps(d, steps,
-    seed)`` up to the first split whose new edge closes a kept cycle."""
+    seed)`` up to the first split."""
     out = []
     before = d
     for rec, state in walk_steps(d, steps, seed):
         out.append((before, rec))
-        if rec.kind == "split_vertex" and any(
-                rec.params[2] in c.coeffs for k in (1, 2) for c in state.basis(k).cycles):
+        if rec.kind == "split_vertex":
             break
         before = state.diagram()
     return out
 
 
-def dropping_closing_coefficient(split):
-    """``_KeptBasis.split`` that, after ``split``, drops the new edge from
-    the first cycle it closed, so that cycle has a nonzero boundary."""
+def leaving_split_edge_out(graph_moved):
+    """``WalkState._graph_moved`` after a split that left its new edge out
+    of the kept tree: the tree is one edge short when the move is
+    certified."""
 
-    def dropping(kept, moved, new_eid):
-        split(kept, moved, new_eid)
-        closed = sorted(kept.through.get(new_eid, ()))
-        if closed:
-            kept.cycles[closed[0]] = {
-                x: c for x, c in kept.cycles[closed[0]].items() if x != new_eid}
-            kept.through[new_eid].discard(closed[0])
-    return dropping
+    def leaving(state, key, eid, *rest):
+        state._trees[key].pop(eid, None)  # a contraction's edge is out already
+        return graph_moved(state, key, eid, *rest)
+    return leaving

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 from gen import (
     component_of_edge,
-    dropping_closing_coefficient,
     edge_components,
+    leaving_split_edge_out,
     random_diagram,
-    walk_to_closing_split,
+    walk_to_first_split,
 )
 
 import sglink.cli as cli
@@ -463,17 +463,17 @@ class TestPerturb:
         assert len(recorded.read_text().splitlines()) == 100
 
     def test_redoes_only_what_each_move_changed(self, tmp_path, monkeypatch, capsys):
-        # The state builds its two bases and reads the matrix off the sums
-        # once, at the start, and the start matrix is the state's.  Every
-        # split and contraction after that carries them by a certified
-        # change of basis, and no move of this walk changes an
-        # inter-component sum, contracts a non-tree edge or renumbers the
-        # components, so no step drops the matrix: each step reads its
-        # entries with no basis made, and none runs an SNF.
-        # linking_matrix runs for the start and for the final check, which
-        # makes each kept basis once; cycle_basis runs twice for the
-        # state's start bases and twice in the final check of the kept
-        # bases; one matrix comes from the final crossings.
+        # The state takes its two trees from spanning_tree and reads the
+        # matrix off the sums once, at the start, over the bases
+        # cycle_basis makes of those trees; the start matrix is the
+        # state's.  Every split and contraction after that carries the
+        # trees, and no move of this walk changes an inter-component sum,
+        # contracts a non-tree edge or renumbers the components, so no step
+        # drops the matrix: each step reads its entries with no basis made,
+        # and none runs an SNF.  linking_matrix runs for the start and for
+        # the final check, each making both kept bases with cycle_basis;
+        # the final check makes both again over the final diagram, and
+        # one matrix comes from the final crossings.
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
@@ -487,8 +487,8 @@ class TestPerturb:
         assert 50 < graph_steps < 200
 
         calls = dict.fromkeys(("smith_normal_form", "linking.cycle_basis", "cli.cycle_basis",
-                               "moves.cycle_basis", "linking_matrix", "moves.matrix_from_pairs",
-                               "cli.matrix_from_pairs", "moves.CycleBasis"), 0)
+                               "moves.cycle_basis", "moves.spanning_tree", "linking_matrix",
+                               "moves.matrix_from_pairs", "cli.matrix_from_pairs"), 0)
 
         def counted(module, name, key=None):
             fn = getattr(module, name)
@@ -501,17 +501,16 @@ class TestPerturb:
         counted(smith, "smith_normal_form")
         counted(linking, "cycle_basis", "linking.cycle_basis")
         counted(cli, "cycle_basis", "cli.cycle_basis")
-        counted(moves, "cycle_basis", "moves.cycle_basis")
+        counted(moves, "cycle_basis", "moves.cycle_basis")  # the bases a state makes
+        counted(moves, "spanning_tree", "moves.spanning_tree")
         counted(cli, "linking_matrix")
         counted(moves, "matrix_from_pairs", "moves.matrix_from_pairs")
         counted(cli, "matrix_from_pairs", "cli.matrix_from_pairs")
-        counted(moves, "CycleBasis", "moves.CycleBasis")  # the bases a state makes
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
         assert capsys.readouterr().out == (DATA / "perturb_3_3.json").read_text(encoding="utf-8")
         assert calls == {"smith_normal_form": 1, "linking.cycle_basis": 0, "cli.cycle_basis": 2,
-                         "moves.cycle_basis": 2, "linking_matrix": 2,
-                         "moves.matrix_from_pairs": 1, "cli.matrix_from_pairs": 1,
-                         "moves.CycleBasis": 2}
+                         "moves.cycle_basis": 4, "moves.spanning_tree": 2, "linking_matrix": 2,
+                         "moves.matrix_from_pairs": 1, "cli.matrix_from_pairs": 1}
 
         # Seed 2 has one contraction that renumbers the components, at a
         # step where both bases have changed since the start: that step
@@ -530,8 +529,9 @@ class TestPerturb:
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "2", "--json"]) == 0
         capsys.readouterr()
         assert {k: calls[k] for k in ("linking_matrix", "moves.matrix_from_pairs",
-                                      "moves.CycleBasis")} == {
-            "linking_matrix": 2, "moves.matrix_from_pairs": 2, "moves.CycleBasis": 4}
+                                      "moves.cycle_basis", "moves.spanning_tree")} == {
+            "linking_matrix": 2, "moves.matrix_from_pairs": 2, "moves.cycle_basis": 6,
+            "moves.spanning_tree": 2}
 
     def test_wide_walk_runs_one_snf(self, tmp_path, monkeypatch, capsys):
         # canonical 100 100 1...1: every step used to rebuild a 100-cycle
@@ -623,53 +623,64 @@ class TestPerturb:
                                       tmp_path / "out.txt", lines[:2], capsys)
         assert "'a1' added or removed carries crossing passages" in err
 
-    def test_split_dropping_a_closing_coefficient_fails_its_move(self, tmp_path, monkeypatch, capsys):
+    def test_split_leaving_its_edge_out_of_the_tree_fails_its_move(
+            self, tmp_path, monkeypatch, capsys):
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
-        # the first split whose new edge closes a kept cycle
-        lines = [format_move(rec) for _, rec in walk_to_closing_split(d, 200, 7)]
+        lines = [format_move(rec) for _, rec in walk_to_first_split(d, 200, 7)]
         assert 1 < len(lines) < 200
-        monkeypatch.setattr(moves._KeptBasis, "split",
-                            dropping_closing_coefficient(moves._KeptBasis.split))
+        monkeypatch.setattr(moves.WalkState, "_graph_moved",
+                            leaving_split_edge_out(moves.WalkState._graph_moved))
         err = self._assert_move_fails(["perturb", str(src), "--steps", "200", "--seed", "7"],
                                       tmp_path / "moves.txt", lines, capsys)
-        assert "has boundary" in err
+        assert "the tree kept for component 2 has 0 edges for 2 vertices" in err
 
-    def test_change_of_basis_doubled_in_one_row_fails_its_move(self, tmp_path, monkeypatch, capsys):
-        # a non-tree contraction that doubles one of the cycles it changes:
-        # the boundaries stay zero, but the change of basis has determinant 2
-        real = moves._KeptBasis.contract
+    def test_non_tree_contraction_off_the_cycle_fails_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a non-tree contraction that removes a tree edge off the edge's
+        # fundamental cycle: the tree has the right edge count, so the move
+        # passes its certificate, but it no longer spans its component, and
+        # the matrix read after the move, over that tree, fails
+        real = moves.WalkState.contract_edge
 
-        def doubled(kept, eid):
-            changed = real(kept, eid)
-            if changed:
-                key = min(changed)
-                kept.cycles[key] = {x: 2 * c for x, c in kept.cycles[key].items()}
-            return changed
+        def off_cycle(state, eid):
+            key = state._comp_of[state._edges[eid].tail]
+            tree = state._trees[key]
+            before = list(tree)
+            cycle = next(c.coeffs for c in state.basis(1).cycles if eid in c.coeffs)
+            real(state, eid)
+            (gone,) = set(before) - set(tree)
+            tree[gone] = None
+            del tree[next(x for x in before if x not in cycle)]
+            state._made[key] = None
 
-        monkeypatch.setattr(moves._KeptBasis, "contract", doubled)
+        monkeypatch.setattr(moves.WalkState, "contract_edge", off_cycle)
         src, replay = tmp_path / "in.sgd", tmp_path / "moves.txt"
         src.write_text(TWO_LOOPS_TEXT)
-        lines = NON_TREE_CONTRACTION + ["split_vertex u2 v2 e2"]
+        # e2 is a tree edge off a2's cycle a2 - e1
+        lines = ["split_vertex u1 v1 e1 a1.head a2.head", "split_vertex u1 v2 e2",
+                 "contract_edge a2", "split_vertex u2 v3 e3"]
         replay.write_text("".join(f"{ln}\n" for ln in lines))
-        err = self._assert_move_fails(["perturb", str(src), "--replay", str(replay)],
-                                      tmp_path / "out.txt", NON_TREE_CONTRACTION, capsys)
-        assert "is not the fundamental cycle of its edge over the kept tree" in err
+        recorded = tmp_path / "out.txt"
+        assert cli.main(["perturb", str(src), "--replay", str(replay),
+                         "--moves-out", str(recorded)]) == 4
+        assert capsys.readouterr().err == (
+            "self-check failed: the tree kept for component 1: "
+            "not a spanning tree: it does not reach every vertex\n")
+        assert recorded.read_text().splitlines() == lines[:3]
 
     def test_corrupted_kept_tree_fails_the_final_check_exit_4(self, tmp_path, monkeypatch, capsys):
-        # a tree edge dropped from a kept basis at the last step: the
-        # matrix over the same cycles is unchanged, so only the final check
-        # of the kept bases against the final diagram catches it
+        # a tree edge dropped from a kept tree at the last step, with the
+        # matrix entries left as they were: no per-step check reads the
+        # bases, so only the final check, which reads them, catches it
         real_walk = cli.walk_steps
 
         def walk(d, steps, seed):
             for n, (rec, state) in enumerate(real_walk(d, steps, seed)):
                 if n == steps - 1:
-                    kept = state._kept[state._order[0]]
-                    del kept.tree[next(iter(kept.tree))]
-                    kept._made = None
-                    state._entries = None
+                    key = state._order[0]
+                    del state._trees[key][next(iter(state._trees[key]))]
+                    state._made[key] = None
                 yield rec, state
 
         src = tmp_path / "c.sgd"
@@ -680,8 +691,8 @@ class TestPerturb:
         monkeypatch.setattr(cli, "walk_steps", walk)
         assert cli.main(args) == 4
         assert capsys.readouterr().err == (
-            "self-check failed: the cycle basis kept along the walk for component 1 is "
-            "not the fundamental basis of its tree in the final diagram\n")
+            "self-check failed: the tree kept for component 1: "
+            "not a spanning tree: wrong edge count\n")
 
     def test_long_walk_replays_to_the_same_bytes(self, tmp_path, capsys):
         # 20,000 steps took minutes when every step rebuilt the diagram and

@@ -8,14 +8,14 @@ from collections import Counter
 import pytest
 
 from gen import (
-    dropping_closing_coefficient,
     edge_components,
+    leaving_split_edge_out,
     moved,
     passage_counts,
     random_canonical,
     random_chain,
     random_diagram,
-    walk_to_closing_split,
+    walk_to_first_split,
 )
 from sglink import (
     Cycle,
@@ -38,6 +38,8 @@ from sglink import (
 from sglink import moves
 from sglink.linking import matrix_from_pairs
 from sglink.moves import MoveCheckError, format_move, parse_move, replay_steps, walk_steps
+from test_walk_reference import assert_state_matches
+from test_walk_reference import walk_steps as reference_walk_steps
 
 HOPF = canonical_diagram(1, 1, (1,))
 
@@ -388,21 +390,54 @@ class TestWalk:
                 assert b == at_read, f"seed {seed}: basis {n} changed after it was read"
         assert kinds["split_vertex"] > 100 and kinds["tree"] > 100 and kinds["non-tree"] == 4
 
+    def test_non_tree_contractions_keep_the_state_true(self):
+        # the one move that rebuilds a kept tree from a cycle: after each
+        # non-tree contraction, on canonical and random two-component
+        # diagrams, the state matches the reference walk's diagram, every
+        # kept basis is cycle_basis over its kept tree there, and the matrix
+        # is the one rebuilt from its crossings.  The matrix is read after
+        # every step, as perturb reads it, so one kept past a contraction
+        # that changed it would show: contracting a2, off the tree of the
+        # clasped theta u-w, flips the sign of its row.
+        theta = parse_sgd("sgd 1\nvertex u\nvertex w\nvertex z\nedge a1 u w\nedge a2 u w\n"
+                          "edge b1 z z\ncrossing x1 over a1 0 under b1 0 sign +\n"
+                          "crossing x2 over b1 1 under a1 1 sign +\n")
+        rng = random.Random(24)
+        starts = [canonical_diagram(3, 3, (2,))] * 6 + [theta] * 6
+        while len(starts) < 22:
+            d = random_diagram(rng, max_crossings=4)
+            if len(d.components) == 2:
+                starts.append(d)
+        non_tree = changed = 0
+        for seed, d in enumerate(starts):
+            state = moves.WalkState(d)
+            tree, entries = set().union(*state._trees), state.linking_entries()
+            walked = zip(walk_steps(state, 250, seed), reference_walk_steps(d, 250, seed))
+            for (rec, _), (want, expected) in walked:
+                assert rec == want
+                if rec.kind == "contract_edge" and rec.params[0] not in tree:
+                    non_tree += 1
+                    assert_state_matches(state, expected)
+                    changed += state.linking_entries() != entries
+                tree, entries = set().union(*state._trees), state.linking_entries()
+        assert non_tree >= 10 and changed >= 1
+
     def test_every_walk_is_certified(self, monkeypatch):
-        # a split that drops one closing coefficient of a kept cycle fails
-        # its certificate in a walk started from a Diagram, with no state
+        # a split that leaves its new edge out of the kept tree fails its
+        # certificate in a walk started from a Diagram, with no state
         # handed in, and in every move function built on a state
         d = canonical_diagram(3, 3, (1, 2, 4))
-        steps = walk_to_closing_split(d, 200, 7)
+        steps = walk_to_first_split(d, 200, 7)
         assert 1 < len(steps) < 200
-        monkeypatch.setattr(moves._KeptBasis, "split",
-                            dropping_closing_coefficient(moves._KeptBasis.split))
+        monkeypatch.setattr(moves.WalkState, "_graph_moved",
+                            leaving_split_edge_out(moves.WalkState._graph_moved))
         text = "".join(f"{format_move(rec)}\n" for _, rec in steps)
         for run in (lambda: random_homotopy_walk(d, 200, 7),
                     lambda: list(walk_steps(d, 200, 7)),
                     lambda: list(replay_steps(d, text)),
                     lambda: apply_move(*steps[-1])):
-            with pytest.raises(MoveCheckError, match="has boundary") as info:
+            with pytest.raises(MoveCheckError, match=r"the tree kept for component [12] "
+                                                     r"has \d+ edges for \d+ vertices") as info:
                 run()
             assert info.value.move == steps[-1][1]
 

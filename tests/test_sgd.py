@@ -18,6 +18,7 @@ from sglink import (
     serialize_sgd,
     validate,
 )
+from sglink.moves import WalkState
 
 HOPF_TEXT = """\
 sgd 1
@@ -147,6 +148,24 @@ class TestValidate:
         }
         for code, diagram in cases.items():
             assert code in [v.code for v in validate(diagram)], code
+
+    @pytest.mark.parametrize("row", [
+        ("x", "e", 0, "e", 1),  # five items
+        ("x", "e", "0", "e", 1, 1),  # a passage index given as a string
+        ["x", "e", 0, "e", 1, 1],  # a list, not a tuple
+    ])
+    def test_malformed_row_is_one_violation(self, row):
+        # a hand-built row of the wrong shape is reported, not raised on,
+        # and none of its other checks run; a state refuses the diagram
+        good = ("y", "e", 0, "e", 1, 3)
+        d = Diagram(("v",), (Edge("e", "v", "v"),), (row, good))
+        assert [(v.code, v.entity, v.message) for v in validate(d)] == [
+            ("bad-row", repr(row), f"crossing row {row!r} is not "
+             "(id, over edge, over index, under edge, under index, sign)"),
+            ("bad-sign", "y", "crossing 'y' sign must be +1 or -1"),
+        ]
+        with pytest.raises(DomainError, match="invalid diagram: crossing row"):
+            WalkState(d)
 
     def test_duplicate_and_gap_messages(self):
         edge = Edge("e", "v", "v")
