@@ -17,9 +17,11 @@ walk can read the matrix off running sums.  One move on an immutable
 ``Diagram`` is ``WalkState(d)``, then the move's method, then
 :meth:`WalkState.diagram`; ``walk_steps`` and ``replay_steps`` drive one
 state through a whole walk and build a ``Diagram`` only when asked.
-A walk applies each move it samples through the method it drew, with the
-values drawn, and writes the move's record for the output only; a replay
-parses each record's tokens and checks them before it applies the move.
+Walks, replays and :func:`apply_move` run every move the same way: the
+move's record names the method, which is called on the move's arguments.
+A walk draws the record and the arguments together
+(:meth:`WalkState.sample`); a replay reads both off the record's tokens
+(:meth:`WalkState.read`), which it checks first.
 
 A state also keeps a spanning tree of each component, taken from
 ``homology.spanning_tree`` and carried through each split and
@@ -45,7 +47,7 @@ import heapq
 import random
 import re
 from bisect import bisect_left, insort
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError, SelfCheckError
 from .homology import CycleBasis, cycle_basis, spanning_tree
@@ -107,58 +109,42 @@ def _discard(ordered: list[str], item: str) -> None:
 class _FreshIds:
     """The smallest unused id of the form ``prefix`` + k, k = 1, 2, ...
 
-    Every unused k below ``_next`` is in the ``_free`` heap (entries taken
-    again since are dropped when they reach the top), so ids freed by a
-    contraction are handed out again, smallest first, without counting up
-    from 1.
+    ``_used`` holds the ids in use, of any form.  Every k below ``_next``
+    whose id is unused is in the ``_free`` heap (entries used again since
+    are dropped when they reach the top), so ids freed by a contraction are
+    handed out again, smallest first, without counting up from 1.
     """
 
     def __init__(self, prefix: str, ids):
         self.prefix = prefix
-        self._used: set[int] = set()
+        self._used = set(ids)
         self._free: list[int] = []
         self._next = 1
-        for s in ids:
-            self.use(self.number(s))
 
-    def number(self, s: str) -> int | None:
-        """The k of an id ``prefix`` + k, None for an id of another form."""
+    def new(self) -> str:
+        prefix, free, used = self.prefix, self._free, self._used
+        while free and f"{prefix}{free[0]}" in used:
+            heapq.heappop(free)
+        if free:
+            s = f"{prefix}{heapq.heappop(free)}"
+        else:
+            while f"{prefix}{self._next}" in used:
+                self._next += 1
+            s = f"{prefix}{self._next}"
+            self._next += 1
+        used.add(s)
+        return s
+
+    def use(self, s: str) -> None:
+        self._used.add(s)
+
+    def free(self, s: str) -> None:
+        self._used.discard(s)
         rest = s[len(self.prefix):]
         # f"{prefix}{k}" never has a leading zero; 19 digits are never reached
         if (s.startswith(self.prefix) and rest.isascii() and rest.isdigit()
                 and rest[0] != "0" and len(rest) < 19):
-            return int(rest)
-        return None
-
-    def _smallest(self) -> int:
-        free, used = self._free, self._used
-        while free and free[0] in used:
-            heapq.heappop(free)
-        if free:
-            return free[0]
-        while self._next in used:
-            self._next += 1
-        return self._next
-
-    def peek(self) -> tuple[str, int]:
-        """The id :meth:`new` would hand out next, and its number."""
-        k = self._smallest()
-        return f"{self.prefix}{k}", k
-
-    def new(self) -> str:
-        k = self._smallest()
-        self._used.add(k)
-        return f"{self.prefix}{k}"
-
-    def use(self, k: int | None) -> None:
-        """Mark number ``k`` used; None, for an id of another form, is a no-op."""
-        if k is not None:
-            self._used.add(k)
-
-    def free(self, s: str) -> None:
-        k = self.number(s)
-        if k is not None:
-            self._used.discard(k)
+            k = int(rest)
             if k < self._next:
                 heapq.heappush(self._free, k)
 
@@ -427,28 +413,16 @@ class WalkState:
             raise DomainError(f"cannot contract edge {eid!r}: it carries crossing passages")
         return edge
 
-    def split_vertex(
-        self,
-        vid: str,
-        part1: Sequence[tuple[str, str]],
-        part2: Sequence[tuple[str, str]],
-        new_vid: str,
-        new_eid: str,
-    ) -> None:
+    def split_vertex(self, vid: str, moved: Sequence[tuple[str, str]], new_vid: str,
+                     new_eid: str) -> None:
         """Split a vertex in two, joined by a fresh crossing-free edge.
 
-        ``part1`` and ``part2`` partition the edge-ends incident to ``vid``
-        (pairs of edge id and "tail"/"head"; a loop contributes both ends).
-        Ends in part1 stay at ``vid``, ends in part2 move to ``new_vid``, and
-        the new edge runs from ``vid`` to ``new_vid``, so contracting it undoes
-        the split.  Both new ids must be SGD identifiers.
+        ``moved`` lists edge ends incident to ``vid`` (pairs of edge id and
+        "tail"/"head"; a loop has both its ends there), each at most once.
+        They move to ``new_vid``, the other ends stay at ``vid``, and the new
+        edge runs from ``vid`` to ``new_vid``, so contracting it undoes the
+        split.  Both new ids must be SGD identifiers.
         """
-        self._split(vid, part1, part2, new_vid, new_eid,
-                    self._vids.number(new_vid), self._eids.number(new_eid))
-
-    def _split(self, vid, part1, part2, new_vid, new_eid, kv: int | None, ke: int | None) -> None:
-        """:meth:`split_vertex`, given the numbers the id pools know the new
-        ids by: :meth:`sample` hands over the ones it drew, unparsed."""
         if vid not in self._ends:
             raise DomainError(f"unknown vertex {vid!r}")
         for new in (new_vid, new_eid):
@@ -458,27 +432,26 @@ class WalkState:
             raise DomainError(f"vertex id {new_vid!r} already in use")
         if new_eid in self._edges:
             raise DomainError(f"edge id {new_eid!r} already in use")
-        p1, p2 = set(part1), set(part2)
-        ends = self._ends[vid]
-        # as many ends listed as there are, and all of them: each just once
-        if len(part1) + len(part2) != len(ends) or p1 | p2 != ends:
+        ends, away = self._ends[vid], set(moved)
+        # ends at vid only, each listed once; the ends not listed stay
+        if len(away) != len(moved) or not away <= ends:
             raise DomainError("partition must cover the incident edge-ends exactly once")
         key = self._comp_of[vid]
         self._trees[key][new_eid] = None
         self._comp_of[new_vid] = key
-        self._move_ends(p2, new_vid)
-        ends -= p2
+        self._move_ends(away, new_vid)
+        ends -= away
         ends.add((new_eid, "tail"))
-        p2.add((new_eid, "head"))
-        self._ends[new_vid] = p2
+        away.add((new_eid, "head"))
+        self._ends[new_vid] = away
         self._edges[new_eid] = Edge(new_eid, vid, new_vid)
         self._passages[new_eid] = []
         insort(self._contractible, new_eid)
         insort(self._vertices, new_vid)
         insort(self._comp_vertices[key], new_vid)
         insort(self._comp_edges[key], new_eid)
-        self._vids.use(kv)
-        self._eids.use(ke)
+        self._vids.use(new_vid)
+        self._eids.use(new_eid)
         self._graph_moved(key, new_eid, self._passages[new_eid])
 
     def _add_sign(self, o: str, u: str, s: int) -> None:
@@ -520,78 +493,66 @@ class WalkState:
 
     # -- move records ---------------------------------------------------
 
-    def record(self, kind: str, params: tuple[str, ...]) -> MoveRecord:
-        """The record of a move as it would apply here, with whether it
-        preserves the invariant; rejects a wrong parameter count and
-        unknown crossings and edges."""
-        arity = _ARITY.get(kind, 0)
-        if len(params) < arity:
+    def read(self, kind: str, params: tuple[str, ...]) -> tuple[MoveRecord, tuple]:
+        """A move given as tokens, as :func:`format_move` writes them: its
+        record, with whether it preserves the invariant here, and the
+        arguments of its method.  Rejects, in this order, an unknown kind, a
+        wrong parameter count, an unknown crossing or clasp edge and clasp
+        integers that are not ASCII decimals; the method checks the rest."""
+        arity = _ARITY.get(kind)
+        if arity is None:
+            raise DomainError(f"unknown move kind {kind!r}")
+        p = params
+        if len(p) < arity:
             raise DomainError(f"move {kind!r} is missing parameters")
-        if len(params) > arity and kind in _ARITY and kind != "split_vertex":
-            raise DomainError(f"move {kind!r} has {len(params)} parameters, expected {arity}")
+        if len(p) > arity and kind != "split_vertex":
+            raise DomainError(f"move {kind!r} has {len(p)} parameters, expected {arity}")
+        preserving = True
         if kind == "crossing_change":
-            c = self._crossings.get(params[0])
+            c = self._crossings.get(p[0])
             if c is None:
-                raise DomainError(f"unknown crossing {params[0]!r}")
+                raise DomainError(f"unknown crossing {p[0]!r}")
             preserving = self._comp(c[0]) == self._comp(c[1])
+            args = p
         elif kind == "clasp":
-            preserving = self._comp(params[0]) == self._comp(params[2])
-        else:
-            preserving = True
-        return MoveRecord(kind, params, preserving)
-
-    def apply(self, move: MoveRecord) -> None:
-        """Apply one recorded move; a failed certificate raises
-        :class:`MoveCheckError` naming it."""
-        self._certified(move, self._apply, move)
-
-    @staticmethod
-    def _certified(move: MoveRecord, method, *args) -> None:
-        """Call ``method(*args)``, which applies ``move``; a failed
-        certificate raises :class:`MoveCheckError` naming the move."""
-        try:
-            method(*args)
-        except SelfCheckError as exc:
-            raise MoveCheckError(move, str(exc)) from None
-
-    def _apply(self, move: MoveRecord) -> None:
-        kind, p = move.kind, move.params
-        if kind == "crossing_change":
-            self.crossing_change(p[0])
-        elif kind == "clasp":
+            preserving = self._comp(p[0]) == self._comp(p[2])
             try:
                 if not (_INT_RE.match(p[1]) and _INT_RE.match(p[3]) and _INT_RE.match(p[4])):
                     raise ValueError
-                pos_e, pos_f, eps = int(p[1]), int(p[3]), int(p[4])
+                args = (p[0], int(p[1]), p[2], int(p[3]), int(p[4]))
             except ValueError:  # an odd spelling, or past the int/str digit limit
                 raise DomainError(f"bad clasp parameters {' '.join(p)!r}") from None
-            self.clasp(p[0], pos_e, p[2], pos_f, eps)
         elif kind == "contract_edge":
-            self.contract_edge(p[0])
-        elif kind == "split_vertex":
-            vid, new_vid, new_eid = p[0], p[1], p[2]
-            part2 = [tuple(tok.split(".", 1)) for tok in p[3:]]
-            moved = set(part2)
-            part1 = [end for end in self.ends_at(vid) if end not in moved]
-            self.split_vertex(vid, part1, part2, new_vid, new_eid)
+            args = p
         else:
-            raise DomainError(f"unknown move kind {kind!r}")
+            args = (p[0], [tuple(tok.split(".", 1)) for tok in p[3:]], p[1], p[2])
+        return MoveRecord(kind, p, preserving), args
 
-    def sample(self, rng: random.Random) -> tuple[MoveRecord, Callable[..., None], tuple] | None:
-        """One attempt at drawing an applicable homotopy-preserving move.
+    def apply(self, move: MoveRecord) -> None:
+        """Apply one recorded move, read as a replay reads it; a failed
+        certificate raises :class:`MoveCheckError` naming it."""
+        self._run(*self.read(move.kind, move.params))
 
-        Returns the move's record, made by :meth:`record` from the values
-        drawn, with the move method and those values, which apply the move
-        the record names: ``method(*args)``.  Candidates are taken in id
-        order, so a seed draws the same moves whatever the state's
-        history."""
+    def _run(self, move: MoveRecord, args: tuple) -> None:
+        """Apply ``move``: its method on ``args``.  A failed certificate
+        raises :class:`MoveCheckError` naming the move."""
+        try:
+            getattr(self, move.kind)(*args)
+        except SelfCheckError as exc:
+            raise MoveCheckError(move, str(exc)) from None
+
+    def sample(self, rng: random.Random) -> tuple[MoveRecord, tuple] | None:
+        """One attempt at drawing an applicable homotopy-preserving move:
+        its record and the arguments of its method, as :meth:`read` gives
+        them.  Every move drawn lies within one component, so the record
+        says it preserves the invariant.  Candidates are taken in id order,
+        so a seed draws the same moves whatever the state's history."""
         kind = rng.choice(KINDS)
         if kind == "crossing_change":
             if not self._intra:
                 return None
-            xid = rng.choice(self._intra)
-            return self.record(kind, (xid,)), self.crossing_change, (xid,)
-        if kind == "clasp":
+            args = tokens = (rng.choice(self._intra),)
+        elif kind == "clasp":
             edge_ids = self._comp_edges[self._order[rng.randrange(len(self._order))]]
             if len(edge_ids) < 2:
                 return None
@@ -599,22 +560,19 @@ class WalkState:
             pos_e = rng.randint(0, len(self._passages[e]))
             pos_f = rng.randint(0, len(self._passages[f]))
             eps = rng.choice((1, -1))
-            return (self.record(kind, (e, str(pos_e), f, str(pos_f), str(eps))),
-                    self.clasp, (e, pos_e, f, pos_f, eps))
-        if kind == "contract_edge":
+            args = (e, pos_e, f, pos_f, eps)
+            tokens = (e, str(pos_e), f, str(pos_f), str(eps))
+        elif kind == "contract_edge":
             if not self._contractible:
                 return None
-            eid = rng.choice(self._contractible)
-            return self.record(kind, (eid,)), self.contract_edge, (eid,)
-        # split_vertex: always applicable
-        vid = rng.choice(self._vertices)
-        (new_vid, kv), (new_eid, ke) = self._vids.peek(), self._eids.peek()
-        part1, part2 = [], []
-        for end in self.ends_at(vid):
-            (part2 if rng.random() < 0.5 else part1).append(end)
-        tokens = tuple(f"{eid}.{side}" for eid, side in part2)
-        return (self.record("split_vertex", (vid, new_vid, new_eid) + tokens),
-                self._split, (vid, part1, part2, new_vid, new_eid, kv, ke))
+            args = tokens = (rng.choice(self._contractible),)
+        else:  # split_vertex: always applicable
+            vid = rng.choice(self._vertices)
+            new_vid, new_eid = self._vids.new(), self._eids.new()
+            moved = [end for end in self.ends_at(vid) if rng.random() < 0.5]
+            args = (vid, moved, new_vid, new_eid)
+            tokens = (vid, new_vid, new_eid, *(f"{eid}.{side}" for eid, side in moved))
+        return MoveRecord(kind, tokens, True), args
 
 
 def apply_move(d: Diagram, move: MoveRecord) -> Diagram:
@@ -700,9 +658,8 @@ def walk_steps(d: Diagram | WalkState, steps: int,
         drawn = None
         while drawn is None:
             drawn = state.sample(rng)
-        move, method, args = drawn
-        state._certified(move, method, *args)
-        yield move, state
+        state._run(*drawn)
+        yield drawn[0], state
 
 
 def replay_steps(d: Diagram | WalkState, text: str) -> Iterator[tuple[MoveRecord, WalkState]]:
@@ -716,8 +673,8 @@ def replay_steps(d: Diagram | WalkState, text: str) -> Iterator[tuple[MoveRecord
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        move = state.record(*parse_move(line))
-        state.apply(move)
+        move, args = state.read(*parse_move(line))
+        state._run(move, args)
         yield move, state
 
 

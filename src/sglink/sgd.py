@@ -116,7 +116,8 @@ class Diagram(Value):
     ``(id, over edge, over index, under edge, under index, sign)``, each
     held in sorted id order (a stable sort, linear on input already in
     order).  ``Diagram(vertices, edges, rows)`` takes ``Edge`` objects and
-    rows as given; :func:`validate` checks a diagram built so.  Two
+    rows as given, and keeps rows that cannot be sorted by id in the order
+    given; :func:`validate` checks a diagram built so.  Two
     diagrams are equal, and hash alike, when their vertices, edges and
     rows are equal.
     """
@@ -131,7 +132,12 @@ class Diagram(Value):
         held = self.__dict__
         held["vertices"] = tuple(sorted(vertices))
         held["edges"] = tuple(sorted(edges, key=attrgetter("id")))
-        held["rows"] = tuple(sorted(rows, key=itemgetter(0)))
+        rows = tuple(rows)
+        try:
+            rows = tuple(sorted(rows, key=itemgetter(0)))
+        except (LookupError, TypeError):  # a row validate reports as bad-row
+            pass
+        held["rows"] = rows
 
     @cached_property
     def edge_map(self) -> dict[str, Edge]:

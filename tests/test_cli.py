@@ -471,9 +471,10 @@ class TestPerturb:
         # contracts a non-tree edge or renumbers the components, so no step
         # drops the matrix: each step reads its entries with no basis made,
         # and none runs an SNF.  linking_matrix runs for the start and for
-        # the final check, each making both kept bases with cycle_basis;
-        # the final check makes both again over the final diagram, and
-        # one matrix comes from the final crossings.
+        # the final check, each making both kept bases with cycle_basis,
+        # and one matrix comes from the final crossings.  The final check
+        # compares the state's components with the final diagram's, so it
+        # makes no basis over the final diagram: cli has no cycle_basis.
         d = canonical_diagram(3, 3, (1, 2, 4))
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(d))
@@ -486,8 +487,8 @@ class TestPerturb:
             prev = cur
         assert 50 < graph_steps < 200
 
-        calls = dict.fromkeys(("smith_normal_form", "linking.cycle_basis", "cli.cycle_basis",
-                               "moves.cycle_basis", "moves.spanning_tree", "linking_matrix",
+        assert not hasattr(cli, "cycle_basis")
+        calls = dict.fromkeys(("smith_normal_form", "linking.cycle_basis", "moves.cycle_basis", "moves.spanning_tree", "linking_matrix",
                                "moves.matrix_from_pairs", "cli.matrix_from_pairs"), 0)
 
         def counted(module, name, key=None):
@@ -500,7 +501,6 @@ class TestPerturb:
 
         counted(smith, "smith_normal_form")
         counted(linking, "cycle_basis", "linking.cycle_basis")
-        counted(cli, "cycle_basis", "cli.cycle_basis")
         counted(moves, "cycle_basis", "moves.cycle_basis")  # the bases a state makes
         counted(moves, "spanning_tree", "moves.spanning_tree")
         counted(cli, "linking_matrix")
@@ -508,8 +508,8 @@ class TestPerturb:
         counted(cli, "matrix_from_pairs", "cli.matrix_from_pairs")
         assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7", "--json"]) == 0
         assert capsys.readouterr().out == (DATA / "perturb_3_3.json").read_text(encoding="utf-8")
-        assert calls == {"smith_normal_form": 1, "linking.cycle_basis": 0, "cli.cycle_basis": 2,
-                         "moves.cycle_basis": 4, "moves.spanning_tree": 2, "linking_matrix": 2,
+        assert calls == {"smith_normal_form": 1, "linking.cycle_basis": 0, "moves.cycle_basis": 4,
+                         "moves.spanning_tree": 2, "linking_matrix": 2,
                          "moves.matrix_from_pairs": 1, "cli.matrix_from_pairs": 1}
 
         # Seed 2 has one contraction that renumbers the components, at a
@@ -693,6 +693,60 @@ class TestPerturb:
         assert capsys.readouterr().err == (
             "self-check failed: the tree kept for component 1: "
             "not a spanning tree: wrong edge count\n")
+
+    def test_reordered_component_fails_the_final_check_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a component's vertex list reversed at the last step, as a faulty
+        # move might leave it: the matrix and the trees are untouched, so
+        # every other check passes, and only the comparison of the state's
+        # components with the final diagram's catches it
+        real_walk = cli.walk_steps
+
+        def walk(d, steps, seed):
+            for n, (rec, state) in enumerate(real_walk(d, steps, seed)):
+                if n == steps - 1:
+                    state._comp_vertices[state._order[0]].reverse()
+                yield rec, state
+
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(canonical_diagram(3, 3, (1, 2, 4))))
+        args = ["perturb", str(src), "--steps", "100", "--seed", "5"]
+        monkeypatch.setattr(cli, "walk_steps", walk)
+        assert cli.main(args) == 4
+        assert capsys.readouterr().err == (
+            "self-check failed: component 1 kept along the walk differs "
+            "from the final diagram's\n")
+
+    def test_inter_component_crossing_drawn_by_a_walk_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a walk draws crossing changes from the crossings the state keeps
+        # as intra-component and records each as preserving the invariant,
+        # so one between the components, planted among them, is checked
+        # as such a move, and the invariant it changes fails the step
+        real_init = moves.WalkState.__init__
+
+        def planted(state, d):
+            real_init(state, d)
+            state._intra.insert(0, "x1")  # a1 over b1
+
+        monkeypatch.setattr(moves.WalkState, "__init__", planted)
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(canonical_diagram(3, 3, (1, 2, 4))))
+        assert cli.main(["perturb", str(src), "--steps", "200", "--seed", "7"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("self-check failed: invariant changed from 1 2 4 to ")
+        assert err.endswith(" after homotopy-preserving move crossing_change x1\n")
+
+    def test_golden_walk_over_ids_the_pools_cannot_hand_out(self, capsys):
+        # perturb_odd_ids.json: perturb odd_ids.sgd --steps 200 --seed 1
+        # --json.  The bare prefix, a leading zero and 25 digits are ids
+        # the walk never hands out; the walk contracts edges "e" and the
+        # 25-digit one, freeing vertex "v01" and the 25-digit vertex, and
+        # its splits hand out v1, v2, ... around them.
+        golden = (DATA / "perturb_odd_ids.json").read_text(encoding="utf-8")
+        assert cli.main(["perturb", str(DATA / "odd_ids.sgd"), "--steps", "200", "--seed", "1",
+                         "--json"]) == 0
+        assert capsys.readouterr().out == golden
+        moved = json.loads(golden)["moves"]
+        assert {"contract_edge e", "contract_edge e1234567890123456789012345"} <= set(moved)
 
     def test_long_walk_replays_to_the_same_bytes(self, tmp_path, capsys):
         # 20,000 steps took minutes when every step rebuilt the diagram and

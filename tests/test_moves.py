@@ -37,7 +37,14 @@ from sglink import (
 )
 from sglink import moves
 from sglink.linking import matrix_from_pairs
-from sglink.moves import MoveCheckError, format_move, parse_move, replay_steps, walk_steps
+from sglink.moves import (
+    MoveCheckError,
+    MoveRecord,
+    format_move,
+    parse_move,
+    replay_steps,
+    walk_steps,
+)
 from test_walk_reference import assert_state_matches
 from test_walk_reference import walk_steps as reference_walk_steps
 
@@ -65,9 +72,7 @@ def reference_canonical(m, n, chain):
 
 def pendant_split(d, vid="u1"):
     """Split off an empty part: adds a crossing-free pendant edge at vid."""
-    ends = [(e.id, end) for e in d.edges for end, v in (("tail", e.tail), ("head", e.head))
-            if v == vid]
-    return moved(d, "split_vertex", vid, ends, [], "v9", "e9")
+    return moved(d, "split_vertex", vid, [], "v9", "e9")
 
 
 class TestCrossingChange:
@@ -225,7 +230,7 @@ class TestContractSplit:
     def test_split_then_contract_is_identity(self):
         d = self.triangle_plus_loop()
         ends_at_a = [("e1", "tail"), ("e3", "head"), ("l1", "tail"), ("l1", "head")]
-        d2 = moved(d, "split_vertex", "a", ends_at_a[:2], ends_at_a[2:], "w1", "f1")
+        d2 = moved(d, "split_vertex", "a", ends_at_a[2:], "w1", "f1")
         assert len(cycle_basis(d2, 1).cycles) == len(cycle_basis(d, 1).cycles)
         assert diagram_invariant(d2) == diagram_invariant(d)
         assert moved(d2, "contract_edge", "f1") == d
@@ -233,36 +238,32 @@ class TestContractSplit:
     def test_split_moving_whole_loop(self):
         d = canonical_diagram(2, 1, (1,))
         inv = diagram_invariant(d)
-        d2 = moved(d, "split_vertex", "u1", [("a1", "tail"), ("a1", "head")],
-                          [("a2", "tail"), ("a2", "head")], "w1", "f1")
+        d2 = moved(d, "split_vertex", "u1", [("a2", "tail"), ("a2", "head")], "w1", "f1")
         assert len(cycle_basis(d2, 1).cycles) == 2
         assert diagram_invariant(d2) == inv
 
     def test_split_rejections(self):
         d = self.triangle_plus_loop()
-        with pytest.raises(DomainError):
-            moved(d, "split_vertex", "a", [("e1", "tail")], [("l1", "tail"), ("l1", "head")], "w1", "f1")
-        with pytest.raises(DomainError):
-            moved(d, "split_vertex", "a", [("e1", "tail"), ("l1", "tail")],
-                         [("e3", "head"), ("l1", "tail"), ("l1", "head")], "w1", "f1")
-        with pytest.raises(DomainError):
-            moved(d, "split_vertex", "a", [("e1", "tail"), ("e2", "tail")],
-                         [("e3", "head"), ("l1", "tail"), ("l1", "head")], "w1", "f1")
-        with pytest.raises(DomainError):
-            moved(d, "split_vertex", "a", [], [("e1", "tail"), ("e3", "head"),
-                                      ("l1", "tail"), ("l1", "head")], "b", "f1")
-        # an end listed twice, in one part or in both, with every end listed
         ends_at_a = [("e1", "tail"), ("e3", "head"), ("l1", "tail"), ("l1", "head")]
-        for part1, part2 in ((ends_at_a[:2], ends_at_a[2:] + [("l1", "head")]),
-                             (ends_at_a[:1] * 2 + ends_at_a[1:2], ends_at_a[2:]),
-                             (ends_at_a, ends_at_a[:1])):
+        with pytest.raises(DomainError, match="unknown vertex 'zz'"):
+            moved(d, "split_vertex", "zz", [], "w1", "f1")
+        with pytest.raises(DomainError, match="vertex id 'b' already in use"):
+            moved(d, "split_vertex", "a", ends_at_a, "b", "f1")
+        with pytest.raises(DomainError, match="edge id 'e2' already in use"):
+            moved(d, "split_vertex", "a", ends_at_a, "w1", "e2")
+        # an end listed twice, an end at another vertex, an unknown edge and
+        # a side that is not one: the moved ends and the rest no longer
+        # cover the ends at the vertex exactly once
+        for away in (ends_at_a[2:] + [("l1", "head")], ends_at_a[:1] * 2,
+                     [("e2", "tail")], ends_at_a[:1] + [("zz", "tail")], [("e1", "side")],
+                     ends_at_a + ends_at_a[:1]):
             with pytest.raises(DomainError, match="exactly once"):
-                moved(d, "split_vertex", "a", part1, part2, "w1", "f1")
+                moved(d, "split_vertex", "a", away, "w1", "f1")
         # new ids that SGD cannot write
         for new_vid, new_eid in (("v-1", "f1"), ("w1", "é"), ("w1", "f.x"), ("", "f1"),
                                  ("w1\n", "f1")):
             with pytest.raises(DomainError, match="is not an"):
-                moved(d, "split_vertex", "a", ends_at_a[:2], ends_at_a[2:], new_vid, new_eid)
+                moved(d, "split_vertex", "a", ends_at_a[2:], new_vid, new_eid)
 
 
 class TestCanonical:
@@ -475,6 +476,27 @@ class TestWalk:
             assert (kind, params) == (rec.kind, rec.params)
             cur = apply_move(cur, rec)
         assert cur == final
+
+    def test_hand_built_records_are_read_as_move_lines(self):
+        # apply_move reads a record's tokens as a replay reads a move line,
+        # so a record built by hand with too few parameters gets the
+        # replay's DomainError, not an IndexError, and so do its other
+        # faults
+        for kind, params in (("crossing_change", ()), ("clasp", ("a1", "0", "b1", "0")),
+                             ("contract_edge", ()), ("split_vertex", ("u1", "v9"))):
+            with pytest.raises(DomainError) as replayed:
+                list(replay_steps(HOPF, f"{' '.join((kind, *params))}\n"))
+            assert str(replayed.value) == f"move {kind!r} is missing parameters"
+            with pytest.raises(DomainError) as applied:
+                apply_move(HOPF, MoveRecord(kind, params, True))
+            assert str(applied.value) == str(replayed.value)
+        for params, message in ((("a1", "0", "b1", "0", "1", "2"), "has 6 parameters, expected 5"),
+                                (("a1", "0", "zz", "0", "1"), "unknown edge 'zz'"),
+                                (("a1", "x", "b1", "0", "1"), "bad clasp parameters")):
+            with pytest.raises(DomainError, match=message):
+                apply_move(HOPF, MoveRecord("clasp", params, True))
+        with pytest.raises(DomainError, match="unknown move kind 'teleport'"):
+            apply_move(HOPF, MoveRecord("teleport", ("a1",), True))
 
     def test_random_diagrams_keep_invariant_and_replay(self):
         rng = random.Random(53)

@@ -153,10 +153,13 @@ class TestValidate:
         ("x", "e", 0, "e", 1),  # five items
         ("x", "e", "0", "e", 1, 1),  # a passage index given as a string
         ["x", "e", 0, "e", 1, 1],  # a list, not a tuple
+        (),  # no id to sort by
+        (3, "e", 0, "e", 1, 1),  # an id that does not sort with "y"
     ])
     def test_malformed_row_is_one_violation(self, row):
         # a hand-built row of the wrong shape is reported, not raised on,
-        # and none of its other checks run; a state refuses the diagram
+        # and none of its other checks run; a state refuses the diagram.
+        # Rows that cannot be sorted by id are kept in the order given.
         good = ("y", "e", 0, "e", 1, 3)
         d = Diagram(("v",), (Edge("e", "v", "v"),), (row, good))
         assert [(v.code, v.entity, v.message) for v in validate(d)] == [

@@ -489,15 +489,15 @@ def test_single_moves_match_on_random_arguments():
         vid = rng.choice(vids)
         ends = _ends_at(d, vid)
         rng.shuffle(ends)
-        cut = rng.randint(0, len(ends))
-        part1, part2 = ends[:cut], ends[cut:]
+        away = ends[rng.randint(0, len(ends)):]
         if rng.random() < 0.2:
-            (part1 if rng.random() < 0.5 else part2).append(rng.choice(ends + [("zz", "tail")]))
+            away.append(rng.choice(ends + [("zz", "tail")]))
         new_vid = rng.choice(vids + ["v9", "w1"])
         new_eid = rng.choice(eids + ["e9", "f1"])
-        args = (vid, part1, part2, new_vid, new_eid)
-        want = outcome(split_vertex, d, *args)
-        if isinstance(want, str) and len(part1) + len(part2) > len(ends):
-            # an end listed twice in one part, which the reference took
+        # the reference keeps what a replay kept: the ends not moved
+        stay = [end for end in ends if end not in away]
+        want = outcome(split_vertex, d, vid, stay, away, new_vid, new_eid)
+        if isinstance(want, str) and len(stay) + len(away) > len(ends):
+            # an end moved twice, which the reference took
             want = (DomainError, "partition must cover the incident edge-ends exactly once")
-        assert outcome(moved, d, "split_vertex", *args) == want
+        assert outcome(moved, d, "split_vertex", vid, away, new_vid, new_eid) == want
