@@ -6,12 +6,13 @@ per non-tree edge, consisting of that edge plus the unique tree path
 closing it up.  Cycles are integer coefficient vectors over the edges of
 one component, with zero boundary at every vertex.
 
-A basis costs one breadth-first search, which records each vertex's
-parent edge and depth: over the component's edges for the default tree,
-whose discovery edges are that tree, or over the edges of a given tree.
-Each fundamental cycle is then read off by walking the two endpoints of
-its edge up to their common ancestor, so the whole basis is linear in its
-support.
+A basis reads each vertex's parent edge and depth in its tree.  The
+default trees and their parents are a diagram's breadth-first forest,
+one search per component made once per diagram, so :func:`spanning_tree`
+and the default :func:`cycle_basis` search nothing; a given tree costs
+one search over its own edges.  Each fundamental cycle is then read off by
+walking the two endpoints of its edge up to their common ancestor, so the
+whole basis is linear in its support.
 
 :func:`cycle_basis` is the one basis builder: the commands, the linking
 matrix and every basis a ``moves.WalkState`` hands out come from it; a
@@ -20,11 +21,10 @@ state takes its start trees from :func:`spanning_tree`.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .sgd import Diagram, Edge
+from .sgd import Diagram, Edge, _bfs
 from .value import Value
 
 __all__ = [
@@ -66,47 +66,27 @@ class CycleBasis(Value):
         held["cycles"] = cycles
 
 
-def _adjacency(edge_map: Mapping[str, Edge], edge_ids) -> dict[str, list[tuple[str, str]]]:
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for eid in edge_ids:
-        e = edge_map[eid]
-        if e.tail == e.head:
-            continue  # loops never join distinct vertices
-        adj.setdefault(e.tail, []).append((eid, e.head))
-        adj.setdefault(e.head, []).append((eid, e.tail))
-    for nbrs in adj.values():
-        nbrs.sort()
-    return adj
-
-
-def _bfs(adj: dict[str, list[tuple[str, str]]], root: str):
-    """Breadth-first search from ``root``, neighbors in ascending edge-id
-    order.  Returns the discovery edges in order and, for every reached
-    vertex, its (parent edge id, parent vertex, depth); the root maps to
-    (None, None, 0)."""
-    parent: dict[str, tuple[str | None, str | None, int]] = {root: (None, None, 0)}
-    queue = deque([root])
-    found: list[str] = []
-    while queue:
-        v = queue.popleft()
-        depth = parent[v][2] + 1
-        for eid, other in adj.get(v, ()):
-            if other not in parent:
-                parent[other] = (eid, v, depth)
-                found.append(eid)
-                queue.append(other)
-    return found, parent
+def _check_ends(edge_map: Mapping[str, Edge], comp, parent: Mapping) -> None:
+    """Raise ``DomainError`` unless the tree whose parent map is ``parent``
+    reaches the head of each edge of ``comp``."""
+    for eid in comp.edge_ids:
+        head = edge_map[eid].head
+        if head not in parent:
+            raise DomainError(
+                f"edge {eid!r} of component {comp.index} ends at undeclared vertex {head!r}")
 
 
 def spanning_tree(d: Diagram, component: int) -> list[str]:
-    """Deterministic spanning tree of one component, as an edge-id list.
+    """Deterministic spanning tree of one component, as a new edge-id list.
 
-    Breadth-first from the smallest vertex id, neighbors explored in
-    ascending edge-id order; loops are never tree edges.  Edge ids are
-    returned in discovery order.
+    The component's tree in the diagram's breadth-first forest: searched
+    from the smallest vertex id, neighbors in ascending edge-id order;
+    loops are never tree edges.  Edge ids are in discovery order.
     """
     comp = d.component(component)
-    return _bfs(_adjacency(d.edge_map, comp.edge_ids), comp.vertices[0])[0]
+    _, tree, parent = d._forest[component - 1]
+    _check_ends(d.edge_map, comp, parent)
+    return list(tree)
 
 
 def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -> CycleBasis:
@@ -115,26 +95,30 @@ def cycle_basis(d: Diagram, component: int, tree: Sequence[str] | None = None) -
     One cycle per non-tree edge in ascending edge-id order: the edge itself
     with coefficient +1 (traversed tail to head) plus the unique tree path
     from its head back to its tail, tree edges signed by traversal
-    direction.  ``tree`` overrides the deterministic spanning tree; it must
-    be a spanning tree of the same component.  ``d`` may be anything with
-    a diagram's ``component(k)`` and ``edge_map``, as a ``moves.WalkState``
-    has.
+    direction.  Without ``tree``, ``d`` is a ``Diagram``, and the tree and
+    its parents are the component's in its breadth-first forest.  A given
+    ``tree`` must be a spanning tree of the same component; one search
+    over it checks that and finds the parents.  ``d`` may then be anything
+    with a diagram's ``component(k)`` and ``edge_map``, as a
+    ``moves.WalkState`` has.  An edge to an undeclared vertex raises
+    ``DomainError``, here and in :func:`spanning_tree`.
     """
     comp = d.component(component)
     vertices, edge_ids, edge_map = comp.vertices, comp.edge_ids, d.edge_map
+    parent = None
     if tree is None:
-        tree, parent = _bfs(_adjacency(edge_map, edge_ids), vertices[0])
-    else:
-        parent = None
+        _, tree, parent = d._forest[component - 1]
     tree_set = set(tree)
-    if len(tree_set) != len(tree) or not tree_set <= set(edge_ids):
-        raise DomainError("tree edges must be distinct edges of the component")
-    if len(tree) != len(vertices) - 1:
-        raise DomainError("not a spanning tree: wrong edge count")
     if parent is None:
-        _, parent = _bfs(_adjacency(edge_map, tree), vertices[0])
-    if len(parent) != len(vertices):
-        raise DomainError("not a spanning tree: it does not reach every vertex")
+        if len(tree_set) != len(tree) or not tree_set <= set(edge_ids):
+            raise DomainError("tree edges must be distinct edges of the component")
+        if len(tree) != len(vertices) - 1:
+            raise DomainError("not a spanning tree: wrong edge count")
+        trees, _ = _bfs(map(edge_map.__getitem__, tree), vertices)
+        if len(trees) != 1:
+            raise DomainError("not a spanning tree: it does not reach every vertex")
+        _, parent = trees[0]
+    _check_ends(edge_map, comp, parent)
 
     cycles = []
     for eid in edge_ids:

@@ -18,9 +18,9 @@ the crossings plus the work of those outer products, never a rescan of the
 crossings per cycle pair.  :func:`matrix_from_pairs` is the one count over
 two bases the caller chooses; :func:`linking_matrix` is that count over a
 diagram's default bases, :func:`over_under_consistent` the count over the
-same bases swapped, and :func:`linking_number`, the pairing of two
-arbitrary cycles, the 1 x 1 count, after it checks that each cycle lies
-in its component.  A walk's working state (``moves.WalkState``) keeps its
+same bases of the sums with over and under swapped, and
+:func:`linking_number`, the pairing of two arbitrary cycles, the 1 x 1
+count, after it checks that each cycle lies in its component.  A walk's working state (``moves.WalkState``) keeps its
 own running pair sums and a spanning tree per component, and
 :func:`linking_matrix` given such a state returns the matrix the state
 keeps over the fundamental bases of those trees, read off those sums by
@@ -150,14 +150,15 @@ def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
     A necessary condition for realizability; canonical diagrams and
     everything the move engine produces satisfy it.  ``mat`` is the
     diagram's linking matrix, built over the default bases when omitted;
-    it is compared with the transpose of the count over its bases swapped.
+    it is compared with the count over its bases of the sign sums with
+    over and under swapped: basis1's cycles under basis2's.
     """
     require_two_components(d)
     if mat is None:
         mat = linking_matrix(d)
-    swapped = _counts_from_pairs(d.sign_sums, mat.basis2.cycles, mat.basis1.cycles)
-    under = IntMatrix(mat.cols, mat.rows, tuple(map(tuple, swapped))).transpose()
-    return mat.entries == under.entries
+    swapped = {(u, o): s for (o, u), s in d.sign_sums.items()}
+    under = _counts_from_pairs(swapped, mat.basis1.cycles, mat.basis2.cycles)
+    return tuple(map(tuple, under)) == mat.entries
 
 
 def diagram_invariant(d: Diagram) -> LkInvariant:

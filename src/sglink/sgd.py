@@ -37,7 +37,7 @@ indices it collected; it calls :func:`validate` only to word its error.
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import Counter, deque
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import NoReturn
@@ -111,6 +111,37 @@ def pair_signs(rows) -> dict[tuple[str, str], int]:
     return sums
 
 
+def _bfs(edges, vertices):
+    """Breadth-first spanning forest of ``edges`` on ``vertices``: one
+    search from each vertex not yet reached, in the order of ``vertices``,
+    over the edges whose two ends are among them, loops left out,
+    neighbours in the order of ``edges``.  Returns, per search, its
+    discovery edges in order and each reached vertex's (parent edge id,
+    parent vertex, depth), the root's (None, None, 0); and vertex -> the
+    number of the search that reached it, from 0."""
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
+    for e in edges:
+        if e.tail != e.head and e.tail in adj and e.head in adj:
+            adj[e.tail].append((e.id, e.head))
+            adj[e.head].append((e.id, e.tail))
+    forest: list[tuple[list[str], dict]] = []
+    where: dict[str, int] = {}
+    for root in adj:
+        if root not in where:
+            parent, found, queue = {root: (None, None, 0)}, [], deque([root])
+            while queue:
+                v = queue.popleft()
+                depth = parent[v][2] + 1
+                for eid, other in adj[v]:
+                    if other not in parent:
+                        parent[other] = (eid, v, depth)
+                        found.append(eid)
+                        queue.append(other)
+            where.update(dict.fromkeys(parent, len(forest)))
+            forest.append((found, parent))
+    return forest, where
+
+
 class Diagram(Value):
     """Immutable diagram value: vertex ids, edges and crossing rows
     ``(id, over edge, over index, under edge, under index, sign)``, each
@@ -150,39 +181,29 @@ class Diagram(Value):
         return pair_signs(self.rows)
 
     @cached_property
+    def _forest(self) -> tuple[tuple[Component, list[str], dict], ...]:
+        """The diagram's breadth-first spanning forest (:func:`_bfs`, with
+        edges and vertices in id order, so each root is its component's
+        smallest vertex): per component, in number order, the component,
+        its tree edges in discovery order and its parent map."""
+        forest, where = _bfs(self.edges, self.vertices)
+        edge_ids: list[list[str]] = [[] for _ in forest]
+        for e in self.edges:
+            if e.tail in where:
+                edge_ids[where[e.tail]].append(e.id)
+        return tuple((Component(k + 1, tuple(sorted(parent)), tuple(eids)), tree, parent)
+                     for k, ((tree, parent), eids) in enumerate(zip(forest, edge_ids)))
+
+    @cached_property
     def components(self) -> tuple[Component, ...]:
-        """Connected components of the abstract graph, sorted by their
-        lexicographically smallest vertex id and numbered from 1."""
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for e in self.edges:
-            if e.tail in parent and e.head in parent:
-                parent[find(e.tail)] = find(e.head)
-        groups: dict[str, list[str]] = defaultdict(list)
-        for v in self.vertices:
-            groups[find(v)].append(v)
-        parts = sorted(groups.values(), key=lambda vs: vs[0])
-        members = {v: i for i, vs in enumerate(parts) for v in vs}
-        edge_groups: dict[int, list[str]] = defaultdict(list)
-        for e in self.edges:
-            if e.tail in members:
-                edge_groups[members[e.tail]].append(e.id)
-        return tuple(
-            Component(i + 1, tuple(vs), tuple(sorted(edge_groups.get(i, ()))))
-            for i, vs in enumerate(parts)
-        )
+        """Connected components of the abstract graph, each with the edges
+        whose tail is one of its vertices, sorted by their smallest vertex
+        id and numbered from 1: the components of ``_forest``."""
+        return tuple(comp for comp, _, _ in self._forest)
 
     def component(self, index: int) -> Component:
         if not 1 <= index <= len(self.components):
-            raise DomainError(
-                f"no such component {index} (diagram has {len(self.components)})"
-            )
+            raise DomainError(f"no such component {index} (diagram has {len(self.components)})")
         return self.components[index - 1]
 
 

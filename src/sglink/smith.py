@@ -61,13 +61,6 @@ class IntMatrix(Value):
                 prod.append(tuple(sum(map(mul, row, col)) for col in cols_t))
         return IntMatrix(self.rows, other.cols, tuple(prod))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination.
 

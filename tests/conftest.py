@@ -1,17 +1,25 @@
 """A time limit per test, so that a hang fails the suite instead of
-stalling it.
+stalling it, and one Hypothesis profile for every property test.
 
 Each test gets ``LIMIT_S`` seconds of wall time; the slowest test takes
 about 5 s.  ``SIGALRM`` then raises in the test, which fails it and lets
 the run go on.  Code that never returns to the interpreter cannot take
 that signal, so ``faulthandler`` prints every thread's traceback and ends
 the process after twice the limit.
+
+The profile derandomizes Hypothesis and gives it no example database, so
+each property test draws the same examples on every run, and none are
+saved under ``.hypothesis/`` or replayed from there.
 """
 
 import faulthandler
 import signal
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("sglink", derandomize=True, database=None)
+settings.load_profile("sglink")
 
 LIMIT_S = 60
 

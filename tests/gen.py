@@ -85,6 +85,11 @@ def random_matrix(rng: random.Random, max_dim=6, bound=20) -> IntMatrix:
                                  for _ in range(m)))
 
 
+def transposed(m: IntMatrix) -> IntMatrix:
+    """The transpose of ``m``."""
+    return IntMatrix(m.cols, m.rows, tuple(zip(*m.entries)) if m.rows else ((),) * m.cols)
+
+
 def divisor_chains(max_len: int, max_d: int) -> list[tuple[int, ...]]:
     """Every divisibility chain with entries <= max_d, lengths 0..max_len."""
     chains: list[tuple[int, ...]] = [()]

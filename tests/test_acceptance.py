@@ -20,6 +20,7 @@ from gen import (
     random_diagram,
     random_matrix,
     random_unimodular,
+    transposed,
 )
 from oracles import divisors_via_minors
 from sglink import (
@@ -127,7 +128,7 @@ def test_criterion_2_unimodular_and_transpose_invariance():
         b = random_unimodular(m.cols, seed=rng.randrange(2**32))
         base = smith_normal_form(m).divisors
         conj = smith_normal_form(a @ m @ b).divisors
-        trans = smith_normal_form(m.transpose()).divisors
+        trans = smith_normal_form(transposed(m)).divisors
         if not (base == conj == trans):
             failures.append((i, m.entries, base, conj, trans))
     _report(2, "unimodular/transpose invariance, 200 triples", failures)

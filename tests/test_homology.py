@@ -6,7 +6,7 @@ import pytest
 
 from gen import random_diagram, random_spanning_tree
 from oracles import boundary
-from sglink import Diagram, DomainError, Edge, cycle_basis, parse_sgd, spanning_tree
+from sglink import Diagram, DomainError, Edge, cycle_basis, linking_matrix, parse_sgd, spanning_tree
 
 TRIANGLE = parse_sgd(
     "sgd 1\nvertex a\nvertex b\nvertex c\n"
@@ -130,10 +130,34 @@ class TestCycleBasis:
                     d, comp.index, tree=spanning_tree(d, comp.index))
 
     def test_default_path_checks_the_tree(self):
-        # edge e reaches the undeclared vertex w: one tree edge, one vertex
+        # edge e reaches the undeclared vertex w, which the forest's tree,
+        # over declared vertices only, does not
         d = Diagram(("v",), (Edge("e", "v", "w"),))
-        with pytest.raises(DomainError, match="wrong edge count"):
+        with pytest.raises(DomainError, match="edge 'e' of component 1 ends at undeclared vertex 'w'"):
             cycle_basis(d, 1)
+        with pytest.raises(DomainError, match="undeclared vertex 'w'"):
+            spanning_tree(d, 1)
+
+    def test_an_edge_to_an_undeclared_vertex_is_never_a_tree_edge(self):
+        # component 1 is u with its loop a and the edge g to a vertex never
+        # declared; component 2 is v with its loop b
+        d = Diagram(("u", "v"), (Edge("a", "u", "u"), Edge("b", "v", "v"), Edge("g", "u", "ghost")))
+        assert [c.edge_ids for c in d.components] == [("a", "g"), ("b",)]
+        for read in (lambda: spanning_tree(d, 1), lambda: cycle_basis(d, 1),
+                     lambda: cycle_basis(d, 1, tree=[]), lambda: linking_matrix(d)):
+            with pytest.raises(DomainError, match="edge 'g' of component 1 ends at undeclared vertex"):
+                read()
+        with pytest.raises(DomainError, match="wrong edge count"):
+            cycle_basis(d, 1, tree=["g"])
+        assert spanning_tree(d, 2) == []
+        assert [c.coeffs for c in cycle_basis(d, 2).cycles] == [{"b": 1}]
+
+    def test_a_given_tree_through_an_undeclared_vertex_does_not_span(self):
+        # u-w joined by a, and g from u to a vertex never declared: the tree
+        # {g} has one edge for two vertices, but reaches no vertex of them
+        d = Diagram(("u", "w"), (Edge("a", "u", "w"), Edge("g", "u", "ghost")))
+        with pytest.raises(DomainError, match="does not reach every vertex"):
+            cycle_basis(d, 1, tree=["g"])
 
     def test_random_tree_bases_are_cycles(self):
         rng = random.Random(13)

@@ -765,8 +765,10 @@ def test_validate_lists_what_the_reference_lists_on_hand_built_diagrams():
 def test_invariant_and_walk_keep_only_rows():
     # the rows are the one crossing form: what the pipeline and a walk
     # leave on a diagram is its fields, the parser's mark and the caches
-    # the counts read, and no crossing objects
-    kept = {"vertices", "edges", "rows", "_checked", "edge_map", "sign_sums", "components"}
+    # the counts read, the breadth-first forest among them, and no crossing
+    # objects
+    kept = {"vertices", "edges", "rows", "_checked", "edge_map", "sign_sums", "components",
+            "_forest"}
     for path in sorted(DATA.glob("*.sgd")):
         d = parse_sgd(path.read_text(encoding="utf-8"))
         if len(d.components) == 2:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_matrix, random_unimodular
+from gen import random_matrix, random_unimodular, transposed
 from oracles import MINOR_LIMIT, cofactor_det, divisors_via_minors
 from sglink import smith
 from sglink import (
@@ -155,7 +155,7 @@ class TestIntMatrix:
     def test_degenerate_dims(self):
         z = rows(cols=3)
         assert (z.rows, z.cols) == (0, 3)
-        assert z.transpose().rows == 3 and z.transpose().cols == 0
+        assert transposed(z) == IntMatrix(3, 0, ((), (), ()))
         assert (z @ eye(3)).cols == 3
 
 
@@ -266,6 +266,36 @@ class TestSmithNormalForm:
         assert picks == [0, 0, 0]
 
 
+class TestCertificateChecks:
+    """One test per shape and divisor check of ``verify_certificate``: a
+    certificate with identity transforms that fails that check first,
+    pinned by the check's message."""
+
+    def test_divisors_that_are_not_a_chain(self):
+        d = rows([2, 0], [0, 3])
+        with pytest.raises(SelfCheckError, match="divisors do not form a divisibility chain"):
+            verify_certificate(d, SnfCertificate(eye(2), d, eye(2), (2, 3)))
+
+    def test_a_divisor_that_is_not_positive(self):
+        d = rows([-1])
+        with pytest.raises(SelfCheckError, match="divisors are not positive"):
+            verify_certificate(d, SnfCertificate(eye(1), d, eye(1), (-1,)))
+
+    def test_a_transform_of_the_wrong_shape(self):
+        m = eye(2)
+        u = rows([1, 0], [0, 1], [0, 0])
+        with pytest.raises(SelfCheckError, match="certificate transform dimensions are wrong"):
+            verify_certificate(m, SnfCertificate(u, m, eye(2), (1, 1)))
+
+    def test_a_diagonal_of_the_wrong_shape(self):
+        # with no rows, a 0 x 5 D holds the same entries, (), as the 0 x 3
+        # product U @ M @ V, so only the shape check rejects it
+        m, d = zeros(0, 3), zeros(0, 5)
+        assert (eye(0) @ m @ eye(3)).entries == d.entries
+        with pytest.raises(SelfCheckError, match="certificate diagonal dimensions are wrong"):
+            verify_certificate(m, SnfCertificate(eye(0), d, eye(3), ()))
+
+
 class TestUnimodularityProof:
     """A square full-rank M proves U and V unimodular through det M."""
 
@@ -368,7 +398,7 @@ class TestInvariances:
         rng = random.Random(8)
         for _ in range(60):
             m = random_matrix(rng)
-            assert smith_normal_form(m.transpose()).divisors == smith_normal_form(m).divisors
+            assert smith_normal_form(transposed(m)).divisors == smith_normal_form(m).divisors
 
 
 class TestRandomUnimodular:
