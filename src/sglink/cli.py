@@ -44,8 +44,13 @@ EXIT_SELFCHECK = 4
 
 
 def _read_text(path: str) -> str:
+    """The file's text, decoded in one step with no newline translation:
+    every reader splits lines with ``str.splitlines`` or tokens with
+    ``str.split``, which take ``\r`` and ``\r\n`` as breaks or blanks."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SgdParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

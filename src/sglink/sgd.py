@@ -29,9 +29,11 @@ under index, sign)``; a ``Diagram`` holds its rows in id order
 and the move engine all read and write rows, the one crossing form.
 
 :func:`validate` lists every violation in one pass over the diagram.  The
-parser checks each line as it reads it, which rules out every violation
-but the degenerate crossings and passage indices, and tests those on the
-indices it collected; it calls :func:`validate` only to word its error.
+parser checks each line from its whitespace-split tokens as it reads it,
+which rules out every violation but the degenerate crossings and passage
+indices, and tests those on the indices it collected; it calls
+:func:`validate` only to word its error.  A line it does not accept goes
+to one function that words the error, its line and its column.
 """
 
 from __future__ import annotations
@@ -45,22 +47,8 @@ from typing import NoReturn
 from .errors import DomainError, SelfCheckError, SgdParseError
 from .value import Value
 
-_ID = r"[A-Za-z0-9_]+"
-_ID_RE = re.compile(_ID + r"\Z")
+_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
-# A whole declaration line in one match: keywords, identifiers, ASCII
-# digits and sign, separated by what str.split splits on, then an optional
-# comment.  Groups 1, 2-4 and 5-10 hold the fields of a vertex, edge and
-# crossing line, and the last group to match names the line's kind; a
-# blank or comment-only line matches with none.  Every token class
-# excludes blanks, so a failed match backtracks in time linear in the line.
-_LINE_RE = re.compile(
-    rf"\s*(?:(?:vertex\s+(?P<vertex>{_ID})"
-    rf"|edge\s+({_ID})\s+({_ID})\s+(?P<edge>{_ID})"
-    rf"|crossing\s+({_ID})\s+over\s+({_ID})\s+([0-9]+)\s+under\s+({_ID})\s+([0-9]+)"
-    r"\s+sign\s+(?P<crossing>[+-]))\s*)?(?:#.*)?",
-    re.DOTALL,
-)
 
 SGD_HEADER = "sgd 1"
 
@@ -142,14 +130,25 @@ def _bfs(edges, vertices):
     return forest, where
 
 
+def _in_id_order(items, key=None) -> tuple:
+    """``items`` sorted by ``key``, or as given when they cannot be sorted:
+    an id that is not a ``str`` or a malformed row, which :func:`validate`
+    reports."""
+    items = tuple(items)
+    try:
+        return tuple(sorted(items, key=key))
+    except (LookupError, TypeError):
+        return items
+
+
 class Diagram(Value):
     """Immutable diagram value: vertex ids, edges and crossing rows
     ``(id, over edge, over index, under edge, under index, sign)``, each
     held in sorted id order (a stable sort, linear on input already in
     order).  ``Diagram(vertices, edges, rows)`` takes ``Edge`` objects and
-    rows as given, and keeps rows that cannot be sorted by id in the order
-    given; :func:`validate` checks a diagram built so.  Two
-    diagrams are equal, and hash alike, when their vertices, edges and
+    rows as given, and keeps vertices, edges or rows that cannot be sorted
+    by id in the order given; :func:`validate` checks a diagram built so.
+    Two diagrams are equal, and hash alike, when their vertices, edges and
     rows are equal.
     """
 
@@ -161,14 +160,9 @@ class Diagram(Value):
 
     def __init__(self, vertices, edges=(), rows=()):
         held = self.__dict__
-        held["vertices"] = tuple(sorted(vertices))
-        held["edges"] = tuple(sorted(edges, key=attrgetter("id")))
-        rows = tuple(rows)
-        try:
-            rows = tuple(sorted(rows, key=itemgetter(0)))
-        except (LookupError, TypeError):  # a row validate reports as bad-row
-            pass
-        held["rows"] = rows
+        held["vertices"] = _in_id_order(vertices)
+        held["edges"] = _in_id_order(edges, attrgetter("id"))
+        held["rows"] = _in_id_order(rows, itemgetter(0))
 
     @cached_property
     def edge_map(self) -> dict[str, Edge]:
@@ -218,17 +212,19 @@ def validate(d: Diagram) -> list[Violation]:
     ``crossing-degenerate``, ``bad-sign``, ``passage-duplicate`` and
     ``passage-gap``.  They are listed identifiers first, then vertices,
     edges and crossings in the diagram's order, then passage indices by
-    edge id.  A crossing lists its duplicate id, bad sign, degeneracy and
-    dangling edges in that order.  A row that is not a 6-tuple (str id,
+    edge in the diagram's order (by id, when the ids can be sorted).  A
+    crossing lists its duplicate id, bad sign, degeneracy and dangling
+    edges in that order.  A row that is not a 6-tuple (str id,
     str edge, int index, str edge, int index, int sign) is one ``bad-row``
-    violation, and none of its other checks run.
+    violation, and none of its other checks run.  A vertex or edge id that
+    is not a ``str`` is a ``bad-identifier``.
     """
     out: list[Violation] = []
     well_formed = [isinstance(row, tuple) and len(row) == 6
                    and all(map(isinstance, row, _ROW_TYPES)) for row in d.rows]
     xids = (row[0] for row, ok in zip(d.rows, well_formed) if ok)
     for token in (*d.vertices, *(e.id for e in d.edges), *xids):
-        if not _ID_RE.match(token):
+        if not (isinstance(token, str) and _ID_RE.match(token)):
             out.append(Violation(
                 "bad-identifier", token, f"identifier {token!r} is not an [A-Za-z0-9_]+ token"))
     seen_v: set[str] = set()
@@ -269,8 +265,8 @@ def validate(d: Diagram) -> list[Violation]:
             else:
                 out.append(Violation(
                     "dangling-edge", xid, f"crossing {xid!r} references missing edge {eid!r}"))
-    for eid in sorted(refs):
-        indices = sorted(refs[eid])
+    for eid, indices in refs.items():  # the diagram's edge order
+        indices.sort()
         if indices == list(range(len(indices))):
             continue
         dups = sorted(i for i, k in Counter(indices).items() if k > 1)
@@ -299,12 +295,13 @@ def _check_id(words: list[str], k: int, raw: str, lineno: int) -> str:
 
 
 def _reject(raw: str, lineno: int, section: str, vertices, edges, crossings) -> NoReturn:
-    """Raise the error for a declaration line that ``_LINE_RE`` rejected or
-    that clashes with the declarations before it.
+    """Raise the error for a declaration line that :func:`parse_sgd` did
+    not accept: a malformed line, or one that clashes with the
+    declarations before it.
 
     The checks run token by token in a fixed order, and the first that
     fails names the error and its column.  They build nothing: only
-    :func:`parse_sgd`'s pattern match accepts a line, so a line that passes
+    :func:`parse_sgd`'s token checks accept a line, so a line that passes
     every check here means the two disagree, which is a bug.
     """
     words = raw.split("#", 1)[0].split()
@@ -352,7 +349,7 @@ def _reject(raw: str, lineno: int, section: str, vertices, edges, crossings) -> 
             raise _error(f"bad sign {words[9]!r}, expected + or -", raw, lineno, 9)
     else:
         raise _error(f"unknown declaration {kind!r}", raw, lineno, 0)
-    raise SelfCheckError(f"line {lineno} failed the declaration pattern but no token check")
+    raise SelfCheckError(f"line {lineno} was not accepted but passes every token check")
 
 
 def parse_sgd(text: str, check: bool = True) -> Diagram:
@@ -369,9 +366,13 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
 
     One pass over the lines makes the diagram's crossing rows and each
     edge's passage indices, which ``check`` tests directly;
-    :func:`validate` runs only to word the error.  A checked diagram is
-    marked, so a ``moves.WalkState`` built on it does not run
-    :func:`validate` again.
+    :func:`validate` runs only to word the error.  A line is accepted from
+    its ``str.split()`` tokens alone: the keyword and token count, the
+    keywords inside a crossing, ASCII-digit indices, the sign, the pattern
+    of the one id it declares, and lookups of the ids it references among
+    those declared; every line it does not accept goes to :func:`_reject`,
+    which words the error.  A checked diagram is marked, so a
+    ``moves.WalkState`` built on it does not run :func:`validate` again.
     """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -393,12 +394,18 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
     section = "vertex"  # advances vertex -> edge -> crossing
 
     for lineno, raw in lines:
-        m = _LINE_RE.fullmatch(raw)
-        kind = m.lastgroup if m else None
-        if kind == "crossing":
-            xid, o_eid, o_idx, u_eid, u_idx, sign = m.group(5, 6, 7, 8, 9, 10)
+        words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not words:
+            continue  # blank or comment only
+        kind, n = words[0], len(words)
+        if kind == "crossing" and n == 10:
+            _, xid, kw_over, o_eid, o_idx, kw_under, u_eid, u_idx, kw_sign, sign = words
             over, under = passages.get(o_eid), passages.get(u_eid)
-            if xid not in crossings and over is not None and under is not None:
+            if (over is not None and under is not None and xid not in crossings
+                    and kw_over == "over" and kw_under == "under" and kw_sign == "sign"
+                    and (sign == "+" or sign == "-") and _ID_RE.match(xid)
+                    and o_idx.isdigit() and o_idx.isascii()
+                    and u_idx.isdigit() and u_idx.isascii()):
                 try:
                     o_at, u_at = int(o_idx), int(u_idx)
                 except ValueError:  # past the interpreter's int/str digit limit
@@ -410,19 +417,19 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
                     under.append(u_at)
                     section = "crossing"
                     continue
-        elif kind == "edge":
-            eid, tail, head = m.group(2, 3, 4)
-            if section != "crossing" and eid not in edges and tail in vertices and head in vertices:
+        elif kind == "edge" and n == 4:
+            _, eid, tail, head = words
+            if (section != "crossing" and eid not in edges and tail in vertices
+                    and head in vertices and _ID_RE.match(eid)):
                 edges[eid] = Edge(eid, tail, head)
                 passages[eid] = []
                 section = "edge"
                 continue
-        elif kind == "vertex":
-            if section == "vertex" and m[1] not in vertices:
-                vertices[m[1]] = None
+        elif kind == "vertex" and n == 2:
+            vid = words[1]
+            if section == "vertex" and vid not in vertices and _ID_RE.match(vid):
+                vertices[vid] = None
                 continue
-        elif m:
-            continue  # blank or comment only
         _reject(raw, lineno, section, vertices, edges, crossings)
 
     d = Diagram(vertices, edges.values(), rows)

@@ -1034,6 +1034,64 @@ class TestExitContract:
         assert err == "internal error: RuntimeError: boom\n"
 
 
+class TestLineEnds:
+    """A file read with CRLF or lone-CR line ends gives the same exit code,
+    stdout and stderr as its LF copy: errors name the same line and
+    column."""
+
+    SGD_RUNS = [
+        (["invariant"], HOPF_TEXT),
+        (["invariant", "--json", "--show-basis"], HOPF_TEXT),
+        (["validate"], GAPPY_TEXT),
+        (["invariant"], "# comment\n\n" + HOPF_TEXT.replace("under b1 0", "under  b1 ?")),
+    ]
+    REPLAY = "# a replay\nclasp a1 0 b1 0 1\n\ncrossing_change x1  # c\n"
+    MATRICES = ["2 3\n4 2 0\n2 4 6\n", "2 2\n4 2\n2 x\n"]
+
+    @staticmethod
+    def run(capsys, argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def same_as_lf(self, capsys, tmp_path, end, argv, text, at):
+        """The outcome of ``argv`` with ``text`` written at ``argv[at]``,
+        which is the same with ``end`` for each line end as with LF."""
+        outcomes = []
+        for name, sep in (("lf", "\n"), ("other", end)):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", sep).encode())
+            outcomes.append(self.run(capsys, [*argv[:at], str(path), *argv[at:]]))
+        assert outcomes[0] == outcomes[1], (argv, end)
+        return outcomes[0]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_sgd_file(self, tmp_path, capsys, end):
+        codes = [self.same_as_lf(capsys, tmp_path, end, argv, text, 1)[0]
+                 for argv, text in self.SGD_RUNS]
+        assert codes == [0, 0, 2, 3]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_replay_file(self, hopf_file, tmp_path, capsys, end):
+        for text, code in ((self.REPLAY, 0), (self.REPLAY + "clasp a1 x b1 0 1\n", 2)):
+            argv = ["perturb", hopf_file, "--json", "--replay"]
+            assert self.same_as_lf(capsys, tmp_path, end, argv, text, 4)[0] == code
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_matrix_file(self, tmp_path, capsys, end):
+        for text, code in zip(self.MATRICES, (0, 3)):
+            for argv in (["snf"], ["snf", "--json"]):
+                assert self.same_as_lf(capsys, tmp_path, end, argv, text, 1)[0] == code
+
+    def test_bad_byte_past_the_first_read_is_placed_in_the_whole_file(self, tmp_path, capsys):
+        p = tmp_path / "late.sgd"
+        head = b"sgd 1\n#" + b"-" * 20001 + b"\n"
+        p.write_bytes(head + b"\xff\n")
+        assert len(head) == 20009
+        assert self.run(capsys, ["invariant", str(p)]) == (
+            3, "", f"error: {p}: not UTF-8 text (invalid start byte at byte 20009)\n")
+
+
 class TestParser:
     """``main`` builds its argparse parser once per process and reuses it."""
 

@@ -17,10 +17,13 @@ from the names.  Today's diagram holds plain rows, its one crossing form,
 and ``Crossing`` survives only as ``gen``'s copy for these references;
 ``gen.rows_of`` gives the rows of their crossing objects where they meet
 today's diagrams.  Both must agree on every diagram, valid or not, and in
-every error.
+every error.  ``head_parse_sgd`` accepts a line with one match of
+``_LINE_RE``, kept here with it; today's ``parse_sgd`` checks the line's
+``str.split()`` tokens instead.
 """
 
 import random
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +50,6 @@ from sglink import moves
 from sglink.moves import WalkState, random_homotopy_walk, walk_steps
 from sglink.sgd import (
     _ID_RE,
-    _LINE_RE,
     _TOKEN_RE,
     SGD_HEADER,
     Component,
@@ -60,6 +62,24 @@ from sglink.sgd import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+# ``sgd._LINE_RE`` as it stood when ``parse_sgd`` accepted each line with
+# one match, copied verbatim; ``head_parse_sgd`` reads it.
+_ID = r"[A-Za-z0-9_]+"
+# A whole declaration line in one match: keywords, identifiers, ASCII
+# digits and sign, separated by what str.split splits on, then an optional
+# comment.  Groups 1, 2-4 and 5-10 hold the fields of a vertex, edge and
+# crossing line, and the last group to match names the line's kind; a
+# blank or comment-only line matches with none.  Every token class
+# excludes blanks, so a failed match backtracks in time linear in the line.
+_LINE_RE = re.compile(
+    rf"\s*(?:(?:vertex\s+(?P<vertex>{_ID})"
+    rf"|edge\s+({_ID})\s+({_ID})\s+(?P<edge>{_ID})"
+    rf"|crossing\s+({_ID})\s+over\s+({_ID})\s+([0-9]+)\s+under\s+({_ID})\s+([0-9]+)"
+    r"\s+sign\s+(?P<crossing>[+-]))\s*)?(?:#.*)?",
+    re.DOTALL,
+)
+
 
 def _check_id(token: str, line: int, col: int) -> str:
     if not _ID_RE.match(token):
@@ -595,9 +615,52 @@ def test_mid_line_comment_ends_the_declaration():
     assert assert_same(text) == parse_sgd("\n".join(SMALL))
 
 
+# every line break of str.splitlines; "\x1f" is a blank inside a line
+BREAKS = ("\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# (line of SMALL, that line accepted, that line rejected, the error)
+TRAPS = [
+    (5, "crossing\x1fx1 over e 0 under f\x1f0 sign +", "crossing x\x1f1 over e 0 under f 0 sign +",
+     "expected: crossing"),
+    (5, "crossing x1 over e 0 under f 0 sign + # \u0663",
+     "crossing x1 over e \u0663 under f 0 sign +", "bad passage index '\u0663'"),
+    (2, "vertex b  #é", "vertex bé", "bad identifier 'bé'"),
+    (6, "crossing x2 over f 1 under e 1 sign +#x3", "crossing x2 over f 1 under e 1 sign#+",
+     "expected: crossing"),
+    (3, "edge e a a#", "edge# e a a", "expected: edge"),
+]
+
+
+def assert_both_same(text):
+    """``parse_sgd`` agrees with both references; returns the checked outcome."""
+    got = assert_same(text)
+    assert assert_same_storage(text) == got
+    return got
+
+
+def test_every_line_break_reads_as_the_references_read_it():
+    assert all(("a" + b + "b").splitlines() == ["a", "b"] for b in BREAKS)
+    assert "a\x1fb".splitlines() == ["a\x1fb"] and "a\x1fb".split() == ["a", "b"]
+    small = parse_sgd(SMALL_TEXT)
+    for b in BREAKS:
+        assert assert_both_same(b.join(SMALL) + b) == small
+        broken = SMALL[:5] + [SMALL[5].replace(" under", b + "under")] + SMALL[6:]
+        got = assert_both_same(b.join(broken) + b)
+        assert got[:3] == (SgdParseError, "line 6, col 1: expected: crossing "
+                           "<xid> over <eid> <idx> under <eid> <idx> sign <+|->", 6), repr(b)
+
+
+def test_separator_traps_read_as_the_references_read_them():
+    small = parse_sgd(SMALL_TEXT)
+    for k, accepted, rejected, message in TRAPS:
+        assert assert_both_same("\n".join(SMALL[:k] + [accepted] + SMALL[k + 1:])) == small
+        got = assert_both_same("\n".join(SMALL[:k] + [rejected] + SMALL[k + 1:]))
+        assert got[0] is SgdParseError and got[2] == k + 1 and message in got[1], rejected
+
+
 def test_failed_match_is_linear_in_the_line():
-    # every token class excludes blanks, so a long run of them cannot make
-    # the pattern backtrack quadratically (10**6 blanks take ~0.1 s)
+    # a long run of blanks costs time linear in the line, in the token
+    # checks and in the column a rejected line reports (10**6 blanks take
+    # ~0.1 s)
     blanks = " " * 10**6
     for line in (blanks + "x", "vertex" + blanks + "a b", "crossing x over e 0" + blanks + "?"):
         with pytest.raises(SgdParseError):

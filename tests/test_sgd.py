@@ -1,6 +1,7 @@
 """Diagram model, SGD parsing/serialization, and the validator."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,25 @@ class TestParse:
         assert err.value.line == 3
         assert "line 3" in str(err.value)
 
+    @staticmethod
+    def best_of_3(text):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            parse_sgd(text)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    @pytest.mark.parametrize("make", [
+        lambda k: serialize_sgd(canonical_diagram(1, 1, (k,))),  # one long edge a side
+        lambda k: "sgd 1\n" + "\n# vertex v\n   \t\n#\n" * 4 * k,  # blank and comment-only lines
+    ], ids=["long_edge", "blank_lines"])
+    def test_parse_is_linear_in_the_lines(self, make):
+        # 4x the lines takes about 4x the time; a quadratic step would take
+        # about 16x, so the bound at 8 tells the two apart on a loaded host
+        small, large = make(1500), make(6000)
+        assert self.best_of_3(large) / self.best_of_3(small) < 8
+
 
 class TestSerialize:
     def test_round_trip_hopf(self):
@@ -169,6 +189,22 @@ class TestValidate:
         ]
         with pytest.raises(DomainError, match="invalid diagram: crossing row"):
             WalkState(d)
+
+    def test_edge_ids_that_cannot_be_sorted_are_kept_in_the_order_given(self):
+        edges = (Edge("e", "a", "a"), Edge(7, "b", "b"))
+        d = Diagram(("a", "b"), edges)
+        assert d.edges == edges
+        assert [(v.code, v.entity, v.message) for v in validate(d)] == [
+            ("bad-identifier", 7, "identifier 7 is not an [A-Za-z0-9_]+ token")]
+
+    def test_vertex_id_that_is_not_a_string_is_one_violation(self):
+        assert [(v.code, v.entity, v.message) for v in validate(Diagram((1,)))] == [
+            ("bad-identifier", 1, "identifier 1 is not an [A-Za-z0-9_]+ token")]
+
+    def test_edge_id_that_is_not_a_string_is_one_violation(self):
+        d = Diagram(("a",), (Edge(7, "a", "a"),))
+        assert [(v.code, v.entity, v.message) for v in validate(d)] == [
+            ("bad-identifier", 7, "identifier 7 is not an [A-Za-z0-9_]+ token")]
 
     def test_duplicate_and_gap_messages(self):
         edge = Edge("e", "v", "v")
