@@ -52,7 +52,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError, SelfCheckError
 from .homology import CycleBasis, cycle_basis, spanning_tree
 from .linking import LinkingMatrix, matrix_from_pairs
-from .sgd import _ID_RE, Component, Diagram, Edge, pair_signs, validate
+from .sgd import Component, Diagram, Edge, _is_id, pair_signs, validate
 from .value import Value
 
 __all__ = [
@@ -426,7 +426,7 @@ class WalkState:
         if vid not in self._ends:
             raise DomainError(f"unknown vertex {vid!r}")
         for new in (new_vid, new_eid):
-            if not _ID_RE.match(new):
+            if not (isinstance(new, str) and _is_id(new)):
                 raise DomainError(f"identifier {new!r} is not an [A-Za-z0-9_]+ token")
         if new_vid in self._ends:
             raise DomainError(f"vertex id {new_vid!r} already in use")

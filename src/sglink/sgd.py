@@ -47,10 +47,15 @@ from typing import NoReturn
 from .errors import DomainError, SelfCheckError, SgdParseError
 from .value import Value
 
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
 
 SGD_HEADER = "sgd 1"
+
+
+def _is_id(tok: str) -> bool:
+    """Whether ``tok`` is an identifier, an [A-Za-z0-9_]+ token: ASCII, and
+    alphanumeric once its underscores read as digits."""
+    return tok.isascii() and tok.replace("_", "0").isalnum()
 
 
 class Edge(Value):
@@ -217,29 +222,34 @@ def validate(d: Diagram) -> list[Violation]:
     edges in that order.  A row that is not a 6-tuple (str id,
     str edge, int index, str edge, int index, int sign) is one ``bad-row``
     violation, and none of its other checks run.  A vertex or edge id that
-    is not a ``str`` is a ``bad-identifier``.
+    is not a ``str`` is one ``bad-identifier``, hashable or not, and no
+    edge or crossing can reference it.
     """
     out: list[Violation] = []
     well_formed = [isinstance(row, tuple) and len(row) == 6
                    and all(map(isinstance, row, _ROW_TYPES)) for row in d.rows]
     xids = (row[0] for row, ok in zip(d.rows, well_formed) if ok)
     for token in (*d.vertices, *(e.id for e in d.edges), *xids):
-        if not (isinstance(token, str) and _ID_RE.match(token)):
+        if not (isinstance(token, str) and _is_id(token)):
             out.append(Violation(
                 "bad-identifier", token, f"identifier {token!r} is not an [A-Za-z0-9_]+ token"))
+    # ids that are not a str, which may not hash, are only bad identifiers:
+    # they are neither duplicates nor ids an edge or crossing can reference
     seen_v: set[str] = set()
     for v in d.vertices:
-        if v in seen_v:
-            out.append(Violation("duplicate-id", v, f"vertex id {v!r} declared twice"))
-        seen_v.add(v)
+        if isinstance(v, str):
+            if v in seen_v:
+                out.append(Violation("duplicate-id", v, f"vertex id {v!r} declared twice"))
+            seen_v.add(v)
     # each edge's passage indices, in the order the crossings name them
     refs: dict[str, list[int]] = {}
     for e in d.edges:
-        if e.id in refs:
-            out.append(Violation("duplicate-id", e.id, f"edge id {e.id!r} declared twice"))
-        refs[e.id] = []
+        if isinstance(e.id, str):
+            if e.id in refs:
+                out.append(Violation("duplicate-id", e.id, f"edge id {e.id!r} declared twice"))
+            refs[e.id] = []
         for endpoint in (e.tail, e.head):
-            if endpoint not in seen_v:
+            if not (isinstance(endpoint, str) and endpoint in seen_v):
                 out.append(Violation(
                     "dangling-vertex", e.id,
                     f"edge {e.id!r} references missing vertex {endpoint!r}"))
@@ -289,7 +299,7 @@ def _error(message: str, raw: str, lineno: int, k: int) -> SgdParseError:
 
 
 def _check_id(words: list[str], k: int, raw: str, lineno: int) -> str:
-    if not _ID_RE.match(words[k]):
+    if not _is_id(words[k]):
         raise _error(f"bad identifier {words[k]!r}", raw, lineno, k)
     return words[k]
 
@@ -403,7 +413,7 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
             over, under = passages.get(o_eid), passages.get(u_eid)
             if (over is not None and under is not None and xid not in crossings
                     and kw_over == "over" and kw_under == "under" and kw_sign == "sign"
-                    and (sign == "+" or sign == "-") and _ID_RE.match(xid)
+                    and (sign == "+" or sign == "-") and _is_id(xid)
                     and o_idx.isdigit() and o_idx.isascii()
                     and u_idx.isdigit() and u_idx.isascii()):
                 try:
@@ -420,14 +430,14 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
         elif kind == "edge" and n == 4:
             _, eid, tail, head = words
             if (section != "crossing" and eid not in edges and tail in vertices
-                    and head in vertices and _ID_RE.match(eid)):
+                    and head in vertices and _is_id(eid)):
                 edges[eid] = Edge(eid, tail, head)
                 passages[eid] = []
                 section = "edge"
                 continue
         elif kind == "vertex" and n == 2:
             vid = words[1]
-            if section == "vertex" and vid not in vertices and _ID_RE.match(vid):
+            if section == "vertex" and vid not in vertices and _is_id(vid):
                 vertices[vid] = None
                 continue
         _reject(raw, lineno, section, vertices, edges, crossings)

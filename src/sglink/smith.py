@@ -6,10 +6,14 @@ integer multiple of one row/column to another.  Arithmetic is exact
 (unbounded Python ints), and every certificate is re-verified before it is
 returned.
 
-Verification skips zero terms: ``IntMatrix.__matmul__`` adds up only the
-rows a sparse row's nonzeros pick, and ``IntMatrix.det`` only rescales (or
-leaves alone) a row whose pivot-column entry is 0.  Checking a certificate
-therefore costs in step with its nonzeros, not with its declared size.
+Verification skips zero terms.  ``IntMatrix.__matmul__`` adds up only the
+nonzero pairs of a row that is at most half nonzero, over lists of the
+other factor's nonzeros made once per product; ``IntMatrix.det`` brings a
+row up to date only when an elimination step uses it; and ``D``'s diagonal
+form is checked a row at a time.  Products still build dense rows, so
+checking an n x n certificate stays Omega(n**2); beyond that, the products
+cost in step with the nonzero pairs they meet, and the determinant with the
+rows its steps update.
 
 Unimodularity: ``U @ M @ V == D`` gives ``det U * det M * det V = prod(d)``.
 For a square ``M`` with a divisor per row, ``|det M| = prod(d) != 0`` leaves
@@ -45,15 +49,19 @@ class IntMatrix(Value):
         if self.cols != other.rows:
             raise DomainError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         b = other.entries
-        cols_t = None
+        cols_t = b_nz = None
         prod = []
         for row in self.entries:
             if 2 * row.count(0) >= len(row):
-                # at most half nonzero: sum the rows of ``other`` the nonzeros pick
+                # at most half nonzero: add up the nonzero pairs, each row of
+                # ``other`` listed by its nonzeros once per product
+                if b_nz is None:
+                    b_nz = [[(j, r[j]) for j in compress(range(len(r)), r)] for r in b]
                 acc = [0] * other.cols
                 for k in compress(range(len(row)), row):
                     a = row[k]
-                    acc = [x + a * y for x, y in zip(acc, b[k])]
+                    for j, y in b_nz[k]:
+                        acc[j] += a * y
                 prod.append(tuple(acc))
             else:
                 if cols_t is None:
@@ -64,10 +72,16 @@ class IntMatrix(Value):
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination.
 
-        Work follows the nonzeros: a row whose pivot-column entry is 0 is
-        only rescaled (``x * p // prev``), and left alone when the pivot
-        ``p`` equals the previous pivot, so the determinant of a mostly-zero
-        transform costs far less than n**3 steps.
+        Every value the elimination holds is a minor.  A step only scales a
+        row whose pivot-column entry is 0, by ``p / prev`` (this pivot over
+        the last), so a run of such steps scales it by the ratio of the
+        pivots at the run's ends.  Each row therefore keeps a scale, the
+        last pivot at which its entries were exact, and is brought up to
+        date, with one exact division ``x * prev // scale``, only when a
+        step uses it: as the pivot row, as a row the pivot row updates (in
+        the update's own division), or as the last entry.  A step costs the
+        pivot row and the rows it updates, so the determinant of a diagonal
+        n x n matrix takes time quadratic, not cubic, in n.
         """
         if self.rows != self.cols:
             raise DomainError("determinant requires a square matrix")
@@ -75,6 +89,8 @@ class IntMatrix(Value):
         if n == 0:
             return 1
         m = [list(row) for row in self.entries]
+        # row i holds its true values times scale[i] / prev; a zero stays zero
+        scale = [1] * n
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -82,21 +98,27 @@ class IntMatrix(Value):
                 for i in range(k + 1, n):
                     if m[i][k] != 0:
                         m[k], m[i] = m[i], m[k]
+                        scale[k], scale[i] = scale[i], scale[k]
                         sign = -sign
                         break
                 else:
                     return 0
-            p = m[k][k]
-            tail = m[k][k + 1:]
+            pivot, s = m[k], scale[k]
+            if s == prev:
+                p, tail = pivot[k], pivot[k + 1:]
+            else:
+                p = pivot[k] * prev // s
+                tail = [x * prev // s for x in pivot[k + 1:]]
             for i in range(k + 1, n):
                 row = m[i]
                 a = row[k]
                 if a:
-                    row[k + 1:] = [(x * p - a * y) // prev for x, y in zip(row[k + 1:], tail)]
-                elif p != prev:
-                    row[k + 1:] = [x * p // prev for x in row[k + 1:]]
+                    # the update and the rescale in one exact division
+                    s = scale[i]
+                    row[k + 1:] = [(x * p - a * y) // s for x, y in zip(row[k + 1:], tail)]
+                    scale[i] = p
             prev = p
-        return sign * m[n - 1][n - 1]
+        return sign * m[n - 1][n - 1] * prev // scale[n - 1]
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -296,11 +318,10 @@ def verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
         raise SelfCheckError("U @ M @ V != D")
     ds = cert.divisors
     limit = min(mat.rows, mat.cols)
-    for i in range(d.rows):
-        for j in range(d.cols):
-            expected = ds[i] if i == j and i < len(ds) else 0
-            if d.entries[i][j] != expected:
-                raise SelfCheckError("D is not in diagonal divisor form")
+    for i, row in enumerate(d.entries):
+        diagonal = ds[i] if i < len(ds) and i < d.cols else 0
+        if any(row[:i]) or any(row[i + 1:]) or (i < d.cols and row[i] != diagonal):
+            raise SelfCheckError("D is not in diagonal divisor form")
     if len(ds) > limit or any(x <= 0 for x in ds):
         raise SelfCheckError("divisors are not positive")
     if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):

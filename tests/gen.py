@@ -85,6 +85,16 @@ def random_matrix(rng: random.Random, max_dim=6, bound=20) -> IntMatrix:
                                  for _ in range(m)))
 
 
+def sparse_matrix(rng: random.Random, rows: int, cols: int, density: float,
+                  bound=9) -> IntMatrix:
+    """A rows x cols matrix whose entries are each nonzero with probability
+    ``density``, a nonzero drawn from [-bound, bound]."""
+    return IntMatrix(rows, cols, tuple(
+        tuple(rng.choice((-1, 1)) * rng.randint(1, bound) if rng.random() < density else 0
+              for _ in range(cols))
+        for _ in range(rows)))
+
+
 def transposed(m: IntMatrix) -> IntMatrix:
     """The transpose of ``m``."""
     return IntMatrix(m.cols, m.rows, tuple(zip(*m.entries)) if m.rows else ((),) * m.cols)

@@ -49,7 +49,6 @@ from sglink import (
 from sglink import moves
 from sglink.moves import WalkState, random_homotopy_walk, walk_steps
 from sglink.sgd import (
-    _ID_RE,
     _TOKEN_RE,
     SGD_HEADER,
     Component,
@@ -57,11 +56,16 @@ from sglink.sgd import (
     Edge,
     Violation,
     _error,
+    _is_id,
     _reject,
     validate,
 )
 
 DATA = Path(__file__).parent / "data"
+
+# ``sgd._ID_RE`` as it stood when every identifier check matched it, copied
+# verbatim; the references read it, and today's ``sgd._is_id`` must agree.
+_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 # ``sgd._LINE_RE`` as it stood when ``parse_sgd`` accepted each line with
 # one match, copied verbatim; ``head_parse_sgd`` reads it.
@@ -597,6 +601,33 @@ def test_lines_the_pattern_accepts_but_a_check_rejects():
                           "edge e b a\nedge e a a": "duplicate edge id 'e'"}.items():
         got = assert_same("\n".join(decls + [last]) + "\n")
         assert got[0] is SgdParseError and message in got[1], last
+
+
+# underscores, non-ASCII letters and digits that str.isalnum accepts, a
+# trailing line break that ``$`` would allow, blanks inside, and nothing
+ID_TOKENS = ["_", "__", "a_1", "Z9", "٣", "１", "é", "ß", "Ⅻ", "v1é", "a\n", "a\n\n",
+             "a b", "a\tb", "a\xa0b", " a", "a-1", "a.tail", ""]
+
+
+@pytest.mark.parametrize("tok", ID_TOKENS)
+def test_identifier_check_agrees_with_the_pattern(tok):
+    # at every call site: the parser, validate and a split's new ids
+    is_id = bool(_ID_RE.match(tok))
+    assert _is_id(tok) is is_id
+    assert_same(f"sgd 1\nvertex {tok}\nedge e a a\n")
+    assert_same(f"sgd 1\nvertex a\nedge {tok} a a\n")
+    assert_same(f"sgd 1\nvertex a\nedge e a a\ncrossing {tok} over e 0 under e 1 sign +\n")
+    assert (not validate(Diagram((tok,)))) is is_id
+    state = WalkState(canonical_diagram(1, 1, (1,)))
+    vid = state.diagram().vertices[0]
+    for new in ((tok, "e_new"), ("v_new", tok)):
+        try:
+            state.split_vertex(vid, [], *new)
+        except DomainError as err:
+            assert not is_id and str(err) == f"identifier {tok!r} is not an [A-Za-z0-9_]+ token"
+        else:
+            assert is_id
+            state = WalkState(canonical_diagram(1, 1, (1,)))
 
 
 def test_index_past_the_digit_limit_is_a_parse_error():

@@ -206,6 +206,31 @@ class TestValidate:
         assert [(v.code, v.entity, v.message) for v in validate(d)] == [
             ("bad-identifier", 7, "identifier 7 is not an [A-Za-z0-9_]+ token")]
 
+    def test_ids_that_do_not_hash_are_bad_identifiers_only(self):
+        # each is reported once, takes no part in the duplicate checks, and
+        # no edge can reference it; a state refuses the diagram, and the
+        # diagram itself, holding a list, does not hash
+        bad = "is not an [A-Za-z0-9_]+ token"
+        cases = [
+            (Diagram([["a"]]), [("bad-identifier", ["a"], f"identifier ['a'] {bad}")]),
+            (Diagram([["a"], ["a"]]), [("bad-identifier", ["a"], f"identifier ['a'] {bad}")] * 2),
+            (Diagram(("a",), (Edge(["e"], "a", "a"), Edge(["e"], "a", "a"))),
+             [("bad-identifier", ["e"], f"identifier ['e'] {bad}")] * 2),
+            (Diagram(("a", ["b"]), (Edge("e", "a", ["b"]),)), [
+                ("bad-identifier", ["b"], f"identifier ['b'] {bad}"),
+                ("dangling-vertex", "e", "edge 'e' references missing vertex ['b']")]),
+            (Diagram(("a",), (Edge(["e"], "a", "a"),), (("x", "e", 0, "e", 1, 1),)), [
+                ("bad-identifier", ["e"], f"identifier ['e'] {bad}"),
+                ("dangling-edge", "x", "crossing 'x' references missing edge 'e'"),
+                ("dangling-edge", "x", "crossing 'x' references missing edge 'e'")]),
+        ]
+        for d, want in cases:
+            assert [(v.code, v.entity, v.message) for v in validate(d)] == want
+            with pytest.raises(DomainError, match=r"invalid diagram: identifier \["):
+                WalkState(d)
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(d)
+
     def test_duplicate_and_gap_messages(self):
         edge = Edge("e", "v", "v")
         dup = Diagram(("v",), (edge,), (

@@ -8,6 +8,7 @@ reject the same certificates.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +295,27 @@ class TestCertificateChecks:
         assert (eye(0) @ m @ eye(3)).entries == d.entries
         with pytest.raises(SelfCheckError, match="certificate diagonal dimensions are wrong"):
             verify_certificate(m, SnfCertificate(eye(0), d, eye(3), ()))
+
+
+class TestCertificateCost:
+    @staticmethod
+    def best_of_3(n):
+        # M = D = diag(2, ..., 2) with identity transforms: det M alone
+        # proves U and V unimodular
+        two = rows(*([2 * int(i == j) for j in range(n)] for i in range(n)), cols=n)
+        cert = SnfCertificate(eye(n), two, eye(n), (2,) * n)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            verify_certificate(two, cert)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    def test_a_diagonal_certificate_is_not_cubic_to_check(self):
+        # 4x the size takes about 16x the time; a determinant that rescales
+        # every row at every step takes about 64x, so the bound at 32 tells
+        # the two apart on a loaded host
+        assert self.best_of_3(400) / self.best_of_3(100) < 32
 
 
 class TestUnimodularityProof:
