@@ -161,11 +161,12 @@ def cmd_perturb(args) -> int:
     # matrix is the one `invariant` reads off the start diagram.  Each step
     # compares only the entries of the matrix the state keeps, which it
     # reads without making its bases unless a move dropped the matrix, and
-    # runs SNF only when they changed.  The final checks, of the matrix
-    # over the kept bases and of the components they were made from, catch
-    # running sums or component lists that a faulty move left wrong without
-    # failing a per-step check.  A failed self-check
-    # still writes --moves-out, so the failing walk can be replayed.
+    # runs SNF and compares the invariant only when they changed.  The
+    # final checks, of the matrix over the kept bases and of the components
+    # they were made from, catch running sums or component lists that a
+    # faulty move left wrong without failing a per-step check.  A failed
+    # self-check still writes --moves-out, so the failing walk can be
+    # replayed.
     d = _read_diagram(args.path)
     start = WalkState(d)
     mat = linking_matrix(start)
@@ -182,7 +183,9 @@ def cmd_perturb(args) -> int:
         for rec, state in walk:
             records.append(rec)
             new_entries = state.linking_entries()
-            new_inv = inv if new_entries == entries else lk_invariant(state.linking_matrix())
+            if new_entries == entries:  # the invariant too is as it was
+                continue
+            new_inv = lk_invariant(state.linking_matrix())
             if rec.homotopy_preserving and new_inv != inv:
                 raise SelfCheckError(
                     f"invariant changed from {inv} to {new_inv} "

@@ -155,6 +155,9 @@ class WalkState:
     ``DomainError``.  A diagram ``parse_sgd`` has checked is not validated
     again.
 
+    - Each edge keeps its ends as a mutable ``[tail, head]`` pair, which
+      splits and contractions re-attach in place; ``Edge`` values are built
+      only when read, by :attr:`edge_map` and :meth:`diagram`.
     - Each edge holds its passages as a list of crossing ends ``(xid, 0)``
       and ``(xid, 1)``; a passage's index is its place in the list.
     - Each crossing keeps the edges of its two ends, which end is over, and
@@ -166,7 +169,9 @@ class WalkState:
       free, not loops) are kept in id order, as the walk draws from them.
     - Each vertex keeps its incident edge ends; each component keeps its
       vertices and edges in id order, and components are numbered by their
-      smallest vertex id, as ``Diagram.components`` numbers them.
+      smallest vertex id, as ``Diagram.components`` numbers them.  A split
+      or contraction renumbers them, with a sort, only when it moved its
+      component's smallest vertex past a neighbour's.
     - Each component keeps a spanning tree, its edges in join order:
       ``spanning_tree``'s at the start, then wherever the moves took it.
       A split adds its new edge, a contraction removes its edge, or, for
@@ -208,7 +213,7 @@ class WalkState:
         self._order = list(range(len(self._comp_vertices)))  # keys by number
         self._made: list[CycleBasis | None] = [None] * len(self._order)  # key -> basis read
         self._vertices = list(d.vertices)
-        self._edges = dict(d.edge_map)
+        self._edges = {e.id: [e.tail, e.head] for e in d.edges}  # edge -> [tail, head]
         self._ends: dict[str, set[tuple[str, str]]] = {v: set() for v in d.vertices}
         slots: dict[str, list] = {eid: [] for eid in self._edges}
         self._crossings: dict[str, list] = {}  # xid -> [edge of end 0, of end 1, over end, sign]
@@ -238,19 +243,16 @@ class WalkState:
     # -- reading --------------------------------------------------------
 
     def _comp(self, eid: str) -> int:
-        edge = self._edges.get(eid)
-        if edge is None:
+        ends = self._edges.get(eid)
+        if ends is None:
             raise DomainError(f"unknown edge {eid!r}")
-        return self._comp_of[edge.tail]
-
-    def ends_at(self, vid: str) -> list[tuple[str, str]]:
-        """The (edge id, "tail"/"head") ends at a vertex, sorted."""
-        return sorted(self._ends.get(vid, ()))
+        return self._comp_of[ends[0]]
 
     @property
     def edge_map(self) -> dict[str, Edge]:
-        """Edge id -> ``Edge``, as ``Diagram.edge_map``."""
-        return self._edges
+        """Edge id -> ``Edge``, as ``Diagram.edge_map``: a new map, built
+        from the ends the state holds when read."""
+        return {eid: Edge(eid, tail, head) for eid, (tail, head) in self._edges.items()}
 
     def _key(self, k: int) -> int:
         """The key of component number ``k``."""
@@ -310,7 +312,7 @@ class WalkState:
                 at[end] = (eid, i)
         rows = [(xid, *at[xid, over], *at[xid, 1 - over], sign)
                 for xid, (_, _, over, sign) in self._crossings.items()]
-        return Diagram(self._vertices, self._edges.values(), rows)
+        return Diagram(self._vertices, self.edge_map.values(), rows)
 
     # -- moves ----------------------------------------------------------
 
@@ -374,8 +376,7 @@ class WalkState:
         all unchanged.  Edges carrying passages cannot be contracted: that
         would require sliding crossings along the edge.
         """
-        edge = self._contractible_edge(eid)
-        keep, drop = edge.tail, edge.head
+        keep, drop = self._contractible_edge(eid)
         key = self._comp_of.pop(drop)
         tree = self._trees[key]
         rebased = eid not in tree
@@ -402,16 +403,16 @@ class WalkState:
         self._eids.free(eid)
         self._graph_moved(key, eid, passages, rebased)
 
-    def _contractible_edge(self, eid: str) -> Edge:
-        """The edge ``eid``, if it can be contracted."""
-        edge = self._edges.get(eid)
-        if edge is None:
+    def _contractible_edge(self, eid: str) -> list[str]:
+        """The ``[tail, head]`` of edge ``eid``, if it can be contracted."""
+        ends = self._edges.get(eid)
+        if ends is None:
             raise DomainError(f"unknown edge {eid!r}")
-        if edge.tail == edge.head:
+        if ends[0] == ends[1]:
             raise DomainError(f"cannot contract loop {eid!r}")
         if self._passages[eid]:
             raise DomainError(f"cannot contract edge {eid!r}: it carries crossing passages")
-        return edge
+        return ends
 
     def split_vertex(self, vid: str, moved: Sequence[tuple[str, str]], new_vid: str,
                      new_eid: str) -> None:
@@ -444,7 +445,7 @@ class WalkState:
         ends.add((new_eid, "tail"))
         away.add((new_eid, "head"))
         self._ends[new_vid] = away
-        self._edges[new_eid] = Edge(new_eid, vid, new_vid)
+        self._edges[new_eid] = [vid, new_vid]
         self._passages[new_eid] = []
         insort(self._contractible, new_eid)
         insort(self._vertices, new_vid)
@@ -465,10 +466,10 @@ class WalkState:
         """Re-attach edge ends to ``vid``, keeping the contractible edges
         current (an end moved can make a loop or undo one)."""
         for x, side in ends:
-            e = self._edges[x]
-            was = e.tail != e.head and not self._passages[x]
-            e = self._edges[x] = Edge(x, vid, e.head) if side == "tail" else Edge(x, e.tail, vid)
-            now = e.tail != e.head and not self._passages[x]
+            pair, free = self._edges[x], not self._passages[x]
+            was = free and pair[0] != pair[1]
+            pair[side == "head"] = vid
+            now = free and pair[0] != pair[1]
             if now and not was:
                 insort(self._contractible, x)
             elif was and not now:
@@ -482,13 +483,20 @@ class WalkState:
         if passages:
             raise SelfCheckError(f"the edge {eid!r} added or removed carries crossing passages")
         self._made[key] = None
-        edges, vertices = len(self._trees[key]), len(self._comp_vertices[key])
+        order, comp_vertices = self._order, self._comp_vertices
+        i = order.index(key)
+        edges, vertices = len(self._trees[key]), len(comp_vertices[key])
         if edges != vertices - 1:
-            raise SelfCheckError(f"the tree kept for component {self._order.index(key) + 1} "
+            raise SelfCheckError(f"the tree kept for component {i + 1} "
                                  f"has {edges} edges for {vertices} vertices")
-        before = list(self._order)
-        self._order.sort(key=lambda k: self._comp_vertices[k][0])
-        if rebased or self._order != before:
+        # only this component's first vertex can have changed, so the
+        # order holds unless it passed a neighbour's
+        first = comp_vertices[key][0]
+        if ((i and comp_vertices[order[i - 1]][0] > first)
+                or (i + 1 < len(order) and first > comp_vertices[order[i + 1]][0])):
+            order.sort(key=lambda k: comp_vertices[k][0])
+            self._entries = None
+        elif rebased:
             self._entries = None
 
     # -- move records ---------------------------------------------------
@@ -557,8 +565,9 @@ class WalkState:
             if len(edge_ids) < 2:
                 return None
             e, f = rng.sample(edge_ids, 2)
-            pos_e = rng.randint(0, len(self._passages[e]))
-            pos_f = rng.randint(0, len(self._passages[f]))
+            # randrange(n + 1) draws as randint(0, n) does
+            pos_e = rng.randrange(len(self._passages[e]) + 1)
+            pos_f = rng.randrange(len(self._passages[f]) + 1)
             eps = rng.choice((1, -1))
             args = (e, pos_e, f, pos_f, eps)
             tokens = (e, str(pos_e), f, str(pos_f), str(eps))
@@ -569,7 +578,7 @@ class WalkState:
         else:  # split_vertex: always applicable
             vid = rng.choice(self._vertices)
             new_vid, new_eid = self._vids.new(), self._eids.new()
-            moved = [end for end in self.ends_at(vid) if rng.random() < 0.5]
+            moved = [end for end in sorted(self._ends[vid]) if rng.random() < 0.5]
             args = (vid, moved, new_vid, new_eid)
             tokens = (vid, new_vid, new_eid, *(f"{eid}.{side}" for eid, side in moved))
         return MoveRecord(kind, tokens, True), args

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -340,6 +341,24 @@ class TestPerturb:
         assert cli.main(["invariant", str(out)]) == 0  # move comments are ignored
         assert capsys.readouterr().out.strip() == "2 4"
 
+    def test_a_sampled_walk_is_linear_in_its_steps(self, tmp_path, capsys):
+        # 4x the steps takes about 4.5x the time; a step that cost time
+        # linear in the diagram the walk has grown would take about 16x, so
+        # the bound at 8 tells the two apart on a loaded host
+        src = tmp_path / "c.sgd"
+        src.write_text(serialize_sgd(canonical_diagram(3, 3, (1, 2, 4))))
+
+        def best_of_3(steps):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                assert cli.main(["perturb", str(src), "--steps", str(steps), "--seed", "7"]) == 0
+                best = min(best, time.perf_counter() - start)
+                capsys.readouterr()
+            return best
+
+        assert best_of_3(10000) / best_of_3(2500) < 8
+
     def test_replay_reproduces_walk(self, tmp_path, capsys):
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(canonical_diagram(2, 2, (1, 6))))
@@ -644,7 +663,7 @@ class TestPerturb:
         real = moves.WalkState.contract_edge
 
         def off_cycle(state, eid):
-            key = state._comp_of[state._edges[eid].tail]
+            key = state._comp_of[state._edges[eid][0]]  # the tail
             tree = state._trees[key]
             before = list(tree)
             cycle = next(c.coeffs for c in state.basis(1).cycles if eid in c.coeffs)

@@ -423,6 +423,60 @@ class TestWalk:
                 tree, entries = set().union(*state._trees), state.linking_entries()
         assert non_tree >= 10 and changed >= 1
 
+    def test_a_walk_builds_no_edge_between_steps(self, monkeypatch):
+        # a state keeps each edge's ends as a pair that its moves update in
+        # place, and builds Edge values only when they are read
+        state = moves.WalkState(canonical_diagram(3, 3, (1, 2, 4)))
+        real, built = Edge.__init__, Counter()
+
+        def counted(edge, *args):
+            built["edges"] += 1
+            real(edge, *args)
+
+        monkeypatch.setattr(Edge, "__init__", counted)
+        kinds = Counter(rec.kind for rec, _ in walk_steps(state, 200, 7))
+        assert kinds["split_vertex"] > 10 and kinds["contract_edge"] > 10
+        assert built["edges"] == 0
+        edge_map = state.edge_map  # a read builds each edge once
+        assert built["edges"] == len(edge_map) > 0
+
+    def test_edges_read_are_the_diagrams(self):
+        # after seeded walks, and after recorded moves applied as a replay
+        # applies them, inter-component ones included, on canonical and
+        # random two-component diagrams: the Edge values a state builds
+        # when read are those of its diagram, and a map read earlier keeps
+        # the values it was read with
+        rng = random.Random(30)
+        starts = [canonical_diagram(3, 3, (1, 2, 4)), canonical_diagram(2, 3, (2,))]
+        while len(starts) < 14:
+            d = random_diagram(rng)
+            if len(d.components) == 2:
+                starts.append(d)
+
+        def assert_edges_read(state):
+            edge_map = state.edge_map
+            assert edge_map == state.diagram().edge_map
+            assert all(type(e) is Edge for e in edge_map.values())
+
+        for seed, d in enumerate(starts):
+            state = moves.WalkState(d)
+            at_start = state.edge_map
+            for n, _ in enumerate(walk_steps(state, 80, seed)):
+                if n % 5 == 0:
+                    assert_edges_read(state)
+            assert at_start == d.edge_map
+            _, records = random_homotopy_walk(d, 40, seed)
+            state = moves.WalkState(d)
+            for rec in records:
+                state.apply(rec)
+                assert_edges_read(state)
+            for k in (1, 2):
+                vid = state.component(k).vertices[0]
+                state.apply(MoveRecord("split_vertex", (vid, f"w{k}", f"f{k}"), True))
+            state.apply(MoveRecord("clasp", ("f1", "0", "f2", "0", "-1"), False))
+            state.apply(MoveRecord("crossing_change", (state.diagram().rows[-1][0],), False))
+            assert_edges_read(state)
+
     def test_every_walk_is_certified(self, monkeypatch):
         # a split that leaves its new edge out of the kept tree fails its
         # certificate in a walk started from a Diagram, with no state
