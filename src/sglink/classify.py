@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .linking import linking_matrix
+from .errors import DomainError
+from .linking import UNREALIZABLE, linking_matrix, over_under_consistent
 from .sgd import Diagram
 from .smith import LkInvariant, lk_invariant
 from .value import Value
@@ -60,10 +61,11 @@ class Verdict(Value):
         )
 
 
-def _profile(d: Diagram) -> tuple[tuple[int, int], LkInvariant]:
-    """Ranks and invariant of a diagram, both read off its linking matrix."""
+def _profile(d: Diagram) -> tuple[tuple[int, int], LkInvariant, bool]:
+    """Ranks and invariant of a diagram, both read off its linking matrix,
+    and whether it passes the over/under check over that matrix's bases."""
     mat = linking_matrix(d)
-    return (mat.rows, mat.cols), lk_invariant(mat)
+    return (mat.rows, mat.cols), lk_invariant(mat), over_under_consistent(d, mat)
 
 
 def classify(d: Diagram, d2: Diagram, ordered: bool = False) -> Verdict:
@@ -74,10 +76,15 @@ def classify(d: Diagram, d2: Diagram, ordered: bool = False) -> Verdict:
     admitted (the invariant is transpose invariant, so only the rank tuples
     need rechecking).  Equivalent means ranks match under some admitted
     pairing and the invariants are equal; otherwise the verdict reports the
-    obstruction, "rank" or "divisors".
+    obstruction, "rank" or "divisors".  A diagram that fails the over/under
+    check is no spatial graph's diagram, and its invariant depends on how
+    its vertices are named, so it raises ``DomainError`` instead.
     """
-    (m, n), inv = _profile(d)
-    (m2, n2), inv2 = _profile(d2)
+    (m, n), inv, consistent = _profile(d)
+    (m2, n2), inv2, consistent2 = _profile(d2)
+    for name, ok in (("A", consistent), ("B", consistent2)):
+        if not ok:
+            raise DomainError(f"diagram {name} {UNREALIZABLE}")
     pairings = [("ordered", (m2, n2))]
     if not ordered:
         pairings.append(("swapped", (n2, m2)))

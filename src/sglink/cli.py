@@ -6,7 +6,9 @@ Subcommands: ``validate``, ``invariant``, ``classify``, ``canonical``,
     0  success / equivalent
     1  inequivalent
     2  domain violation (bad component count, divisibility, a bad perturb
-       seed, step count or move; the structural violations ``validate`` lists)
+       seed, step count or move; the structural violations ``validate`` lists;
+       a diagram that fails the over/under check, read by ``classify`` or
+       ``perturb``)
     3  I/O or parse failure, a structurally invalid diagram included
        when any other command reads it
     4  internal self-check failure (signals a bug)
@@ -27,7 +29,7 @@ from pathlib import Path
 from .classify import Result, classify
 from .errors import DomainError, SelfCheckError, SgdParseError
 from .homology import CycleBasis
-from .linking import linking_matrix, matrix_from_pairs, over_under_consistent
+from .linking import UNREALIZABLE, linking_matrix, matrix_from_pairs, over_under_consistent
 from .moves import MoveCheckError, MoveRecord, WalkState, format_move, replay_steps, walk_steps
 from .moves import canonical_diagram as _canonical
 from .sgd import parse_sgd, serialize_sgd, validate
@@ -170,6 +172,10 @@ def cmd_perturb(args) -> int:
     d = _read_diagram(args.path)
     start = WalkState(d)
     mat = linking_matrix(start)
+    # the moves keep a consistent diagram consistent; an inconsistent one
+    # would fail a self-check at the first move that renumbers components
+    if not over_under_consistent(d, mat):
+        raise DomainError(f"diagram {UNREALIZABLE}")
     entries, inv = mat.entries, lk_invariant(mat)
 
     if args.replay:

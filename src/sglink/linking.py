@@ -13,18 +13,20 @@ per (over edge, under edge) pair; a diagram makes these sums once
 (``Diagram.sign_sums``), and every count over it shares them.  The second
 part turns each list of cycles into a sparse incidence, edge id ->
 [(cycle index, coefficient)], and adds each pair's sign sum times the
-outer product of the two edges' incidence entries.  The cost is linear in
-the crossings plus the work of those outer products, never a rescan of the
-crossings per cycle pair.  :func:`matrix_from_pairs` is the one count over
-two bases the caller chooses; :func:`linking_matrix` is that count over a
-diagram's default bases, :func:`over_under_consistent` the count over the
-same bases of the sums with over and under swapped, and
+outer product of the two edges' incidence entries.  A basis keeps its
+incidence once made (``CycleBasis.incidence``), so the matrix and the
+over/under check over the same bases make one incidence per basis.  The
+cost is linear in the crossings plus the work of those outer products,
+never a rescan of the crossings per cycle pair.  :func:`matrix_from_pairs`
+is the one count over two bases the caller chooses; :func:`linking_matrix`
+is that count over a diagram's default bases, :func:`over_under_consistent`
+the count over the same bases of the sums with over and under swapped, and
 :func:`linking_number`, the pairing of two arbitrary cycles, the 1 x 1
-count, after it checks that each cycle lies in its component.  A walk's working state (``moves.WalkState``) keeps its
-own running pair sums and a spanning tree per component, and
-:func:`linking_matrix` given such a state returns the matrix the state
-keeps over the fundamental bases of those trees, read off those sums by
-:func:`matrix_from_pairs`.
+count, after it checks that each cycle lies in its component.  A walk's
+working state (``moves.WalkState``) keeps its own running pair sums and a
+spanning tree per component, and :func:`linking_matrix` given such a state
+returns the matrix the state keeps over the fundamental bases of those
+trees, read off those sums by :func:`matrix_from_pairs`.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ class LinkingMatrix(IntMatrix):
         held["basis2"] = basis2
 
 
+# what a command that refuses a diagram failing over_under_consistent says,
+# after the diagram's name: such a diagram is no spatial graph's diagram,
+# and its matrix depends on which component is numbered first
+UNREALIZABLE = ("fails the over/under check: lk(z, w) != lk(w, z) for some basis "
+                "cycles z, w, so it is not realizable")
+
+
 def _check_cycles(d: Diagram, z: Cycle, w: Cycle) -> None:
     if z.component == w.component:
         raise DomainError("cycles must lie in distinct components")
@@ -82,6 +91,15 @@ def _incidence(cycles) -> dict[str, list[tuple[int, int]]]:
     return inc
 
 
+def _basis_incidence(basis: CycleBasis) -> dict[str, list[tuple[int, int]]]:
+    """The :func:`_incidence` of a basis's cycles, made on the first call and
+    kept as ``basis.incidence``; read it, never change it."""
+    inc = basis.incidence
+    if inc is None:
+        inc = basis.__dict__["incidence"] = _incidence(basis.cycles)
+    return inc
+
+
 def _add_outer(mat: list[list[int]], s: int, zs, ws) -> None:
     """mat += s * (outer product of two incidence entries), when both exist."""
     if zs and ws:
@@ -91,13 +109,14 @@ def _add_outer(mat: list[list[int]], s: int, zs, ws) -> None:
                 row[j] += sa * b
 
 
-def _counts_from_pairs(pairs, cycles1, cycles2) -> list[list[int]]:
-    """L[i][j] = sum over pairs (o, u) of sign sum * z_i[o] * w_j[u]."""
-    inc1, inc2 = _incidence(cycles1), _incidence(cycles2)
-    counts = [[0] * len(cycles2) for _ in cycles1]
-    for (o, u), s in pairs.items():
+def _counts(pairs, inc1, inc2, rows: int, cols: int) -> list[list[int]]:
+    """L[i][j] = sum over ((e, f), s) in ``pairs`` of s * z_i[e] * w_j[f],
+    from the incidences ``inc1`` of the rows z_i and ``inc2`` of the
+    columns w_j."""
+    counts = [[0] * cols for _ in range(rows)]
+    for (e, f), s in pairs:
         if s:
-            _add_outer(counts, s, inc1.get(o), inc2.get(u))
+            _add_outer(counts, s, inc1.get(e), inc2.get(f))
     return counts
 
 
@@ -110,7 +129,7 @@ def linking_number(d: Diagram, z: Cycle, w: Cycle) -> int:
     it is integer valued on any combinatorial input.
     """
     _check_cycles(d, z, w)
-    return _counts_from_pairs(d.sign_sums, (z,), (w,))[0][0]
+    return _counts(d.sign_sums.items(), _incidence((z,)), _incidence((w,)), 1, 1)[0][0]
 
 
 def require_two_components(d: Diagram) -> None:
@@ -139,9 +158,9 @@ def matrix_from_pairs(pairs, basis1: CycleBasis, basis2: CycleBasis) -> LinkingM
     ``sgd.pair_signs`` makes them.  Pairs whose edges lie outside the two
     bases' supports add nothing, so sums kept for inter-component pairs
     only give the same matrix."""
-    over = _counts_from_pairs(pairs, basis1.cycles, basis2.cycles)
-    return LinkingMatrix(len(basis1.cycles), len(basis2.cycles),
-                         tuple(map(tuple, over)), basis1, basis2)
+    rows, cols = len(basis1.cycles), len(basis2.cycles)
+    over = _counts(pairs.items(), _basis_incidence(basis1), _basis_incidence(basis2), rows, cols)
+    return LinkingMatrix(rows, cols, tuple(map(tuple, over)), basis1, basis2)
 
 
 def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
@@ -156,8 +175,9 @@ def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
     require_two_components(d)
     if mat is None:
         mat = linking_matrix(d)
-    swapped = {(u, o): s for (o, u), s in d.sign_sums.items()}
-    under = _counts_from_pairs(swapped, mat.basis1.cycles, mat.basis2.cycles)
+    swapped = (((u, o), s) for (o, u), s in d.sign_sums.items())
+    under = _counts(swapped, _basis_incidence(mat.basis1), _basis_incidence(mat.basis2),
+                    mat.rows, mat.cols)
     return tuple(map(tuple, under)) == mat.entries
 
 

@@ -34,6 +34,17 @@ which rules out every violation but the degenerate crossings and passage
 indices, and tests those on the indices it collected; it calls
 :func:`validate` only to word its error.  A line it does not accept goes
 to one function that words the error, its line and its column.
+
+A passage index is read with a lookup, not a conversion: ``_INDEX`` maps
+the decimal tokens "0" ... "1023" to their ints, so every index of an edge
+with fewer than 1024 passages costs one dictionary lookup.  The bound
+keeps the table small (about 100 KB, built at import in well under a
+millisecond) while it covers every edge of the walked and canonical
+diagrams ``bench/run.py`` reads, whose longest edge has 486 passages.  A
+crossing line with a token the table lacks converts both tokens as every
+line did before the table: ASCII digits only, under the interpreter's
+int/str digit limit.  So the parser accepts and rejects exactly the lines
+it did.
 """
 
 from __future__ import annotations
@@ -56,6 +67,24 @@ def _is_id(tok: str) -> bool:
     """Whether ``tok`` is an identifier, an [A-Za-z0-9_]+ token: ASCII, and
     alphanumeric once its underscores read as digits."""
     return tok.isascii() and tok.replace("_", "0").isalnum()
+
+
+# the passage-index tokens "0" ... "1023" and their ints (see the module
+# docstring); a token it lacks goes to _indices_past_table
+_INDEX = {str(i): i for i in range(1024)}
+_SIGN = {"+": 1, "-": -1}
+
+
+def _indices_past_table(o_idx: str, u_idx: str) -> tuple[int, int] | tuple[None, None]:
+    """A crossing line's two passage indices when ``_INDEX`` lacks one of
+    them, or (None, None) unless both tokens are ASCII digits under the
+    interpreter's int/str digit limit."""
+    if o_idx.isdigit() and o_idx.isascii() and u_idx.isdigit() and u_idx.isascii():
+        try:
+            return int(o_idx), int(u_idx)
+        except ValueError:  # past the interpreter's int/str digit limit
+            pass
+    return None, None
 
 
 class Edge(Value):
@@ -381,9 +410,15 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
     keywords inside a crossing, ASCII-digit indices, the sign, the pattern
     of the one id it declares, and lookups of the ids it references among
     those declared; every line it does not accept goes to :func:`_reject`,
-    which words the error.  A checked diagram is marked, so a
-    ``moves.WalkState`` built on it does not run :func:`validate` again.
+    which words the error.  A crossing line's indices and sign are lookups
+    in ``_INDEX`` and ``_SIGN``; only when ``_INDEX`` lacks an index token
+    (past 1023, zero-padded, or no index at all) does
+    :func:`_indices_past_table` convert both, accepting what the parser
+    accepted before the table: ASCII digits under the int/str digit limit.
+    A checked diagram is marked, so a ``moves.WalkState`` built on it does
+    not run :func:`validate` again.
     """
+    index, signs = _INDEX.get, _SIGN.get
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
         words = raw.split("#", 1)[0].split()
@@ -395,12 +430,11 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
         raise SgdParseError(f"missing header {SGD_HEADER!r}", 1, 1)
 
     # declarations so far: vertices and edges keyed by id in file order,
-    # each edge's passage indices, crossing ids, and Diagram.rows in file order
+    # each edge's passage indices, and Diagram.rows keyed by crossing id in file order
     vertices: dict[str, None] = {}
     edges: dict[str, Edge] = {}
     passages: dict[str, list[int]] = {}
-    crossings: set[str] = set()
-    rows: list[tuple] = []
+    crossings: dict[str, tuple] = {}
     section = "vertex"  # advances vertex -> edge -> crossing
 
     for lineno, raw in lines:
@@ -411,22 +445,19 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
         if kind == "crossing" and n == 10:
             _, xid, kw_over, o_eid, o_idx, kw_under, u_eid, u_idx, kw_sign, sign = words
             over, under = passages.get(o_eid), passages.get(u_eid)
-            if (over is not None and under is not None and xid not in crossings
+            o_at, u_at, s = index(o_idx), index(u_idx), signs(sign)
+            if o_at is None or u_at is None:
+                o_at, u_at = _indices_past_table(o_idx, u_idx)
+            if (over is not None and under is not None and s is not None
+                    and o_at is not None and u_at is not None and xid not in crossings
                     and kw_over == "over" and kw_under == "under" and kw_sign == "sign"
-                    and (sign == "+" or sign == "-") and _is_id(xid)
-                    and o_idx.isdigit() and o_idx.isascii()
-                    and u_idx.isdigit() and u_idx.isascii()):
-                try:
-                    o_at, u_at = int(o_idx), int(u_idx)
-                except ValueError:  # past the interpreter's int/str digit limit
-                    pass
-                else:
-                    crossings.add(xid)
-                    rows.append((xid, o_eid, o_at, u_eid, u_at, 1 if sign == "+" else -1))
-                    over.append(o_at)
-                    under.append(u_at)
-                    section = "crossing"
-                    continue
+                    and xid.isascii() and (xid.isalnum() or "_" in xid
+                                           and xid.replace("_", "0").isalnum())):
+                crossings[xid] = (xid, o_eid, o_at, u_eid, u_at, s)
+                over.append(o_at)
+                under.append(u_at)
+                section = "crossing"
+                continue
         elif kind == "edge" and n == 4:
             _, eid, tail, head = words
             if (section != "crossing" and eid not in edges and tail in vertices
@@ -442,7 +473,7 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
                 continue
         _reject(raw, lineno, section, vertices, edges, crossings)
 
-    d = Diagram(vertices, edges.values(), rows)
+    d = Diagram(vertices, edges.values(), crossings.values())
     if check:
         # n distinct indices below n are 0..n-1; a degenerate crossing
         # names one passage twice, so it fails this too

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -24,6 +23,8 @@ import sglink.linking as linking
 import sglink.moves as moves
 import sglink.smith as smith
 from sglink import (
+    Diagram,
+    Edge,
     canonical_diagram,
     diagram_invariant,
     linking_matrix,
@@ -34,6 +35,7 @@ from sglink import (
 )
 from sglink.moves import MoveRecord, format_move, walk_steps
 from sglink.smith import IntMatrix
+from timing import best_of_3
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -348,16 +350,14 @@ class TestPerturb:
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(canonical_diagram(3, 3, (1, 2, 4))))
 
-        def best_of_3(steps):
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
+        def walk_time(steps):
+            def perturb():
                 assert cli.main(["perturb", str(src), "--steps", str(steps), "--seed", "7"]) == 0
-                best = min(best, time.perf_counter() - start)
-                capsys.readouterr()
+            best = best_of_3(perturb)
+            capsys.readouterr()
             return best
 
-        assert best_of_3(10000) / best_of_3(2500) < 8
+        assert walk_time(10000) / walk_time(2500) < 8
 
     def test_replay_reproduces_walk(self, tmp_path, capsys):
         src = tmp_path / "c.sgd"
@@ -815,6 +815,75 @@ class TestPerturb:
         capsys.readouterr()
         assert cli.main(["invariant", str(out)]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+
+# A diagram whose over- and under-counts differ is no spatial graph's
+# diagram: the one crossing x1 puts l over m and nothing puts m over l.
+# Contracting t leaves c as its component's smallest vertex, so the
+# components swap numbers, and so does the over-count the invariant reads.
+UNREALIZABLE_TEXT = (
+    "sgd 1\nvertex a\nvertex b\nvertex c\nedge l c c\nedge m b b\nedge t c a\n"
+    "crossing x1 over l 0 under m 0 sign +\n"
+)
+UNREALIZABLE_ERROR = ("fails the over/under check: lk(z, w) != lk(w, z) for some basis "
+                      "cycles z, w, so it is not realizable")
+
+
+def components_swapped(d):
+    """``d`` with its vertex names permuted so that its two components swap
+    numbers: component 2's vertices take the smallest names."""
+    first, second = d.components
+    to = dict(zip(second.vertices + first.vertices, sorted(d.vertices)))
+    return Diagram([to[v] for v in d.vertices],
+                   [Edge(e.id, to[e.tail], to[e.head]) for e in d.edges], d.rows)
+
+
+class TestUnrealizable:
+    """``classify`` and ``perturb`` refuse a diagram that fails the over/under
+    check with exit 2; ``invariant`` reports it (test_unrealizable_diagram_flagged)."""
+
+    def test_perturb_exit_2_not_a_failed_self_check(self, tmp_path, capsys):
+        src, replay = tmp_path / "in.sgd", tmp_path / "moves.txt"
+        src.write_text(UNREALIZABLE_TEXT)
+        replay.write_text("contract_edge t\n")
+        for args in (["--replay", str(replay)], ["--steps", "20"]):
+            assert cli.main(["perturb", str(src), *args]) == 2
+            assert capsys.readouterr() == ("", f"error: diagram {UNREALIZABLE_ERROR}\n")
+
+    def test_classify_exit_2_not_inequivalent(self, tmp_path, capsys):
+        # the same diagram with b renamed d: the components swap numbers
+        text = UNREALIZABLE_TEXT.replace("vertex a\n", "").replace("edge t c a\n", "")
+        a, b = tmp_path / "a.sgd", tmp_path / "b.sgd"
+        a.write_text(text)
+        b.write_text(text.replace(" b", " d"))
+        good = tmp_path / "hopf.sgd"
+        good.write_text(HOPF_TEXT)
+        for pair, name in (((a, b), "A"), ((good, b), "B"), ((b, good), "A")):
+            assert cli.main(["classify", *map(str, pair)]) == 2
+            assert capsys.readouterr() == ("", f"error: diagram {name} {UNREALIZABLE_ERROR}\n")
+
+    def test_random_draws_exit_2_never_1_or_4(self, tmp_path, capsys):
+        # every valid two-component draw: a consistent one walks and matches
+        # itself with its components swapped, an inconsistent one exits 2
+        rng = random.Random(0)
+        a, b = tmp_path / "a.sgd", tmp_path / "b.sgd"
+        seen = Counter()
+        for _ in range(600):
+            d = random_diagram(rng)
+            if validate(d) or len(d.components) != 2:
+                continue
+            consistent = linking.over_under_consistent(d)
+            seen[consistent] += 1
+            want = 0 if consistent else 2
+            a.write_text(serialize_sgd(d))
+            b.write_text(serialize_sgd(components_swapped(d)))
+            for seed in ("1", "11", "29"):
+                assert cli.main(["perturb", str(a), "--steps", "60", "--seed", seed]) == want
+            assert cli.main(["classify", str(a), str(b)]) == want
+            err = capsys.readouterr().err
+            assert err == "".join(f"error: diagram {name}{UNREALIZABLE_ERROR}\n"
+                                  for name in ("", "", "", "A ")) * (not consistent)
+        assert seen[True] > 50 and seen[False] >= 5
 
 
 class TestSnf:

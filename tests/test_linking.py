@@ -192,8 +192,8 @@ DATA = Path(__file__).parent / "data"
 class TestInvariantCommand:
     def test_builds_bases_and_matrix_once(self, monkeypatch, capsys):
         # one pass over the crossings too: the matrix and the over/under
-        # check share the diagram's sign sums
-        calls = {"cycle_basis": 0, "linking_matrix": 0, "pair_signs": 0}
+        # check share the diagram's sign sums, and one incidence per basis
+        calls = {"cycle_basis": 0, "linking_matrix": 0, "pair_signs": 0, "_incidence": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -206,10 +206,11 @@ class TestInvariantCommand:
         monkeypatch.setattr(linking, "linking_matrix", lm)
         monkeypatch.setattr(cli, "linking_matrix", lm)
         monkeypatch.setattr(sgd, "pair_signs", counted("pair_signs", sgd.pair_signs))
+        monkeypatch.setattr(linking, "_incidence", counted("_incidence", linking._incidence))
         path = str(DATA / "walked_8_8.sgd")
         assert cli.main(["invariant", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["over_under_consistent"] is True
-        assert calls == {"cycle_basis": 2, "linking_matrix": 1, "pair_signs": 1}
+        assert calls == {"cycle_basis": 2, "linking_matrix": 1, "pair_signs": 1, "_incidence": 2}
 
     def test_show_basis_json_matches_golden(self, capsys):
         # walked_8_8.sgd: canonical 8 8 1 1 2 2 4 4 8 8 after 200 perturb steps

@@ -24,6 +24,7 @@ every error.  ``head_parse_sgd`` accepts a line with one match of
 
 import random
 import re
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +47,7 @@ from sglink import (
     serialize_sgd,
     smith_normal_form,
 )
-from sglink import moves
+from sglink import moves, sgd
 from sglink.moves import WalkState, random_homotopy_walk, walk_steps
 from sglink.sgd import (
     _TOKEN_RE,
@@ -686,6 +687,68 @@ def test_separator_traps_read_as_the_references_read_them():
         assert assert_both_same("\n".join(SMALL[:k] + [accepted] + SMALL[k + 1:])) == small
         got = assert_both_same("\n".join(SMALL[:k] + [rejected] + SMALL[k + 1:]))
         assert got[0] is SgdParseError and got[2] == k + 1 and message in got[1], rejected
+
+
+# Tokens about the table of decimal tokens that parse_sgd reads passage
+# indices through (sgd._INDEX, "0" ... "1023"): its last entry and the
+# first past it, leading zeros, an index past the int/str digit limit, and
+# what int() would take but an index is not.  Then signs about the two-entry
+# sign table, and crossing ids with and without an underscore.
+TABLE_INDICES = ("1023", "1024", "00", "007", "0" * 5000 + "1", "\u0663", "\uff11", "+1", "1_0")
+TABLE_SIGNS = ("+", "-", "\xb1", "+1", "\u2212", "++")
+TABLE_IDS = ("x_1", "x1_", "_", "x1", "x-1", "x_\xe9", "x\xe9")
+
+
+def edited(lines, k, slot, token):
+    """``lines`` joined as SGD text, with token ``slot`` of line ``k``
+    replaced by ``token``."""
+    words = lines[k].split()
+    words[slot] = token
+    return "\n".join(lines[:k] + [" ".join(words)] + lines[k + 1:]) + "\n"
+
+
+def test_crossing_tokens_about_the_tables_read_as_the_references_read_them():
+    assert sgd._INDEX["1023"] == 1023 and "1024" not in sgd._INDEX and "00" not in sgd._INDEX
+    # the tokens each line of SMALL accepts: on line 6, "00" names a passage
+    # that line 5 names "0", and x1 is line 5's id
+    accepted = {5: {"00", "+", "-", "x_1", "x1_", "_", "x1"}, 6: {"+", "-", "x_1", "x1_", "_"}}
+    for k in (5, 6):
+        cases = [(slot, tok) for slot in (4, 7) for tok in TABLE_INDICES]
+        cases += [(9, tok) for tok in TABLE_SIGNS] + [(1, tok) for tok in TABLE_IDS]
+        for slot, tok in cases:
+            text = edited(SMALL, k, slot, tok)
+            if len(tok) > sys.get_int_max_str_digits():
+                # the first reference leaks int()'s ValueError here
+                got = assert_same_storage(text)
+                assert got[1].endswith(f"bad passage index of {len(tok)} digits"), got
+            else:
+                got = assert_both_same(text)
+            assert isinstance(got, Diagram) is (tok in accepted[k]), (k, slot, tok)
+    # "0" and "00" on one edge name one passage twice
+    got = assert_both_same(edited(SMALL, 6, 7, "00"))
+    assert got[:2] == (SgdParseError, "invalid diagram: edge 'e' passage indices used twice: [0]")
+    assert assert_both_same(edited(SMALL, 5, 4, "00")) == parse_sgd(SMALL_TEXT)
+
+
+def test_an_edge_past_the_table_reads_as_the_references_read_it():
+    text = serialize_sgd(canonical_diagram(1, 1, (600,)))
+    d = parse_sgd(text)
+    assert max(row[2] for row in d.rows) == 1199  # past the table's 1023
+    rng = random.Random(37)
+    lines = text.splitlines()
+    for variant in (text, layout(rng, [ln.split() for ln in lines]), shuffled_sections(rng, text)):
+        assert assert_both_same(variant) == d
+    past = [(i, slot) for i, ln in enumerate(lines) if ln.startswith("crossing ")
+            for slot in (4, 7) if int(ln.split()[slot]) >= len(sgd._INDEX)]
+    assert len(past) == 2 * (1200 - 1024)
+    for trial in range(30):
+        i, slot = rng.choice(past)
+        index = lines[i].split()[slot]
+        token = (index.zfill(len(index) + 1 + trial % 3),  # the same passage
+                 str(int(index) + rng.choice((-1, 1, 2000))),  # a duplicate or a gap
+                 rng.choice(("\u0663" + index, index + "_0", "-" + index)))[trial % 3]
+        got = assert_both_same(edited(lines, i, slot, token))
+        assert (got == d) is (trial % 3 == 0), (i, slot, token)
 
 
 def test_failed_match_is_linear_in_the_line():

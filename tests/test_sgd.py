@@ -1,7 +1,6 @@
 """Diagram model, SGD parsing/serialization, and the validator."""
 
 import random
-import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from sglink import (
     validate,
 )
 from sglink.moves import WalkState
+from timing import best_of_3
 
 HOPF_TEXT = """\
 sgd 1
@@ -89,15 +89,6 @@ class TestParse:
         assert err.value.line == 3
         assert "line 3" in str(err.value)
 
-    @staticmethod
-    def best_of_3(text):
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            parse_sgd(text)
-            best = min(best, time.perf_counter() - start)
-        return best
-
     @pytest.mark.parametrize("make", [
         lambda k: serialize_sgd(canonical_diagram(1, 1, (k,))),  # one long edge a side
         lambda k: "sgd 1\n" + "\n# vertex v\n   \t\n#\n" * 4 * k,  # blank and comment-only lines
@@ -106,7 +97,7 @@ class TestParse:
         # 4x the lines takes about 4x the time; a quadratic step would take
         # about 16x, so the bound at 8 tells the two apart on a loaded host
         small, large = make(1500), make(6000)
-        assert self.best_of_3(large) / self.best_of_3(small) < 8
+        assert best_of_3(lambda: parse_sgd(large)) / best_of_3(lambda: parse_sgd(small)) < 8
 
 
 class TestSerialize:

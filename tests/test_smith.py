@@ -8,7 +8,6 @@ reject the same certificates.
 """
 
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +26,7 @@ from sglink import (
     smith_normal_form,
     verify_certificate,
 )
+from timing import best_of_3
 
 
 def reference_verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
@@ -299,23 +299,18 @@ class TestCertificateChecks:
 
 class TestCertificateCost:
     @staticmethod
-    def best_of_3(n):
+    def check_time(n):
         # M = D = diag(2, ..., 2) with identity transforms: det M alone
         # proves U and V unimodular
         two = rows(*([2 * int(i == j) for j in range(n)] for i in range(n)), cols=n)
         cert = SnfCertificate(eye(n), two, eye(n), (2,) * n)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            verify_certificate(two, cert)
-            best = min(best, time.perf_counter() - start)
-        return best
+        return best_of_3(lambda: verify_certificate(two, cert))
 
     def test_a_diagonal_certificate_is_not_cubic_to_check(self):
         # 4x the size takes about 16x the time; a determinant that rescales
         # every row at every step takes about 64x, so the bound at 32 tells
         # the two apart on a loaded host
-        assert self.best_of_3(400) / self.best_of_3(100) < 32
+        assert self.check_time(400) / self.check_time(100) < 32
 
 
 class TestUnimodularityProof:
