@@ -59,12 +59,6 @@ class CycleBasis(Value):
 
     _fields = ("component", "tree_edges", "cycles")
 
-    # set by the first count over the basis (``linking.matrix_from_pairs``
-    # or ``linking.over_under_consistent``): its edge id -> [(cycle index,
-    # coefficient)] incidence, which every later count shares; outside
-    # _fields, so equality, hash and repr do not read it
-    incidence = None
-
     def __init__(self, component: int, tree_edges: tuple[str, ...], cycles: tuple[Cycle, ...]):
         held = self.__dict__
         held["component"] = component

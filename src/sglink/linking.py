@@ -13,16 +13,17 @@ per (over edge, under edge) pair; a diagram makes these sums once
 (``Diagram.sign_sums``), and every count over it shares them.  The second
 part turns each list of cycles into a sparse incidence, edge id ->
 [(cycle index, coefficient)], and adds each pair's sign sum times the
-outer product of the two edges' incidence entries.  A basis keeps its
-incidence once made (``CycleBasis.incidence``), so the matrix and the
-over/under check over the same bases make one incidence per basis.  The
-cost is linear in the crossings plus the work of those outer products,
-never a rescan of the crossings per cycle pair.  :func:`matrix_from_pairs`
-is the one count over two bases the caller chooses; :func:`linking_matrix`
-is that count over a diagram's default bases, :func:`over_under_consistent`
-the count over the same bases of the sums with over and under swapped, and
-:func:`linking_number`, the pairing of two arbitrary cycles, the 1 x 1
-count, after it checks that each cycle lies in its component.  A walk's
+outer product of the two edges' incidence entries.  The cost is linear in
+the crossings plus the work of those outer products, never a rescan of
+the crossings per cycle pair.  :func:`matrix_from_pairs` is the one count
+over two bases the caller chooses; :func:`linking_matrix` is that count
+over a diagram's default bases, and :func:`linking_number`, the pairing of
+two arbitrary cycles, the 1 x 1 count, after it checks that each cycle
+lies in its component.  :func:`over_under_consistent` counts the
+differences Delta(e, f) = S(e, f) - S(f, e) of the sums S over the same
+bases: over minus under, zero everywhere when the check holds.  Every move
+keeps Delta as it is, so a diagram a walk reaches from a canonical one,
+where Delta is zero, passes the check with no count at all.  A walk's
 working state (``moves.WalkState``) keeps its own running pair sums and a
 spanning tree per component, and :func:`linking_matrix` given such a state
 returns the matrix the state keeps over the fundamental bases of those
@@ -91,32 +92,18 @@ def _incidence(cycles) -> dict[str, list[tuple[int, int]]]:
     return inc
 
 
-def _basis_incidence(basis: CycleBasis) -> dict[str, list[tuple[int, int]]]:
-    """The :func:`_incidence` of a basis's cycles, made on the first call and
-    kept as ``basis.incidence``; read it, never change it."""
-    inc = basis.incidence
-    if inc is None:
-        inc = basis.__dict__["incidence"] = _incidence(basis.cycles)
-    return inc
-
-
-def _add_outer(mat: list[list[int]], s: int, zs, ws) -> None:
-    """mat += s * (outer product of two incidence entries), when both exist."""
-    if zs and ws:
-        for i, a in zs:
-            row, sa = mat[i], s * a
-            for j, b in ws:
-                row[j] += sa * b
-
-
 def _counts(pairs, inc1, inc2, rows: int, cols: int) -> list[list[int]]:
     """L[i][j] = sum over ((e, f), s) in ``pairs`` of s * z_i[e] * w_j[f],
     from the incidences ``inc1`` of the rows z_i and ``inc2`` of the
     columns w_j."""
     counts = [[0] * cols for _ in range(rows)]
     for (e, f), s in pairs:
-        if s:
-            _add_outer(counts, s, inc1.get(e), inc2.get(f))
+        zs, ws = inc1.get(e), inc2.get(f)
+        if s and zs and ws:
+            for i, a in zs:
+                row, sa = counts[i], s * a
+                for j, b in ws:
+                    row[j] += sa * b
     return counts
 
 
@@ -159,7 +146,7 @@ def matrix_from_pairs(pairs, basis1: CycleBasis, basis2: CycleBasis) -> LinkingM
     bases' supports add nothing, so sums kept for inter-component pairs
     only give the same matrix."""
     rows, cols = len(basis1.cycles), len(basis2.cycles)
-    over = _counts(pairs.items(), _basis_incidence(basis1), _basis_incidence(basis2), rows, cols)
+    over = _counts(pairs.items(), _incidence(basis1.cycles), _incidence(basis2.cycles), rows, cols)
     return LinkingMatrix(rows, cols, tuple(map(tuple, over)), basis1, basis2)
 
 
@@ -168,17 +155,28 @@ def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
 
     A necessary condition for realizability; canonical diagrams and
     everything the move engine produces satisfy it.  ``mat`` is the
-    diagram's linking matrix, built over the default bases when omitted;
-    it is compared with the count over its bases of the sign sums with
-    over and under swapped: basis1's cycles under basis2's.
+    diagram's linking matrix, built over the default bases when omitted.
+    With S the diagram's sign sum per (over edge, under edge) pair, over
+    minus under is the count over the matrix's bases of Delta(e, f) =
+    S(e, f) - S(f, e), and the check holds when that count is zero.  One
+    pass over the sums finds the pairs where Delta is nonzero; when there
+    are none, nothing more is counted.
     """
     require_two_components(d)
     if mat is None:
         mat = linking_matrix(d)
-    swapped = (((u, o), s) for (o, u), s in d.sign_sums.items())
-    under = _counts(swapped, _basis_incidence(mat.basis1), _basis_incidence(mat.basis2),
-                    mat.rows, mat.cols)
-    return tuple(map(tuple, under)) == mat.entries
+    sums = d.sign_sums
+    delta = {}
+    for (o, u), s in sums.items():
+        t = s - sums.get((u, o), 0)
+        if t:
+            delta[o, u] = t
+            delta[u, o] = -t
+    if not delta:
+        return True
+    counts = _counts(delta.items(), _incidence(mat.basis1.cycles), _incidence(mat.basis2.cycles),
+                     mat.rows, mat.cols)
+    return not any(map(any, counts))
 
 
 def diagram_invariant(d: Diagram) -> LkInvariant:

@@ -6,14 +6,14 @@ integer multiple of one row/column to another.  Arithmetic is exact
 (unbounded Python ints), and every certificate is re-verified before it is
 returned.
 
-Verification skips zero terms.  ``IntMatrix.__matmul__`` adds up only the
-nonzero pairs of a row that is at most half nonzero, over lists of the
-other factor's nonzeros made once per product; ``IntMatrix.det`` brings a
-row up to date only when an elimination step uses it; and ``D``'s diagonal
-form is checked a row at a time.  Products still build dense rows, so
-checking an n x n certificate stays Omega(n**2); beyond that, the products
-cost in step with the nonzero pairs they meet, and the determinant with the
-rows its steps update.
+Verification skips zero terms.  ``IntMatrix.__matmul__`` has one loop: it
+adds up only the nonzero pairs of each row, over lists of the other
+factor's nonzeros made once per product; ``IntMatrix.det`` brings a row up
+to date only when an elimination step uses it; and ``D``'s diagonal form
+is checked a row at a time.  Products still build dense rows, so checking
+an n x n certificate stays Omega(n**2); beyond that, the products cost in
+step with the nonzero pairs they meet, and the determinant with the rows
+its steps update.
 
 Unimodularity: ``U @ M @ V == D`` gives ``det U * det M * det V = prod(d)``.
 For a square ``M`` with a divisor per row, ``|det M| = prod(d) != 0`` leaves
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from itertools import compress
 from math import prod
-from operator import mul
 
 from .errors import DomainError, SelfCheckError
 from .value import Value
@@ -48,25 +47,16 @@ class IntMatrix(Value):
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DomainError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        b = other.entries
-        cols_t = b_nz = None
+        # each row of ``other`` listed by its nonzeros, once per product
+        b_nz = [[(j, r[j]) for j in compress(range(len(r)), r)] for r in other.entries]
         prod = []
         for row in self.entries:
-            if 2 * row.count(0) >= len(row):
-                # at most half nonzero: add up the nonzero pairs, each row of
-                # ``other`` listed by its nonzeros once per product
-                if b_nz is None:
-                    b_nz = [[(j, r[j]) for j in compress(range(len(r)), r)] for r in b]
-                acc = [0] * other.cols
-                for k in compress(range(len(row)), row):
-                    a = row[k]
-                    for j, y in b_nz[k]:
-                        acc[j] += a * y
-                prod.append(tuple(acc))
-            else:
-                if cols_t is None:
-                    cols_t = tuple(zip(*b))
-                prod.append(tuple(sum(map(mul, row, col)) for col in cols_t))
+            acc = [0] * other.cols
+            for k in compress(range(len(row)), row):
+                a = row[k]
+                for j, y in b_nz[k]:
+                    acc[j] += a * y
+            prod.append(tuple(acc))
         return IntMatrix(self.rows, other.cols, tuple(prod))
 
     def det(self) -> int:

@@ -194,6 +194,15 @@ def passage_counts(d: Diagram) -> dict[str, int]:
     return counts
 
 
+def sign_delta(d: Diagram) -> dict[tuple[str, str], int]:
+    """(e, f) -> Delta(e, f) = S(e, f) - S(f, e) where it is nonzero, S
+    being ``d.sign_sums``, the sign sum per (over edge, under edge) pair."""
+    sums = d.sign_sums
+    out = {(o, u): s - sums.get((u, o), 0) for (o, u), s in sums.items()}
+    out.update({(u, o): -t for (o, u), t in out.items()})
+    return {pair: t for pair, t in out.items() if t}
+
+
 def edge_components(d: Diagram) -> dict[str, int]:
     """Edge id -> the index of the component the edge lies in."""
     return {eid: comp.index for comp in d.components for eid in comp.edge_ids}

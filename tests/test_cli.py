@@ -35,7 +35,7 @@ from sglink import (
 )
 from sglink.moves import MoveRecord, format_move, walk_steps
 from sglink.smith import IntMatrix
-from timing import best_of_3
+from timing import ratio
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -350,14 +350,10 @@ class TestPerturb:
         src = tmp_path / "c.sgd"
         src.write_text(serialize_sgd(canonical_diagram(3, 3, (1, 2, 4))))
 
-        def walk_time(steps):
-            def perturb():
-                assert cli.main(["perturb", str(src), "--steps", str(steps), "--seed", "7"]) == 0
-            best = best_of_3(perturb)
-            capsys.readouterr()
-            return best
+        def perturb(steps):
+            assert cli.main(["perturb", str(src), "--steps", str(steps), "--seed", "7"]) == 0
 
-        assert walk_time(10000) / walk_time(2500) < 8
+        assert ratio(perturb, 2500, 10000) < 8
 
     def test_replay_reproduces_walk(self, tmp_path, capsys):
         src = tmp_path / "c.sgd"

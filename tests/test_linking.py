@@ -9,7 +9,7 @@ import pytest
 import sglink.cli as cli
 import sglink.linking as linking
 import sglink.sgd as sgd
-from gen import random_canonical, random_diagram, random_spanning_tree
+from gen import random_canonical, random_diagram, random_spanning_tree, sign_delta
 from sglink import (
     Cycle,
     DomainError,
@@ -125,6 +125,23 @@ class TestOverUnder:
         assert not over_under_consistent(d)
         assert not over_under_consistent(d, linking_matrix(d))
 
+    def test_delta_count_cancels_across_pairs(self):
+        # Delta(a, b) = 1 from a over b alone, Delta(a, c) = 1 from c over a
+        # alone with sign -1; the one cycle of component 2 runs along c and
+        # back along b, so over minus under is 1 - 1 = 0 only when each
+        # pair's Delta keeps its sign
+        d = parse_sgd(
+            "sgd 1\nvertex u1\nvertex w1\nvertex w2\n"
+            "edge a u1 u1\nedge b w1 w2\nedge c w1 w2\n"
+            "crossing x1 over a 0 under b 0 sign +\n"
+            "crossing x2 over c 0 under a 1 sign -\n"
+        )
+        z, w = cycle_basis(d, 1).cycles[0], cycle_basis(d, 2).cycles[0]
+        assert w.coeffs == {"c": 1, "b": -1}
+        assert linking_number(d, z, w) == linking_number(d, w, z) == -1
+        assert sign_delta(d) == {("a", "b"): 1, ("b", "a"): -1, ("a", "c"): 1, ("c", "a"): -1}
+        assert over_under_consistent(d)
+
 
 def brute_counts(d, basis1, basis2):
     """Over and under matrices by the per-pair definition: for each (z, w),
@@ -156,7 +173,7 @@ def two_component_diagrams(rng, count):
 class TestKernelAgainstDefinition:
     def test_matrix_and_over_under_match_brute_force(self):
         rng = random.Random(41)
-        disagreements = 0
+        cases = set()
         for d in two_component_diagrams(rng, 60):
             trees = [(None, None),
                      (random_spanning_tree(d, 1, rng), random_spanning_tree(d, 2, rng))]
@@ -168,9 +185,32 @@ class TestKernelAgainstDefinition:
                 assert over_under_consistent(d, mat) == (over == under)
                 if t1 is None:
                     assert over_under_consistent(d) == (over == under)
-                disagreements += over != under
-        # the sample must exercise both answers of the over/under check
-        assert disagreements > 0
+                cases.add((bool(sign_delta(d)), over == under))
+        # the sample must exercise both answers of the over/under check, and
+        # the count over Delta both when it is skipped and when it runs: a
+        # nonzero Delta may still count zero over the bases
+        assert cases == {(False, True), (True, True), (True, False)}
+
+    def test_a_zero_delta_counts_nothing(self, monkeypatch):
+        # Delta is zero on a canonical diagram and on every diagram a walk
+        # reaches from one, so the check there is one pass over the sums
+        calls, count = [], linking._counts
+
+        def counts(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(linking, "_counts", counts)
+        rng = random.Random(43)
+        seen = set()
+        for d in two_component_diagrams(rng, 30):
+            mat, nonzero = linking_matrix(d), bool(sign_delta(d))
+            calls.clear()
+            consistent = over_under_consistent(d, mat)
+            assert len(calls) == nonzero
+            assert consistent or nonzero
+            seen.add(nonzero)
+        assert seen == {False, True}
 
     def test_single_cycle_counts_match_brute_force(self):
         rng = random.Random(42)
@@ -192,7 +232,9 @@ DATA = Path(__file__).parent / "data"
 class TestInvariantCommand:
     def test_builds_bases_and_matrix_once(self, monkeypatch, capsys):
         # one pass over the crossings too: the matrix and the over/under
-        # check share the diagram's sign sums, and one incidence per basis
+        # check share the diagram's sign sums; the matrix makes one
+        # incidence per basis, and the check, on a walked canonical diagram
+        # whose Delta = S - S^T is zero, makes none
         calls = {"cycle_basis": 0, "linking_matrix": 0, "pair_signs": 0, "_incidence": 0}
 
         def counted(name, fn):

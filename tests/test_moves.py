@@ -15,6 +15,7 @@ from gen import (
     random_canonical,
     random_chain,
     random_diagram,
+    sign_delta,
     walk_to_first_split,
 )
 from sglink import (
@@ -570,6 +571,45 @@ class TestWalk:
             for rec in records:
                 cur = apply_move(cur, rec)
             assert cur == step.diagram()
+
+    def test_delta_is_a_move_invariant(self):
+        # Delta(e, f) = S(e, f) - S(f, e): a crossing change lowers both
+        # S(o, u) and S(u, o) by its sign, a clasp adds its sign to both, and
+        # a split or contraction moves only edges without passages.  So
+        # canonical starts, where Delta is zero, keep it zero, and the
+        # over/under check there counts nothing.  Replays between the walks
+        # add the moves a walk never draws: crossing changes and clasps
+        # between the components.
+        rng = random.Random(57)
+        starts = [canonical_diagram(2, 3, (1, 2)), canonical_diagram(4, 4, (2, 2, 4))]
+        starts += [random_canonical(rng, walk_steps=10) for _ in range(4)]
+        while len(starts) < 16:
+            d = random_diagram(rng, max_crossings=20)
+            if len(d.components) == 2 and sign_delta(d):
+                starts.append(d)
+        inter = Counter()
+        for k, d in enumerate(starts):
+            want = sign_delta(d)
+            assert bool(want) == (k >= 6)  # zero on the canonical starts only
+            state = moves.WalkState(d)
+            for _ in range(4):
+                for _rec, state in walk_steps(state, 15, rng.randrange(2**32)):
+                    assert sign_delta(state.diagram()) == want
+                now = state.diagram()
+                comp = edge_components(now)
+                lines = [f"crossing_change {xid}" for xid, over, _, under, _, _ in now.rows
+                         if comp[over] != comp[under] and rng.random() < 0.5]
+                counts = passage_counts(now)
+                ones, twos = now.component(1).edge_ids, now.component(2).edge_ids
+                for _ in range(2 if ones and twos else 0):
+                    e, f = rng.choice(ones), rng.choice(twos)
+                    lines.append(f"clasp {e} {rng.randint(0, counts[e])} {f} "
+                                 f"{rng.randint(0, counts[f])} {rng.choice((1, -1))}")
+                rng.shuffle(lines)
+                for rec, state in replay_steps(state, "\n".join(lines)):
+                    assert sign_delta(state.diagram()) == want, format_move(rec)
+                    inter[rec.kind] += 1
+        assert inter["crossing_change"] > 0 and inter["clasp"] > 0
 
     def test_walk_preserves_realizability(self):
         d = canonical_diagram(2, 2, (2, 2))

@@ -19,7 +19,7 @@ from sglink import (
     validate,
 )
 from sglink.moves import WalkState
-from timing import best_of_3
+from timing import ratio
 
 HOPF_TEXT = """\
 sgd 1
@@ -96,8 +96,7 @@ class TestParse:
     def test_parse_is_linear_in_the_lines(self, make):
         # 4x the lines takes about 4x the time; a quadratic step would take
         # about 16x, so the bound at 8 tells the two apart on a loaded host
-        small, large = make(1500), make(6000)
-        assert best_of_3(lambda: parse_sgd(large)) / best_of_3(lambda: parse_sgd(small)) < 8
+        assert ratio(parse_sgd, make(1500), make(6000)) < 8
 
 
 class TestSerialize:

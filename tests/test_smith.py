@@ -26,7 +26,7 @@ from sglink import (
     smith_normal_form,
     verify_certificate,
 )
-from timing import best_of_3
+from timing import ratio
 
 
 def reference_verify_certificate(mat: IntMatrix, cert: SnfCertificate) -> None:
@@ -299,18 +299,18 @@ class TestCertificateChecks:
 
 class TestCertificateCost:
     @staticmethod
-    def check_time(n):
+    def diagonal_case(n):
         # M = D = diag(2, ..., 2) with identity transforms: det M alone
         # proves U and V unimodular
         two = rows(*([2 * int(i == j) for j in range(n)] for i in range(n)), cols=n)
-        cert = SnfCertificate(eye(n), two, eye(n), (2,) * n)
-        return best_of_3(lambda: verify_certificate(two, cert))
+        return two, SnfCertificate(eye(n), two, eye(n), (2,) * n)
 
     def test_a_diagonal_certificate_is_not_cubic_to_check(self):
         # 4x the size takes about 16x the time; a determinant that rescales
         # every row at every step takes about 64x, so the bound at 32 tells
         # the two apart on a loaded host
-        assert self.check_time(400) / self.check_time(100) < 32
+        small, large = self.diagonal_case(100), self.diagonal_case(400)
+        assert ratio(lambda case: verify_certificate(*case), small, large) < 32
 
 
 class TestUnimodularityProof:

@@ -4,17 +4,19 @@ ones they replaced, kept here as references.
 ``HeadMatrix.__matmul__``, ``HeadMatrix.det`` and
 ``head_verify_certificate`` below are ``IntMatrix.__matmul__``,
 ``IntMatrix.det`` and ``smith.verify_certificate`` as they stood when a
-sparse product row added up whole rows of the other factor, the
-determinant rescaled every row whose pivot-column entry was 0 at every
-step, and ``D``'s diagonal form was checked entry by entry; copied
-verbatim, apart from the names.  Today's products add up only nonzero
-pairs, the determinant brings a row up to date only when a step uses it,
-and ``D`` is checked a row at a time.  On every input both must give the
-same products and determinants, and accept the same certificates or
-reject them with the same message.  The corpus holds sparse and dense
-random matrices, wide, tall and empty ones, diagonal chains, walked
-linking matrices, the certificates of ``data/snf_certificates.json``, and
-certificates tampered with in each way ``verify_certificate`` checks.
+sparse product row added up whole rows of the other factor and a row more
+than half nonzero took a dense branch of its own, the determinant
+rescaled every row whose pivot-column entry was 0 at every step, and
+``D``'s diagonal form was checked entry by entry; copied verbatim, apart
+from the names.  Today's products add up only nonzero pairs, in one loop
+for every row, the determinant brings a row up to date only when a step
+uses it, and ``D`` is checked a row at a time.  On every input both must
+give the same products and determinants, and accept the same
+certificates or reject them with the same message.  The corpus holds
+sparse and dense random matrices, wide, tall and empty ones, diagonal
+chains, walked linking matrices, the certificates of
+``data/snf_certificates.json``, and certificates tampered with in each
+way ``verify_certificate`` checks.
 """
 
 import json
@@ -316,18 +318,34 @@ CHECK_CASES = [
 ]
 
 
+def product_kinds(a: IntMatrix, b: IntMatrix) -> set[tuple[bool, bool]]:
+    """(the row is more than half nonzero, ``b`` is) for each row of ``a``
+    with a nonzero, when the shapes fit: the head product took its dense
+    branch on such rows, and its sparse one on the others."""
+    if a.cols != b.rows:
+        return set()
+    b_dense = 2 * sum(r.count(0) for r in b.entries) < b.rows * b.cols
+    return {(2 * row.count(0) < len(row), b_dense) for row in a.entries if any(row)}
+
+
 def test_products_and_determinants_agree():
     rng = random.Random(28)
     corpus = random_corpus(rng) + chain_corpus(rng) + walked_corpus(rng)
     corpus += [mat for mat, _ in certificates_from_data()]
+    kinds = set()
     for a in corpus:
         # a compatible factor of each density, and a transform of a's own
-        for density in (0.05, 0.3, 0.5, 1.0):
-            assert_same_algebra(a, sparse_matrix(rng, a.cols, rng.randint(0, 12), density))
-        assert_same_algebra(a, random_unimodular(a.cols, rng.randrange(2**32)))
-        assert_same_algebra(random_unimodular(a.rows, rng.randrange(2**32)), a)
+        pairs = [(a, sparse_matrix(rng, a.cols, rng.randint(0, 12), density))
+                 for density in (0.05, 0.3, 0.5, 1.0)]
+        pairs.append((a, random_unimodular(a.cols, rng.randrange(2**32))))
+        pairs.append((random_unimodular(a.rows, rng.randrange(2**32)), a))
         # shapes that do not fit: both refuse with the same message
-        assert_same_algebra(a, sparse_matrix(rng, a.cols + 1, 2, 0.5))
+        pairs.append((a, sparse_matrix(rng, a.cols + 1, 2, 0.5)))
+        for x, y in pairs:
+            assert_same_algebra(x, y)
+            kinds |= product_kinds(x, y)
+    # dense rows against a sparse factor, and sparse rows against a dense one
+    assert {(True, False), (False, True)} <= kinds
 
 
 def test_certificate_verdicts_agree():
