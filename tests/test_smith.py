@@ -108,6 +108,10 @@ class TestIntMatrix:
             corpus.append(m)
         for seed in range(40):  # unimodular, with non-unit leading minors
             corpus.append(random_unimodular(rng.randint(1, 6), seed=seed).to_lists())
+        for _ in range(120):  # sparse: singleton rows and columns to peel, some singular
+            density = rng.choice((0.15, 0.3, 0.45))
+            corpus.append(square(rng.randint(1, 7),
+                                 lambda: rng.randint(-5, 5) if rng.random() < density else 0))
 
         for m in corpus:
             assert rows(*m, cols=len(m)).det() == cofactor_det(m), m
@@ -251,7 +255,7 @@ class TestSmithNormalForm:
         # third pick; without it the counter below ends the loop instead.
         picks = []
 
-        def largest(a, k, m, n):
+        def largest(a, k, m, n, p=1):
             picks.append(k)
             if len(picks) > 100:
                 raise RuntimeError("the reduction kept looping")
@@ -295,6 +299,37 @@ class TestCertificateChecks:
         assert (eye(0) @ m @ eye(3)).entries == d.entries
         with pytest.raises(SelfCheckError, match="certificate diagonal dimensions are wrong"):
             verify_certificate(m, SnfCertificate(eye(0), d, eye(3), ()))
+
+
+class TestDeterminantPeel:
+    """``det`` peels rows and columns with one nonzero, and hands only the
+    core that is left to Bareiss elimination."""
+
+    @staticmethod
+    def cores(monkeypatch, mat):
+        real, seen = smith._bareiss, []
+        monkeypatch.setattr(smith, "_bareiss", lambda m: seen.append((len(m), len(m[0]) if m else 0))
+                            or real(m))
+        mat.det()
+        return seen
+
+    def test_a_unit_triangular_transform_peels_to_nothing(self, monkeypatch):
+        u = smith_normal_form(rows(*([1] for _ in range(200)), cols=1)).U
+        assert self.cores(monkeypatch, u) == [(0, 0)]
+
+    def test_a_signed_permutation_peels_to_nothing(self, monkeypatch):
+        rng = random.Random(50)
+        perm = rng.sample(range(50), 50)
+        mat = rows(*([rng.choice((1, -1)) if j == perm[i] else 0 for j in range(50)]
+                     for i in range(50)))
+        assert self.cores(monkeypatch, mat) == [(0, 0)]
+        assert abs(mat.det()) == 1
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_a_dense_matrix_goes_to_bareiss_whole(self, monkeypatch, n):
+        rng = random.Random(n)
+        mat = rows(*([rng.choice((-3, -1, 1, 2, 4)) for _ in range(n)] for _ in range(n)))
+        assert self.cores(monkeypatch, mat) == [(n, n)]
 
 
 class TestCertificateCost:

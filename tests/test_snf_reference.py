@@ -10,14 +10,15 @@ pivot, finished rows, and entries facing a zero of the row or column
 being added.  Both must perform the same operations, so on every input
 ``U``, ``D`` and ``V`` must be equal.  The corpus holds random, dense
 square, wide and tall, rank-deficient, diagonal, permuted-identity,
-chain-built and degenerate matrices, and linking matrices of walked
-diagrams.
+chain-built and degenerate matrices, linking matrices of walked
+diagrams, matrices whose non-unit pivots do or do not divide the rest,
+and empty, one-row and one-column shapes.
 """
 
 import random
 
 from gen import random_matrix, random_unimodular
-from sglink import IntMatrix, canonical_diagram, linking_matrix
+from sglink import IntMatrix, canonical_diagram, linking_matrix, smith
 from sglink.moves import WalkState, walk_steps
 from sglink.smith import _snf_reduce
 
@@ -220,3 +221,45 @@ def test_walked_linking_matrices():
             assert_same(mat.entries, mat.rows, mat.cols)
         mat = linking_matrix(state.diagram())
         assert_same(mat.entries, mat.rows, mat.cols)
+
+
+def test_merged_divisibility_pass(monkeypatch):
+    # After a clean step with a pivot p other than 1, one scan both checks
+    # that p divides the rest and finds the next pivot: inputs where it
+    # meets an entry p does not divide, and diagonal chains where it never
+    # does.  Both kinds must be reached.
+    real, found = smith._pivot, set()
+
+    def pivot(a, k, m, n, p=1):
+        at = real(a, k, m, n, p)
+        if p != 1:
+            found.add("bad row" if at and a[at[0]][at[1]] % p else "next pivot")
+        return at
+
+    monkeypatch.setattr(smith, "_pivot", pivot)
+    cases = [[[2, 0], [0, 3]], [[2, 0, 0], [0, 4, 0], [0, 0, 5]], [[4, 0], [0, 6]],
+             [[6, 0, 0], [0, 4, 2], [0, 2, 10]], [[2, 0], [0, 0], [0, 3]]]
+    for chain in ((2, 4, 12), (2, 4, 12, 24, 48), (3, 3, 9, 0), (2,) * 12):
+        size = len(chain)
+        diag = [[chain[i] if i == j else 0 for j in range(size)] for i in range(size)]
+        cases += [diag, diag[::-1], [row[::-1] for row in diag]]
+    rng = random.Random(55)
+    for _ in range(40):
+        size = rng.randint(2, 7)
+        cases.append([[rng.choice((0, 0, 2, -2, 4, 6, 3, 9)) for _ in range(size)]
+                      for _ in range(size)])
+    for rows in cases:
+        assert_same(rows, len(rows), len(rows[0]))
+    assert found == {"bad row", "next pivot"}
+
+
+def test_degenerate_shapes():
+    rng = random.Random(56)
+    for n in range(6):
+        assert_same([], 0, n)
+        assert_same([[]] * n, n, 0)
+    for size in (1, 2, 5, 30):
+        for pick in ((1,), (0, 1, -1), (2, 4, -6), (0, 3)):
+            column = [[rng.choice(pick)] for _ in range(size)]
+            assert_same(column, size, 1)
+            assert_same([[x for (x,) in column]], 1, size)

@@ -5,18 +5,22 @@ ones they replaced, kept here as references.
 ``head_verify_certificate`` below are ``IntMatrix.__matmul__``,
 ``IntMatrix.det`` and ``smith.verify_certificate`` as they stood when a
 sparse product row added up whole rows of the other factor and a row more
-than half nonzero took a dense branch of its own, the determinant
-rescaled every row whose pivot-column entry was 0 at every step, and
-``D``'s diagonal form was checked entry by entry; copied verbatim, apart
-from the names.  Today's products add up only nonzero pairs, in one loop
-for every row, the determinant brings a row up to date only when a step
-uses it, and ``D`` is checked a row at a time.  On every input both must
-give the same products and determinants, and accept the same
-certificates or reject them with the same message.  The corpus holds
-sparse and dense random matrices, wide, tall and empty ones, diagonal
-chains, walked linking matrices, the certificates of
-``data/snf_certificates.json``, and certificates tampered with in each
-way ``verify_certificate`` checks.
+than half nonzero took a dense branch of its own, the determinant ran
+Bareiss elimination on the whole matrix and rescaled every row whose
+pivot-column entry was 0 at every step, and ``D``'s diagonal form was
+checked entry by entry; copied verbatim, apart from the names.  Today's
+products add up only nonzero pairs, in one loop for every row, the
+determinant peels rows and columns with one nonzero before it eliminates
+and brings a row up to date only when a step uses it, and ``D`` is
+checked a row at a time.  On every input both must give the same
+products and determinants, and accept the same certificates or reject
+them with the same message.  The corpus holds sparse and dense random
+matrices, wide, tall and empty ones, diagonal chains, walked linking
+matrices, matrices built to be peeled (signed permutations, unit
+triangular transforms, dense cores bordered by singletons, and matrices
+that turn singular only once peeled) and ones with nothing to peel, the
+certificates of ``data/snf_certificates.json``, and certificates tampered
+with in each way ``verify_certificate`` checks.
 """
 
 import json
@@ -26,7 +30,7 @@ from math import prod
 from operator import mul
 from pathlib import Path
 
-from gen import random_chain, random_matrix, random_unimodular, sparse_matrix
+from gen import random_chain, random_matrix, random_unimodular, sparse_matrix, transposed
 from sglink import (
     DomainError,
     IntMatrix,
@@ -34,6 +38,7 @@ from sglink import (
     SnfCertificate,
     canonical_diagram,
     linking_matrix,
+    smith,
     smith_normal_form,
     verify_certificate,
 )
@@ -236,6 +241,63 @@ def walked_corpus(rng: random.Random) -> list[IntMatrix]:
     return out
 
 
+def signed_permutation(rng: random.Random, n: int) -> IntMatrix:
+    cols = rng.sample(range(n), n)
+    return matrix([[rng.choice((1, -1)) if j == cols[i] else 0 for j in range(n)]
+                   for i in range(n)], n)
+
+
+def bordered(rng: random.Random, core: list[list[int]], extra: int) -> IntMatrix:
+    """``core`` behind ``extra`` lines that peel off first, shuffled: line
+    t < extra has its pivot at (t, t), and row t or column t has no other
+    nonzero among the lines after t, while the other one of the two is
+    loaded at random there."""
+    n = len(core) + extra
+    a = [[0] * n for _ in range(n)]
+    for i, row in enumerate(core):
+        a[extra + i][extra:] = row
+    for t in range(extra):
+        a[t][t] = rng.choice((1, -1, 2, -3))
+        row_peels = rng.random() < 0.5
+        for s in range(t + 1, n):
+            if rng.random() < 0.5:
+                if row_peels:
+                    a[s][t] = rng.randint(-4, 4)
+                else:
+                    a[t][s] = rng.randint(-4, 4)
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    return matrix([[a[i][j] for j in cols] for i in rows], n)
+
+
+def peel_corpus(rng: random.Random) -> list[IntMatrix]:
+    """Matrices whose determinant peels: signed permutations; unit lower
+    triangular ``U``s of r x 1 all-ones certificates; dense cores bordered
+    by singletons; matrices whose zero row or column shows only after
+    peeling; and matrices with no singleton to peel."""
+    out = []
+    for n in (1, 2, 3, 5, 9, 30):
+        out += [signed_permutation(rng, n) for _ in range(3)]
+    for r in (1, 2, 3, 7, 20):
+        out.append(smith_normal_form(matrix([[1]] * r, 1)).U)
+        out.append(smith_normal_form(matrix([[rng.choice((1, -1, 2))] for _ in range(r)], 1)).U)
+    for _ in range(60):
+        size = rng.randint(0, 5)
+        core = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        out.append(bordered(rng, core, rng.randint(1, 6)))
+    for _ in range(30):  # a row of the core zero, seen once its border is peeled
+        size = rng.randint(2, 5)
+        core = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        core[rng.randrange(size)] = [0] * size
+        mat = bordered(rng, core, rng.randint(1, 5))
+        out += [mat, transposed(mat)]
+    for _ in range(30):  # every row and column with two nonzeros or more
+        n = rng.randint(2, 8)
+        out.append(matrix([[rng.choice((1, -1, 3)) if j in (i, (i + 1) % n) else 0
+                            for j in range(n)] for i in range(n)], n))
+        out.append(sparse_matrix(rng, n, n, 1.0, rng.choice((1, 9))))
+    return out
+
+
 def certificates_from_data() -> list[tuple[IntMatrix, SnfCertificate]]:
     """The matrices of ``data/snf_certificates.json`` with the certificates
     their ``snf --json`` output holds."""
@@ -330,7 +392,7 @@ def product_kinds(a: IntMatrix, b: IntMatrix) -> set[tuple[bool, bool]]:
 
 def test_products_and_determinants_agree():
     rng = random.Random(28)
-    corpus = random_corpus(rng) + chain_corpus(rng) + walked_corpus(rng)
+    corpus = random_corpus(rng) + chain_corpus(rng) + walked_corpus(rng) + peel_corpus(rng)
     corpus += [mat for mat, _ in certificates_from_data()]
     kinds = set()
     for a in corpus:
@@ -348,9 +410,26 @@ def test_products_and_determinants_agree():
     assert {(True, False), (False, True)} <= kinds
 
 
+def test_peeled_determinants_agree(monkeypatch):
+    real, cores = smith._bareiss, []
+    monkeypatch.setattr(smith, "_bareiss", lambda m: cores.append(len(m)) or real(m))
+    kinds = set()
+    for mat in peel_corpus(random.Random(33)):
+        cores.clear()
+        assert mat.det() == head(mat).det(), mat
+        if cores:
+            kinds.add("all peeled" if cores == [0] else
+                      "nothing peeled" if cores == [mat.rows] else "a core")
+        elif all(map(any, mat.entries)) and all(map(any, zip(*mat.entries))):
+            kinds.add("zero once peeled")
+        else:
+            kinds.add("zero line")
+    assert kinds == {"all peeled", "nothing peeled", "a core", "zero once peeled", "zero line"}
+
+
 def test_certificate_verdicts_agree():
     rng = random.Random(29)
-    corpus = random_corpus(rng) + chain_corpus(rng) + walked_corpus(rng)
+    corpus = random_corpus(rng) + chain_corpus(rng) + walked_corpus(rng) + peel_corpus(rng)
     pairs = [(mat, smith_normal_form(mat)) for mat in corpus]
     pairs += certificates_from_data() + off_diagonal(rng) + CHECK_CASES
     seen = set()
