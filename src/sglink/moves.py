@@ -328,8 +328,7 @@ class WalkState:
         c[2], c[3] = 1 - over, -sign
         o, u = c[over], c[1 - over]
         if self._comp(o) != self._comp(u):
-            self._add_sign(o, u, -sign)
-            self._add_sign(u, o, -sign)
+            self._add_signs(o, u, -sign)
             self._entries = None
 
     def clasp(self, e: str, pos_e: int, f: str, pos_f: int, eps: int) -> None:
@@ -365,8 +364,7 @@ class WalkState:
             insort(self._intra, xa)
             insort(self._intra, xb)
         else:
-            self._add_sign(e, f, eps)
-            self._add_sign(f, e, eps)
+            self._add_signs(e, f, eps)
             self._entries = None
 
     def contract_edge(self, eid: str) -> None:
@@ -455,12 +453,16 @@ class WalkState:
         self._eids.use(new_eid)
         self._graph_moved(key, new_eid, self._passages[new_eid])
 
-    def _add_sign(self, o: str, u: str, s: int) -> None:
-        total = self.pair_signs.get((o, u), 0) + s
-        if total:
-            self.pair_signs[o, u] = total
-        else:
-            self.pair_signs.pop((o, u), None)
+    def _add_signs(self, a: str, b: str, s: int) -> None:
+        """Add ``s`` to the sign sums of (a, b) and of (b, a), dropping a sum
+        that reaches 0."""
+        sums = self.pair_signs
+        for key in ((a, b), (b, a)):
+            total = sums.get(key, 0) + s
+            if total:
+                sums[key] = total
+            else:
+                sums.pop(key, None)
 
     def _move_ends(self, ends, vid: str) -> None:
         """Re-attach edge ends to ``vid``, keeping the contractible edges

@@ -30,21 +30,19 @@ and the move engine all read and write rows, the one crossing form.
 
 :func:`validate` lists every violation in one pass over the diagram.  The
 parser checks each line from its whitespace-split tokens as it reads it,
-which rules out every violation but the degenerate crossings and passage
-indices, and tests those on the indices it collected; it calls
-:func:`validate` only to word its error.  A line it does not accept goes
-to one function that words the error, its line and its column.
+in a fixed order, and raises the first check that fails, naming its line
+and column.  The line checks rule out every violation but the degenerate
+crossings and passage indices; the parser tests those on the indices it
+collected, and calls :func:`validate` only to word that error.
 
 A passage index is read with a lookup, not a conversion: ``_INDEX`` maps
 the decimal tokens "0" ... "1023" to their ints, so every index of an edge
 with fewer than 1024 passages costs one dictionary lookup.  The bound
 keeps the table small (about 100 KB, built at import in well under a
 millisecond) while it covers every edge of the walked and canonical
-diagrams ``bench/run.py`` reads, whose longest edge has 486 passages.  A
-crossing line with a token the table lacks converts both tokens as every
-line did before the table: ASCII digits only, under the interpreter's
-int/str digit limit.  So the parser accepts and rejects exactly the lines
-it did.
+diagrams ``bench/run.py`` reads, whose longest edge has 486 passages.  An
+index token the table lacks is converted when it is ASCII digits under
+the interpreter's int/str digit limit, and is a parse error otherwise.
 """
 
 from __future__ import annotations
@@ -53,9 +51,8 @@ import re
 from collections import Counter, deque
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import NoReturn
 
-from .errors import DomainError, SelfCheckError, SgdParseError
+from .errors import DomainError, SgdParseError
 from .value import Value
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -70,21 +67,9 @@ def _is_id(tok: str) -> bool:
 
 
 # the passage-index tokens "0" ... "1023" and their ints (see the module
-# docstring); a token it lacks goes to _indices_past_table
+# docstring); a token it lacks goes to _index
 _INDEX = {str(i): i for i in range(1024)}
 _SIGN = {"+": 1, "-": -1}
-
-
-def _indices_past_table(o_idx: str, u_idx: str) -> tuple[int, int] | tuple[None, None]:
-    """A crossing line's two passage indices when ``_INDEX`` lacks one of
-    them, or (None, None) unless both tokens are ASCII digits under the
-    interpreter's int/str digit limit."""
-    if o_idx.isdigit() and o_idx.isascii() and u_idx.isdigit() and u_idx.isascii():
-        try:
-            return int(o_idx), int(u_idx)
-        except ValueError:  # past the interpreter's int/str digit limit
-            pass
-    return None, None
 
 
 class Edge(Value):
@@ -333,90 +318,54 @@ def _check_id(words: list[str], k: int, raw: str, lineno: int) -> str:
     return words[k]
 
 
-def _reject(raw: str, lineno: int, section: str, vertices, edges, crossings) -> NoReturn:
-    """Raise the error for a declaration line that :func:`parse_sgd` did
-    not accept: a malformed line, or one that clashes with the
-    declarations before it.
+def _unresolved(words: list[str], ks, declared, what: str, raw: str, lineno: int) -> SgdParseError:
+    """The error for a line whose references ``words[k]``, k in ``ks``, are
+    not all in ``declared``.  A declared id is an identifier, so a lookup
+    that hits needs no identifier check; after one misses, the first
+    reference that is no identifier raises its error here, else the error
+    returned names the first one not declared."""
+    for k in ks:
+        _check_id(words, k, raw, lineno)
+    k = next(k for k in ks if words[k] not in declared)
+    return _error(f"{words[0]} references undeclared {what} {words[k]!r}", raw, lineno, k)
 
-    The checks run token by token in a fixed order, and the first that
-    fails names the error and its column.  They build nothing: only
-    :func:`parse_sgd`'s token checks accept a line, so a line that passes
-    every check here means the two disagree, which is a bug.
-    """
-    words = raw.split("#", 1)[0].split()
-    kind = words[0]
-    if kind == "vertex":
-        if section != "vertex":
-            raise _error("vertex declared after edges or crossings", raw, lineno, 0)
-        if len(words) != 2:
-            raise _error("expected: vertex <vid>", raw, lineno, 0)
-        if _check_id(words, 1, raw, lineno) in vertices:
-            raise _error(f"duplicate vertex id {words[1]!r}", raw, lineno, 1)
-    elif kind == "edge":
-        if section == "crossing":
-            raise _error("edge declared after crossings", raw, lineno, 0)
-        if len(words) != 4:
-            raise _error("expected: edge <eid> <tail> <head>", raw, lineno, 0)
-        if _check_id(words, 1, raw, lineno) in edges:
-            raise _error(f"duplicate edge id {words[1]!r}", raw, lineno, 1)
-        _check_id(words, 2, raw, lineno)
-        _check_id(words, 3, raw, lineno)
-        for k in (2, 3):
-            if words[k] not in vertices:
-                raise _error(f"edge references undeclared vertex {words[k]!r}", raw, lineno, k)
-    elif kind == "crossing":
-        if len(words) != 10 or words[2] != "over" or words[5] != "under" or words[8] != "sign":
-            raise _error(
-                "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->",
-                raw, lineno, 0,
-            )
-        if _check_id(words, 1, raw, lineno) in crossings:
-            raise _error(f"duplicate crossing id {words[1]!r}", raw, lineno, 1)
-        for k in (3, 6):
-            eid = _check_id(words, k, raw, lineno)
-            if eid not in edges:
-                raise _error(f"crossing references undeclared edge {eid!r}", raw, lineno, k)
-            idx = words[k + 1]
-            if not (idx.isascii() and idx.isdigit()):
-                raise _error(f"bad passage index {idx!r}", raw, lineno, k + 1)
-            try:
-                int(idx)
-            except ValueError:  # past the interpreter's int/str digit limit
-                raise _error(f"bad passage index of {len(idx)} digits",
-                             raw, lineno, k + 1) from None
-        if words[9] not in ("+", "-"):
-            raise _error(f"bad sign {words[9]!r}, expected + or -", raw, lineno, 9)
-    else:
-        raise _error(f"unknown declaration {kind!r}", raw, lineno, 0)
-    raise SelfCheckError(f"line {lineno} was not accepted but passes every token check")
+
+def _index(words: list[str], k: int, raw: str, lineno: int) -> int:
+    """Passage index ``words[k]``, a token ``_INDEX`` lacks: its int when it
+    is ASCII digits under the interpreter's int/str digit limit, else a
+    parse error."""
+    idx = words[k]
+    if not (idx.isascii() and idx.isdigit()):
+        raise _error(f"bad passage index {idx!r}", raw, lineno, k)
+    try:
+        return int(idx)
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise _error(f"bad passage index of {len(idx)} digits", raw, lineno, k) from None
 
 
 def parse_sgd(text: str, check: bool = True) -> Diagram:
     """Parse SGD text into a Diagram.
 
-    Each declaration line is checked as it is read: its identifiers, its
-    keywords, indices and sign, and that its id is new and every id it
-    references was declared before it.  A line that fails raises
-    SgdParseError with the line and column.  With ``check`` (the default)
-    the finished diagram must also have no degenerate crossing and each
-    edge's passage indices must run 0..p-1 (:func:`validate`'s passage
-    checks; the line checks already rule out every other violation).  Pass
-    ``check=False`` to obtain the raw diagram for use with :func:`validate`.
+    Each declaration line is checked as it is read, from its
+    ``str.split()`` tokens: its keyword and section, its token count and
+    the keywords inside a crossing, the id it declares (an identifier, and
+    new), the ids it references (declared on an earlier line), then a
+    crossing's indices and sign.  The first check that fails raises
+    SgdParseError with the line and column of the token at fault.  With
+    ``check`` (the default) the finished diagram must also have no
+    degenerate crossing and each edge's passage indices must run 0..p-1
+    (:func:`validate`'s passage checks; the line checks already rule out
+    every other violation).  Pass ``check=False`` to obtain the raw diagram
+    for use with :func:`validate`.
 
     One pass over the lines makes the diagram's crossing rows and each
     edge's passage indices, which ``check`` tests directly;
-    :func:`validate` runs only to word the error.  A line is accepted from
-    its ``str.split()`` tokens alone: the keyword and token count, the
-    keywords inside a crossing, ASCII-digit indices, the sign, the pattern
-    of the one id it declares, and lookups of the ids it references among
-    those declared; every line it does not accept goes to :func:`_reject`,
-    which words the error.  A crossing line's indices and sign are lookups
-    in ``_INDEX`` and ``_SIGN``; only when ``_INDEX`` lacks an index token
-    (past 1023, zero-padded, or no index at all) does
-    :func:`_indices_past_table` convert both, accepting what the parser
-    accepted before the table: ASCII digits under the int/str digit limit.
-    A checked diagram is marked, so a ``moves.WalkState`` built on it does
-    not run :func:`validate` again.
+    :func:`validate` runs only to word the error.  On a line that passes,
+    each reference is one lookup among the ids declared, and a crossing's
+    indices and sign are lookups in ``_INDEX`` and ``_SIGN``; only a
+    lookup that misses calls a function, which words the error or converts
+    an index past the table.  A checked diagram is marked, so a
+    ``moves.WalkState`` built on it does not run :func:`validate` again.
     """
     index, signs = _INDEX.get, _SIGN.get
     lines = enumerate(text.splitlines(), start=1)
@@ -441,37 +390,64 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
         words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not words:
             continue  # blank or comment only
-        kind, n = words[0], len(words)
-        if kind == "crossing" and n == 10:
-            _, xid, kw_over, o_eid, o_idx, kw_under, u_eid, u_idx, kw_sign, sign = words
-            over, under = passages.get(o_eid), passages.get(u_eid)
-            o_at, u_at, s = index(o_idx), index(u_idx), signs(sign)
-            if o_at is None or u_at is None:
-                o_at, u_at = _indices_past_table(o_idx, u_idx)
-            if (over is not None and under is not None and s is not None
-                    and o_at is not None and u_at is not None and xid not in crossings
-                    and kw_over == "over" and kw_under == "under" and kw_sign == "sign"
-                    and xid.isascii() and (xid.isalnum() or "_" in xid
-                                           and xid.replace("_", "0").isalnum())):
-                crossings[xid] = (xid, o_eid, o_at, u_eid, u_at, s)
-                over.append(o_at)
-                under.append(u_at)
-                section = "crossing"
-                continue
-        elif kind == "edge" and n == 4:
+        kind = words[0]
+        if kind == "crossing":
+            if len(words) != 10 or words[2] != "over" or words[5] != "under" or words[8] != "sign":
+                raise _error(
+                    "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->",
+                    raw, lineno, 0,
+                )
+            _, xid, _, o_eid, o_idx, _, u_eid, u_idx, _, sign = words
+            # _is_id, inlined on the path every crossing takes; a miss
+            # raises through _check_id
+            if not (xid.isascii() and (xid.isalnum() or "_" in xid
+                                       and xid.replace("_", "0").isalnum())):
+                _check_id(words, 1, raw, lineno)
+            if xid in crossings:
+                raise _error(f"duplicate crossing id {xid!r}", raw, lineno, 1)
+            over = passages.get(o_eid)
+            if over is None:
+                raise _unresolved(words, (3,), passages, "edge", raw, lineno)
+            o_at = index(o_idx)
+            if o_at is None:
+                o_at = _index(words, 4, raw, lineno)
+            under = passages.get(u_eid)
+            if under is None:
+                raise _unresolved(words, (6,), passages, "edge", raw, lineno)
+            u_at = index(u_idx)
+            if u_at is None:
+                u_at = _index(words, 7, raw, lineno)
+            s = signs(sign)
+            if s is None:
+                raise _error(f"bad sign {sign!r}, expected + or -", raw, lineno, 9)
+            crossings[xid] = (xid, o_eid, o_at, u_eid, u_at, s)
+            over.append(o_at)
+            under.append(u_at)
+            section = "crossing"
+        elif kind == "edge":
+            if section == "crossing":
+                raise _error("edge declared after crossings", raw, lineno, 0)
+            if len(words) != 4:
+                raise _error("expected: edge <eid> <tail> <head>", raw, lineno, 0)
             _, eid, tail, head = words
-            if (section != "crossing" and eid not in edges and tail in vertices
-                    and head in vertices and _is_id(eid)):
-                edges[eid] = Edge(eid, tail, head)
-                passages[eid] = []
-                section = "edge"
-                continue
-        elif kind == "vertex" and n == 2:
-            vid = words[1]
-            if section == "vertex" and vid not in vertices and _is_id(vid):
-                vertices[vid] = None
-                continue
-        _reject(raw, lineno, section, vertices, edges, crossings)
+            if _check_id(words, 1, raw, lineno) in edges:
+                raise _error(f"duplicate edge id {eid!r}", raw, lineno, 1)
+            if tail not in vertices or head not in vertices:
+                raise _unresolved(words, (2, 3), vertices, "vertex", raw, lineno)
+            edges[eid] = Edge(eid, tail, head)
+            passages[eid] = []
+            section = "edge"
+        elif kind == "vertex":
+            if section != "vertex":
+                raise _error("vertex declared after edges or crossings", raw, lineno, 0)
+            if len(words) != 2:
+                raise _error("expected: vertex <vid>", raw, lineno, 0)
+            vid = _check_id(words, 1, raw, lineno)
+            if vid in vertices:
+                raise _error(f"duplicate vertex id {vid!r}", raw, lineno, 1)
+            vertices[vid] = None
+        else:
+            raise _error(f"unknown declaration {kind!r}", raw, lineno, 0)
 
     d = Diagram(vertices, edges.values(), crossings.values())
     if check:

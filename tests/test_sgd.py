@@ -60,28 +60,78 @@ class TestParse:
         with pytest.raises(SgdParseError, match="passage"):
             parse_sgd(text)
 
-    @pytest.mark.parametrize(
-        "text,fragment",
-        [
-            ("vertex a\n", "header"),
-            ("sgd 2\nvertex a\n", "header"),
-            ("sgd 1\nvertex a\nvertex a\n", "duplicate vertex"),
-            ("sgd 1\nvertex a\nedge e a b\n", "undeclared vertex"),
-            ("sgd 1\nedge e a a\n", "undeclared vertex"),
-            ("sgd 1\nvertex a\nedge e a a\nvertex b\n", "after edges"),
-            ("sgd 1\nvertex a\nedge e a a\ncrossing x over e 0 under f 0 sign +\n", "undeclared edge"),
-            ("sgd 1\nvertex a\nedge e a a\ncrossing x over e 0 under e 1 sign *\n", "sign"),
-            ("sgd 1\nvertex a\nedge e a a\ncrossing x over e ? under e 1 sign +\n", "passage index"),
-            ("sgd 1\nvertex a\nedge e a a\ncrossing x over e \u00b2 under e 1 sign +\n", "passage index"),
-            ("sgd 1\nvertex a\nedge e a a\ncrossing x over e \u0663 under e 1 sign +\n", "passage index"),
-            ("sgd 1\nvertex a-b\n", "identifier"),
-            ("sgd 1\nfoo a\n", "unknown declaration"),
-            ("sgd 1\nvertex\n", "expected"),
-        ],
-    )
-    def test_rejects(self, text, fragment):
-        with pytest.raises(SgdParseError, match=fragment):
+    # (text, id label, line, column, message): one case for each error
+    # parse_sgd raises, then cases where two checks fail on one line and
+    # the earlier check in the line's order must win
+    V = "sgd 1\nvertex a\nedge e a a\n"
+    X1 = V + "crossing x1 over e 0 under e 1 sign +\n"
+    REJECTS = [
+        ("vertex a\n", "header", 1, 1, "expected header 'sgd 1'"),
+        ("sgd 2\nvertex a\n", "header", 1, 1, "expected header 'sgd 1'"),
+        ("  # a comment\n", "no header", 1, 1, "missing header 'sgd 1'"),
+        ("sgd 1\nvertex a\nvertex a\n", "duplicate vertex", 3, 8, "duplicate vertex id 'a'"),
+        ("sgd 1\nvertex a\nedge e a b\n", "undeclared vertex",
+         3, 10, "edge references undeclared vertex 'b'"),
+        ("sgd 1\nedge e a a\n", "undeclared vertex",
+         2, 8, "edge references undeclared vertex 'a'"),
+        ("sgd 1\nvertex a\nedge e a a\nvertex b\n", "after edges",
+         4, 1, "vertex declared after edges or crossings"),
+        (V + "crossing x over e 0 under f 0 sign +\n", "undeclared edge",
+         4, 27, "crossing references undeclared edge 'f'"),
+        (V + "crossing x over e 0 under e 1 sign *\n", "sign",
+         4, 36, "bad sign '*', expected + or -"),
+        (V + "crossing x over e ? under e 1 sign +\n", "passage index",
+         4, 19, "bad passage index '?'"),
+        (V + "crossing x over e \u00b2 under e 1 sign +\n", "passage index",
+         4, 19, "bad passage index '\u00b2'"),
+        (V + "crossing x over e \u0663 under e 1 sign +\n", "passage index",
+         4, 19, "bad passage index '\u0663'"),
+        ("sgd 1\nvertex a-b\n", "identifier", 2, 8, "bad identifier 'a-b'"),
+        ("sgd 1\nfoo a\n", "unknown declaration", 2, 1, "unknown declaration 'foo'"),
+        ("sgd 1\nvertex\n", "expected", 2, 1, "expected: vertex <vid>"),
+        ("sgd 1\nvertex a\nedge e a\n", "expected edge",
+         3, 1, "expected: edge <eid> <tail> <head>"),
+        ("sgd 1\nvertex a\nedge e? a a\n", "edge identifier", 3, 6, "bad identifier 'e?'"),
+        ("sgd 1\nvertex a\nedge e a-b a\n", "tail identifier", 3, 8, "bad identifier 'a-b'"),
+        ("sgd 1\nvertex a\nedge e a a\nedge e a a\n", "duplicate edge",
+         4, 6, "duplicate edge id 'e'"),
+        (X1 + "edge f a a\n", "after crossings", 5, 1, "edge declared after crossings"),
+        (V + "crossing x over e 0 beneath e 1 sign +\n", "keyword", 4, 1,
+         "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->"),
+        (V + "crossing x over e 0 under e 1\n", "expected crossing", 4, 1,
+         "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->"),
+        (V + "crossing x! over e 0 under e 1 sign +\n", "crossing identifier",
+         4, 10, "bad identifier 'x!'"),
+        (X1 + "crossing x1 over e 2 under e 3 sign +\n", "duplicate crossing",
+         5, 10, "duplicate crossing id 'x1'"),
+        (V + "crossing x over e-1 0 under e 1 sign +\n", "over identifier",
+         4, 17, "bad identifier 'e-1'"),
+        (V + "crossing x over e 0 under e " + "1" + "0" * 4300 + " sign +\n", "4301 digits",
+         4, 29, "bad passage index of 4301 digits"),
+        (V + "crossing x over e 0 under e 2 sign +\n", "invalid diagram",
+         None, None, "invalid diagram: edge 'e' passage indices [0, 2] are not 0..1"),
+        # an undeclared tail, then a bad head id: both ids are checked first
+        ("sgd 1\nvertex a\nedge e b a-b\n", "tail undeclared head bad",
+         3, 10, "bad identifier 'a-b'"),
+        (X1 + "crossing x1 over e 2 beneath e 3 sign +\n", "keyword before duplicate", 5, 1,
+         "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->"),
+        (V + "crossing x over g ? under e 1 sign +\n", "over edge before over index",
+         4, 17, "crossing references undeclared edge 'g'"),
+        (V + "crossing x over e ? under g 1 sign +\n", "over index before under edge",
+         4, 19, "bad passage index '?'"),
+    ]
+
+    # each case's id is its text and label, or its label alone when the
+    # text is too long to read
+    @pytest.mark.parametrize("text,line,column,message", [
+        pytest.param(text, line, column, message,
+                     id=f"{text}-{label}" if len(text) < 200 else label)
+        for text, label, line, column, message in REJECTS])
+    def test_rejects(self, text, line, column, message):
+        with pytest.raises(SgdParseError) as err:
             parse_sgd(text)
+        where = "" if line is None else f"line {line}, col {column}: "
+        assert (err.value.line, err.value.column, str(err.value)) == (line, column, where + message)
 
     def test_error_carries_line_number(self):
         with pytest.raises(SgdParseError) as err:
