@@ -21,7 +21,10 @@ Walks, replays and :func:`apply_move` run every move the same way: the
 move's record names the method, which is called on the move's arguments.
 A walk draws the record and the arguments together
 (:meth:`WalkState.sample`); a replay reads both off the record's tokens
-(:meth:`WalkState.read`), which it checks first.
+(:meth:`WalkState.read`), which it checks first.  A walk draws each integer
+with one call to ``Random._randbelow``, the call that ``choice``,
+``randrange`` and ``sample`` make, in the order they make it, so a seed
+draws the moves those methods would draw.
 
 A state also keeps a spanning tree of each component, taken from
 ``homology.spanning_tree`` and carried through each split and
@@ -123,15 +126,19 @@ class _FreshIds:
 
     def new(self) -> str:
         prefix, free, used = self.prefix, self._free, self._used
-        while free and f"{prefix}{free[0]}" in used:
-            heapq.heappop(free)
-        if free:
+        # a candidate is popped before its id is tested, so each id is
+        # formatted once
+        while free:
             s = f"{prefix}{heapq.heappop(free)}"
+            if s not in used:
+                break
         else:
-            while f"{prefix}{self._next}" in used:
-                self._next += 1
-            s = f"{prefix}{self._next}"
-            self._next += 1
+            k = self._next
+            s = f"{prefix}{k}"
+            while s in used:
+                k += 1
+                s = f"{prefix}{k}"
+            self._next = k + 1
         used.add(s)
         return s
 
@@ -556,31 +563,59 @@ class WalkState:
         its record and the arguments of its method, as :meth:`read` gives
         them.  Every move drawn lies within one component, so the record
         says it preserves the invariant.  Candidates are taken in id order,
-        so a seed draws the same moves whatever the state's history."""
-        kind = rng.choice(KINDS)
+        so a seed draws the same moves whatever the state's history.
+
+        Each integer is drawn with one call to ``rng._randbelow``, the call
+        that ``choice``, ``randrange`` and ``sample`` make for it, in the
+        order they make it, so a seed draws the moves those methods would:
+        ``seq[below(len(seq))]`` is ``choice(seq)``, ``below(n)`` is
+        ``randrange(n)``, and a pair of distinct edges is drawn as
+        ``sample(edge_ids, 2)`` draws it.  A split's ends are kept with
+        ``rng.random()``.  A state with no vertex raises ``DomainError``
+        before anything is drawn."""
+        if not self._vertices:
+            raise DomainError("a walk needs a vertex to split")
+        below = rng._randbelow
+        kind = KINDS[below(len(KINDS))]
         if kind == "crossing_change":
-            if not self._intra:
+            intra = self._intra
+            if not intra:
                 return None
-            args = tokens = (rng.choice(self._intra),)
+            args = tokens = (intra[below(len(intra))],)
         elif kind == "clasp":
-            edge_ids = self._comp_edges[self._order[rng.randrange(len(self._order))]]
-            if len(edge_ids) < 2:
+            order = self._order
+            edge_ids = self._comp_edges[order[below(len(order))]]
+            n = len(edge_ids)
+            if n < 2:
                 return None
-            e, f = rng.sample(edge_ids, 2)
-            # randrange(n + 1) draws as randint(0, n) does
-            pos_e = rng.randrange(len(self._passages[e]) + 1)
-            pos_f = rng.randrange(len(self._passages[f]) + 1)
-            eps = rng.choice((1, -1))
+            # sample(edge_ids, 2): up to 21 edges it draws from a pool whose
+            # slot i takes the last edge, above that it draws again on i
+            i = below(n)
+            if n <= 21:
+                j = below(n - 1)
+                if j == i:
+                    j = n - 1
+            else:
+                j = below(n)
+                while j == i:
+                    j = below(n)
+            e, f = edge_ids[i], edge_ids[j]
+            # below(n + 1) draws as randint(0, n) does
+            pos_e = below(len(self._passages[e]) + 1)
+            pos_f = below(len(self._passages[f]) + 1)
+            eps = (1, -1)[below(2)]
             args = (e, pos_e, f, pos_f, eps)
             tokens = (e, str(pos_e), f, str(pos_f), str(eps))
         elif kind == "contract_edge":
-            if not self._contractible:
+            contractible = self._contractible
+            if not contractible:
                 return None
-            args = tokens = (rng.choice(self._contractible),)
+            args = tokens = (contractible[below(len(contractible))],)
         else:  # split_vertex: always applicable
-            vid = rng.choice(self._vertices)
+            vid = self._vertices[below(len(self._vertices))]
             new_vid, new_eid = self._vids.new(), self._eids.new()
-            moved = [end for end in sorted(self._ends[vid]) if rng.random() < 0.5]
+            draw = rng.random
+            moved = [end for end in sorted(self._ends[vid]) if draw() < 0.5]
             args = (vid, moved, new_vid, new_eid)
             tokens = (vid, new_vid, new_eid, *(f"{eid}.{side}" for eid, side in moved))
         return MoveRecord(kind, tokens, True), args
@@ -663,13 +698,12 @@ def walk_steps(d: Diagram | WalkState, steps: int,
     """
     rng = random.Random(seed)
     state = d if isinstance(d, WalkState) else WalkState(d)
-    if steps > 0 and not state._vertices:
-        raise DomainError("a walk needs a vertex to split")
+    sample, run = state.sample, state._run
     for _ in range(steps):
-        drawn = None
+        drawn = sample(rng)
         while drawn is None:
-            drawn = state.sample(rng)
-        state._run(*drawn)
+            drawn = sample(rng)
+        run(*drawn)
         yield drawn[0], state
 
 

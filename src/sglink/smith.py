@@ -77,8 +77,9 @@ class IntMatrix(Value):
         ``match``, which takes each row to the column listed in its place.  A
         live row or column with no nonzero left makes it 0.  A matrix with
         no row or column of one nonzero goes to :func:`_bareiss` whole,
-        after one count of each row's and column's zeros.  Every value is
-        an exact integer.
+        after one count of each row's and column's zeros; one peeled whole,
+        such as a diagonal, hands it an empty core without listing the live
+        lines.  Every value is an exact integer.
         """
         if self.rows != self.cols:
             raise DomainError("determinant requires a square matrix")
@@ -93,34 +94,44 @@ class IntMatrix(Value):
         live = [True] * (2 * n)
         match = [0] * n  # row i's pivot is in column match[i]
         stack = [x for x, d in enumerate(degree) if d == 1]
-        ids = (range(n), range(n, 2 * n))
-        pivots = 1
+        pop, push = stack.pop, stack.append
+        row_ids, col_ids = range(n), range(n, 2 * n)
+        pivots, peeled = 1, 0
         while stack:
-            x = stack.pop()
+            x = pop()
             if not live[x]:
                 continue
-            side = x >= n
             # each line's nonzeros are listed once: when it is peeled, or
             # when the line it faces is
-            for y in compress(ids[not side], lines[x]):
-                if live[y]:
-                    break
+            if x < n:
+                for y in compress(col_ids, lines[x]):
+                    if live[y]:
+                        break
+                i, j, facing = x, y - n, row_ids
+            else:
+                for y in compress(row_ids, lines[x]):
+                    if live[y]:
+                        break
+                i, j, facing = y, x - n, col_ids
             live[x] = live[y] = False
-            i, j = (y, x - n) if side else (x, y - n)
             pivots *= rows[i][j]
             match[i] = j
-            for z in compress(ids[side], lines[y]):  # the lines that lose y
+            peeled += 1
+            for z in compress(facing, lines[y]):  # the lines that lose y
                 if live[z]:
                     d = degree[z] = degree[z] - 1
                     if d == 1:
-                        stack.append(z)
+                        push(z)
                     elif not d:
                         return 0
-        core_r = list(compress(range(n), live))
-        core_c = list(compress(range(n), live[n:]))
-        for i, j in zip(core_r, core_c):
-            match[i] = j
-        return _parity(match) * pivots * _bareiss([[rows[i][j] for j in core_c] for i in core_r])
+        core = []
+        if peeled < n:
+            core_r = list(compress(row_ids, live))
+            core_c = list(compress(range(n), live[n:]))
+            for i, j in zip(core_r, core_c):
+                match[i] = j
+            core = [[rows[i][j] for j in core_c] for i in core_r]
+        return _parity(match) * pivots * _bareiss(core)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

@@ -450,6 +450,18 @@ class TestPerturb:
         assert replayed["sgd"] == expected["sgd"]
         assert replayed["moves"] == expected["moves"]
 
+    @pytest.mark.parametrize("golden, spec, seed", [
+        ("perturb_2_2.json", ["2", "2", "1", "3"], "11"),
+        ("perturb_4_4.json", ["4", "4", "1", "2", "4", "8"], "2024"),
+    ])
+    def test_golden_walks_at_other_ranks(self, tmp_path, capsys, golden, spec, seed):
+        # canonical <spec>, then perturb --steps 200 --seed <seed> --json:
+        # the smallest and the largest diagram a seeded walk is benchmarked on
+        src = tmp_path / "c.sgd"
+        assert cli.main(["canonical", *spec, "--out", str(src)]) == 0
+        assert cli.main(["perturb", str(src), "--steps", "200", "--seed", seed, "--json"]) == 0
+        assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
     def test_corrupted_running_sum_fails_the_final_check_exit_4(self, tmp_path, monkeypatch, capsys):
         # one running inter-component sign sum negated after the first step,
         # as a faulty move might leave it: the 1x1 matrix 3 reads -3, which
@@ -941,6 +953,12 @@ class TestSnf:
         payload = json.loads(capsys.readouterr().out)
         assert payload["divisors"] == []
         assert payload[transform] == [[int(i == j) for j in range(1500)] for i in range(1500)]
+        # the w x w identity transform makes the cost quadratic in w, so 4x
+        # the width takes about 16x the time; eliminating it in full would
+        # take about 64x, and the bound at 32 tells the two apart
+        empty = ((lambda w: IntMatrix(0, w, ())) if transform == "V"
+                 else (lambda w: IntMatrix(w, 0, ((),) * w)))
+        assert ratio(lambda w: smith.smith_normal_form(empty(w)), 375, 1500) < 32
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_results_past_the_int_digit_limit(self, tmp_path, capsys, monkeypatch, flags):

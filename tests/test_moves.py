@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from gen import (
+    component_of_edge,
     edge_components,
     leaving_split_edge_out,
     moved,
@@ -46,6 +47,8 @@ from sglink.moves import (
     replay_steps,
     walk_steps,
 )
+from test_walk_reference import _sample_move as reference_sample_move
+from test_walk_reference import apply_move as reference_apply_move
 from test_walk_reference import assert_state_matches
 from test_walk_reference import walk_steps as reference_walk_steps
 
@@ -339,6 +342,39 @@ class TestWalk:
             random_homotopy_walk(empty, 5, 1)
         with pytest.raises(DomainError, match="a walk needs a vertex to split"):
             next(walk_steps(empty, 1, 1))
+        # drawing from no vertex would ask for a number below 0, which
+        # _randbelow never returns, so sample raises before any draw
+        rng = random.Random(1)
+        before = rng.getstate()
+        with pytest.raises(DomainError, match="a walk needs a vertex to split"):
+            moves.WalkState(empty).sample(rng)
+        assert rng.getstate() == before
+
+    def test_draws_match_the_public_random_api(self):
+        # sample draws through rng._randbelow; the reference sampler calls
+        # choice, randrange, randint and sample.  Every attempt, applicable
+        # or not, must draw the same move, and the generators must end in
+        # the same state, so no draw is added or skipped.  Splits take a
+        # component of canonical 11 11 1x11 from 11 edges past 21, where
+        # sample(edge_ids, 2) stops drawing from a pool and redraws a
+        # repeated index instead, so the clasps meet both ways of drawing.
+        d = canonical_diagram(11, 11, (1,) * 11)
+        rng, ref_rng = random.Random(5), random.Random(5)
+        state, cur = moves.WalkState(d), d
+        pooled = Counter()
+        for _ in range(300):
+            drawn = None
+            while drawn is None:
+                drawn, want = state.sample(rng), reference_sample_move(cur, ref_rng)
+                assert (drawn and drawn[0]) == want
+            rec = drawn[0]
+            if rec.kind == "clasp":
+                pooled[len(cur.component(component_of_edge(cur, rec.params[0])).edge_ids) <= 21] += 1
+            state._run(*drawn)
+            cur = reference_apply_move(cur, want)
+        assert rng.getstate() == ref_rng.getstate()
+        assert serialize_sgd(state.diagram()) == serialize_sgd(cur)
+        assert pooled[True] >= 5 and pooled[False] >= 5, pooled
 
     def test_invariant_preserved(self):
         rng = random.Random(51)
