@@ -63,9 +63,9 @@ class Verdict(Value):
 
 def _profile(d: Diagram) -> tuple[tuple[int, int], LkInvariant, bool]:
     """Ranks and invariant of a diagram, both read off its linking matrix,
-    and whether it passes the over/under check over that matrix's bases."""
+    and whether it passes the over/under check."""
     mat = linking_matrix(d)
-    return (mat.rows, mat.cols), lk_invariant(mat), over_under_consistent(d, mat)
+    return (mat.rows, mat.cols), lk_invariant(mat), over_under_consistent(d)
 
 
 def classify(d: Diagram, d2: Diagram, ordered: bool = False) -> Verdict:

@@ -96,7 +96,7 @@ def cmd_invariant(args) -> int:
             "matrix": [list(r) for r in mat.entries],
             "divisors": list(inv.divisors),
             "invariant": "0" if inv.is_zero else "chain",
-            "over_under_consistent": over_under_consistent(d, mat),
+            "over_under_consistent": over_under_consistent(d),
         }
         if args.show_basis:
             payload["basis1"] = _basis_json(mat.basis1)
@@ -163,18 +163,19 @@ def cmd_perturb(args) -> int:
     # matrix is the one `invariant` reads off the start diagram.  Each step
     # compares only the entries of the matrix the state keeps, which it
     # reads without making its bases unless a move dropped the matrix, and
-    # runs SNF and compares the invariant only when they changed.  The
-    # final checks, of the matrix over the kept bases and of the components
-    # they were made from, catch running sums or component lists that a
-    # faulty move left wrong without failing a per-step check.  A failed
-    # self-check still writes --moves-out, so the failing walk can be
-    # replayed.
+    # only when they changed runs SNF on those entries, with no basis
+    # made, and compares the invariant.  So no step makes a basis twice.
+    # The final checks, of the matrix over the kept bases and of the
+    # components they were made from, catch running sums or component
+    # lists that a faulty move left wrong without failing a per-step
+    # check.  A failed self-check still writes --moves-out, so the failing
+    # walk can be replayed.
     d = _read_diagram(args.path)
     start = WalkState(d)
     mat = linking_matrix(start)
     # the moves keep a consistent diagram consistent; an inconsistent one
     # would fail a self-check at the first move that renumbers components
-    if not over_under_consistent(d, mat):
+    if not over_under_consistent(d):
         raise DomainError(f"diagram {UNREALIZABLE}")
     entries, inv = mat.entries, lk_invariant(mat)
 
@@ -191,7 +192,9 @@ def cmd_perturb(args) -> int:
             new_entries = state.linking_entries()
             if new_entries == entries:  # the invariant too is as it was
                 continue
-            new_inv = lk_invariant(state.linking_matrix())
+            # a renumbering transposes the entries, so the shape is theirs
+            rows = len(new_entries)
+            new_inv = lk_invariant(IntMatrix(rows, len(new_entries[0]) if rows else 0, new_entries))
             if rec.homotopy_preserving and new_inv != inv:
                 raise SelfCheckError(
                     f"invariant changed from {inv} to {new_inv} "

@@ -19,15 +19,18 @@ the crossings per cycle pair.  :func:`matrix_from_pairs` is the one count
 over two bases the caller chooses; :func:`linking_matrix` is that count
 over a diagram's default bases, and :func:`linking_number`, the pairing of
 two arbitrary cycles, the 1 x 1 count, after it checks that each cycle
-lies in its component.  :func:`over_under_consistent` counts the
-differences Delta(e, f) = S(e, f) - S(f, e) of the sums S over the same
-bases: over minus under, zero everywhere when the check holds.  Every move
-keeps Delta as it is, so a diagram a walk reaches from a canonical one,
-where Delta is zero, passes the check with no count at all.  A walk's
+lies in its component.  :func:`over_under_consistent` takes only the
+diagram, and counts the differences Delta(e, f) = S(e, f) - S(f, e) of
+the sums S: over minus under, zero everywhere when the check holds.  The
+count is bilinear, so any pair of bases decides it; the check makes the
+default bases only when some Delta is nonzero.  Every move keeps Delta as
+it is, so a diagram a walk reaches from a canonical one, where Delta is
+zero, passes the check with no basis made and no count at all.  A walk's
 working state (``moves.WalkState``) keeps its own running pair sums and a
 spanning tree per component, and :func:`linking_matrix` given such a state
-returns the matrix the state keeps over the fundamental bases of those
-trees, read off those sums by :func:`matrix_from_pairs`.
+returns the matrix over the fundamental bases of those trees, made at that
+read: the entries the state keeps, or, when a move dropped them, those
+:func:`matrix_from_pairs` reads off the sums.
 """
 
 from __future__ import annotations
@@ -150,21 +153,21 @@ def matrix_from_pairs(pairs, basis1: CycleBasis, basis2: CycleBasis) -> LinkingM
     return LinkingMatrix(rows, cols, tuple(map(tuple, over)), basis1, basis2)
 
 
-def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
-    """True when lk(z, w) = lk(w, z) for every basis cycle pair.
+def over_under_consistent(d: Diagram) -> bool:
+    """True when lk(z, w) = lk(w, z) for every pair of cycles z, w in
+    distinct components.
 
     A necessary condition for realizability; canonical diagrams and
-    everything the move engine produces satisfy it.  ``mat`` is the
-    diagram's linking matrix, built over the default bases when omitted.
-    With S the diagram's sign sum per (over edge, under edge) pair, over
-    minus under is the count over the matrix's bases of Delta(e, f) =
-    S(e, f) - S(f, e), and the check holds when that count is zero.  One
-    pass over the sums finds the pairs where Delta is nonzero; when there
-    are none, nothing more is counted.
+    everything the move engine produces satisfy it.  With S the diagram's
+    sign sum per (over edge, under edge) pair, over minus under is the
+    count of Delta(e, f) = S(e, f) - S(f, e), and the check holds when
+    that count is zero.  The count is bilinear, so it is zero over one
+    pair of bases exactly when it is zero over every pair.  One pass over
+    the sums finds the pairs where Delta is nonzero; when there are none,
+    nothing more is counted, and otherwise the count runs over the default
+    bases, made here.
     """
     require_two_components(d)
-    if mat is None:
-        mat = linking_matrix(d)
     sums = d.sign_sums
     delta = {}
     for (o, u), s in sums.items():
@@ -174,9 +177,8 @@ def over_under_consistent(d: Diagram, mat: LinkingMatrix | None = None) -> bool:
             delta[u, o] = -t
     if not delta:
         return True
-    counts = _counts(delta.items(), _incidence(mat.basis1.cycles), _incidence(mat.basis2.cycles),
-                     mat.rows, mat.cols)
-    return not any(map(any, counts))
+    z, w = cycle_basis(d, 1).cycles, cycle_basis(d, 2).cycles
+    return not any(map(any, _counts(delta.items(), _incidence(z), _incidence(w), len(z), len(w))))
 
 
 def diagram_invariant(d: Diagram) -> LkInvariant:

@@ -29,14 +29,14 @@ draws the moves those methods would draw.
 A state also keeps a spanning tree of each component, taken from
 ``homology.spanning_tree`` and carried through each split and
 contraction; a component's basis is the fundamental basis of its tree,
-made by ``homology.cycle_basis`` when read.  Such a move is a homotopy
-equivalence of one component, and the fundamental bases of two spanning
-trees differ by a unimodular change of basis, so the matrix over the
-kept bases keeps its divisors.  Each move is certified in
-constant time (no passage on the edge it adds or removes, and a tree one
-edge short of its component's vertex count); a failed certificate raises
-:class:`MoveCheckError`, which names the move.  A tree that does not
-span its component fails when its basis is read.
+made by ``homology.cycle_basis`` at each read and never kept.  Such a
+move is a homotopy equivalence of one component, and the fundamental
+bases of two spanning trees differ by a unimodular change of basis, so
+the matrix over the kept bases keeps its divisors.  Each move is
+certified in constant time (no passage on the edge it adds or removes,
+and a tree one edge short of its component's vertex count); a failed
+certificate raises :class:`MoveCheckError`, which names the move.  A
+tree that does not span its component fails when its basis is read.
 
 The canonical generator builds, for ranks (m, n) and a divisor chain d, two
 bouquets joined by parallel clasps so that loop i of each side links loop i
@@ -112,15 +112,19 @@ def _discard(ordered: list[str], item: str) -> None:
 class _FreshIds:
     """The smallest unused id of the form ``prefix`` + k, k = 1, 2, ...
 
-    ``_used`` holds the ids in use, of any form.  Every k below ``_next``
-    whose id is unused is in the ``_free`` heap (entries used again since
-    are dropped when they reach the top), so ids freed by a contraction are
-    handed out again, smallest first, without counting up from 1.
+    ``used`` is the state's own map of the ids in use, of any form, which
+    the pool only reads.  Every k below ``_next`` whose id is unused is in
+    the ``_free`` heap (entries used again since are dropped when they
+    reach the top), so ids freed by a contraction are handed out again,
+    smallest first, without counting up from 1.  An id handed out leaves
+    the heap or moves ``_next`` past it, so the crossing pool, which frees
+    nothing, hands a clasp two ids on two calls in a row; an id freed twice
+    can sit in the heap twice, so the other pools hand out one per split.
     """
 
-    def __init__(self, prefix: str, ids):
+    def __init__(self, prefix: str, used):
         self.prefix = prefix
-        self._used = set(ids)
+        self._used = used
         self._free: list[int] = []
         self._next = 1
 
@@ -131,22 +135,16 @@ class _FreshIds:
         while free:
             s = f"{prefix}{heapq.heappop(free)}"
             if s not in used:
-                break
-        else:
-            k = self._next
+                return s
+        k = self._next
+        s = f"{prefix}{k}"
+        while s in used:
+            k += 1
             s = f"{prefix}{k}"
-            while s in used:
-                k += 1
-                s = f"{prefix}{k}"
-            self._next = k + 1
-        used.add(s)
+        self._next = k + 1
         return s
 
-    def use(self, s: str) -> None:
-        self._used.add(s)
-
     def free(self, s: str) -> None:
-        self._used.discard(s)
         rest = s[len(self.prefix):]
         # f"{prefix}{k}" never has a leading zero; 19 digits are never reached
         if (s.startswith(self.prefix) and rest.isascii() and rest.isdigit()
@@ -184,15 +182,16 @@ class WalkState:
       A split adds its new edge, a contraction removes its edge, or, for
       a non-tree edge, the smallest tree edge on its fundamental cycle.
       :meth:`basis` makes the fundamental basis of the tree with
-      ``cycle_basis`` when read and keeps it until the next graph move
-      or renumbering.
+      ``cycle_basis`` at each read; no basis is kept.
     - With two components the entries of the linking matrix over the kept
       bases are kept once read.  A split or the contraction of a tree edge
       leaves them as they are.  A changed inter-component sign sum, the
       rare contraction of a non-tree edge (which changes the basis) or a
       renumbering of the components drops them, and the next read takes
-      them off the sums again.  :meth:`linking_entries` reads them with
-      no basis made; :meth:`linking_matrix` adds the kept bases.
+      them off the sums again.  :meth:`linking_entries` reads kept
+      entries with no basis made; :meth:`linking_matrix` makes both bases.
+    - The pools of fresh crossing, vertex and edge ids read the state's
+      own maps of the ids in use, and keep no set of their own.
 
     A split or contraction is certified before it returns, and raises
     ``SelfCheckError`` when a check fails: the edge it adds or removes
@@ -218,7 +217,6 @@ class WalkState:
             self._comp_edges.append(list(comp.edge_ids))
             self._trees.append(dict.fromkeys(spanning_tree(d, key + 1)))
         self._order = list(range(len(self._comp_vertices)))  # keys by number
-        self._made: list[CycleBasis | None] = [None] * len(self._order)  # key -> basis read
         self._vertices = list(d.vertices)
         self._edges = {e.id: [e.tail, e.head] for e in d.edges}  # edge -> [tail, head]
         self._ends: dict[str, set[tuple[str, str]]] = {v: set() for v in d.vertices}
@@ -243,7 +241,7 @@ class WalkState:
         self._contractible = [e.id for e in d.edges
                               if e.tail != e.head and not self._passages[e.id]]
         self._xids = _FreshIds("x", self._crossings)
-        self._vids = _FreshIds("v", self._vertices)
+        self._vids = _FreshIds("v", self._ends)
         self._eids = _FreshIds("e", self._edges)
         self._entries: tuple | None = None  # the matrix over the kept bases; None when stale
 
@@ -276,40 +274,40 @@ class WalkState:
         """The kept basis of component ``k``: ``cycle_basis`` over the
         spanning tree the state keeps, which starts as the default tree and
         then goes wherever the graph moves take it, so it is in general not
-        the default basis of the diagram the state has become.  A kept tree
-        that does not span the component raises ``SelfCheckError``."""
+        the default basis of the diagram the state has become.  Made anew at
+        each read.  A kept tree that does not span the component raises
+        ``SelfCheckError``."""
         key = self._key(k)
-        made = self._made[key]
-        if made is None or made.component != k:
-            try:
-                made = self._made[key] = cycle_basis(self, k, tree=tuple(self._trees[key]))
-            except DomainError as exc:
-                raise SelfCheckError(f"the tree kept for component {k}: {exc}") from None
-        return made
+        try:
+            return cycle_basis(self, k, tree=tuple(self._trees[key]))
+        except DomainError as exc:
+            raise SelfCheckError(f"the tree kept for component {k}: {exc}") from None
 
     def linking_entries(self) -> tuple[tuple[int, ...], ...]:
-        """The entries of the linking matrix over the kept bases.
+        """The entries of the linking matrix over the kept bases: the kept
+        ones, with no basis made, or, after a move dropped them, those
+        :meth:`linking_matrix` reads off the running sign sums.
 
-        They are read off the running sign sums the first time, and again
-        after any move that changed a sign sum, renumbered the components
-        or contracted a non-tree edge; in between they are read with no
-        basis made.  A split or the contraction of a tree edge changes the
-        cycles only on an edge without passages and keeps their order, so
-        the entries stay as they were, over the new bases."""
+        A move that changed a sign sum, renumbered the components or
+        contracted a non-tree edge drops them.  A split or the contraction
+        of a tree edge changes the cycles only on an edge without passages
+        and keeps their order, so the entries stay as they were, over the
+        new bases."""
         entries = self._entries
-        if entries is None:
-            if len(self._order) != 2:
-                raise DomainError(f"diagram has {len(self._order)} components, expected 2")
-            entries = self._entries = matrix_from_pairs(
-                self.pair_signs, self.basis(1), self.basis(2)).entries
-        return entries
+        return self.linking_matrix().entries if entries is None else entries
 
     def linking_matrix(self) -> LinkingMatrix:
-        """:meth:`linking_entries` as a ``LinkingMatrix`` that carries the
-        kept bases, made anew when a move changed them."""
-        entries = self.linking_entries()
+        """The linking matrix over the kept bases, each made once here: the
+        kept entries, or, when a move dropped them, the entries read off
+        the running sign sums over those bases, which are kept again."""
+        if len(self._order) != 2:
+            raise DomainError(f"diagram has {len(self._order)} components, expected 2")
         b1, b2 = self.basis(1), self.basis(2)
-        return LinkingMatrix(len(b1.cycles), len(b2.cycles), entries, b1, b2)
+        if self._entries is None:
+            mat = matrix_from_pairs(self.pair_signs, b1, b2)
+            self._entries = mat.entries
+            return mat
+        return LinkingMatrix(len(b1.cycles), len(b2.cycles), self._entries, b1, b2)
 
     def diagram(self) -> Diagram:
         """The ``Diagram`` this state holds now."""
@@ -456,8 +454,6 @@ class WalkState:
         insort(self._vertices, new_vid)
         insort(self._comp_vertices[key], new_vid)
         insort(self._comp_edges[key], new_eid)
-        self._vids.use(new_vid)
-        self._eids.use(new_eid)
         self._graph_moved(key, new_eid, self._passages[new_eid])
 
     def _add_signs(self, a: str, b: str, s: int) -> None:
@@ -491,7 +487,6 @@ class WalkState:
         renumbering drops the matrix."""
         if passages:
             raise SelfCheckError(f"the edge {eid!r} added or removed carries crossing passages")
-        self._made[key] = None
         order, comp_vertices = self._order, self._comp_vertices
         i = order.index(key)
         edges, vertices = len(self._trees[key]), len(comp_vertices[key])

@@ -679,7 +679,6 @@ class TestPerturb:
             (gone,) = set(before) - set(tree)
             tree[gone] = None
             del tree[next(x for x in before if x not in cycle)]
-            state._made[key] = None
 
         monkeypatch.setattr(moves.WalkState, "contract_edge", off_cycle)
         src, replay = tmp_path / "in.sgd", tmp_path / "moves.txt"
@@ -707,7 +706,6 @@ class TestPerturb:
                 if n == steps - 1:
                     key = state._order[0]
                     del state._trees[key][next(iter(state._trees[key]))]
-                    state._made[key] = None
                 yield rec, state
 
         src = tmp_path / "c.sgd"

@@ -5,11 +5,14 @@ reference.
 pool kept the numbers k of the ids ``prefix`` + k in use, parsed from
 every id it was given; copied verbatim, apart from the name.  Its ``use``
 took a number, or None for an id of another form, which ``number`` gave.
-Today's pool keeps the ids in use as strings, of any form, and parses
-digits only in ``free``.  On seeded sequences of ``new``, ``use`` and
-``free``, over ids of the form ``prefix`` + k and ids of other forms (a
-leading zero, the bare prefix, 25 digits, non-ASCII digits, another
-prefix), both must hand out the same ids.
+Today's pool keeps no ids of its own: it reads the ids in use, as strings
+of any form, from a map the caller keeps (a ``WalkState`` hands it its
+crossing, vertex or edge map), and parses digits only in ``free``.  Here
+``run_both`` keeps that map as a set: it adds each id ``new`` hands out
+and each id it uses, and discards each id it frees.  On seeded sequences of
+``new``, use and ``free``, over ids of the form ``prefix`` + k and ids of
+other forms (a leading zero, the bare prefix, 25 digits, non-ASCII
+digits, another prefix), both must hand out the same ids.
 """
 
 import heapq
@@ -87,7 +90,8 @@ def run_both(rng: random.Random, steps: int) -> int:
     start = rng.sample([f"v{k}" for k in range(1, 40)], rng.randint(0, 12))
     start += rng.sample(ODD, rng.randint(0, len(ODD)))
     rng.shuffle(start)
-    ref, pool = ReferenceFreshIds("v", start), _FreshIds("v", start)
+    used = set(start)  # the map a state keeps, which the pool reads
+    ref, pool = ReferenceFreshIds("v", start), _FreshIds("v", used)
     held = list(start)
     handed = 0
     for _ in range(steps):
@@ -95,17 +99,19 @@ def run_both(rng: random.Random, steps: int) -> int:
         if op < 0.45:
             s = pool.new()
             assert s == ref.new()
+            used.add(s)
             held.append(s)
             handed += 1
         elif op < 0.6:
             s = rng.choice(ODD + [f"v{k}" for k in range(1, 60)])
             ref.use(ref.number(s))
-            pool.use(s)
+            used.add(s)
             held.append(s)
         elif held:
             # mostly ids in use, as a contraction frees them; sometimes any
             s = held.pop(rng.randrange(len(held))) if rng.random() < 0.9 else rng.choice(ODD)
             ref.free(s)
+            used.discard(s)
             pool.free(s)
     return handed
 

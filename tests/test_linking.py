@@ -10,6 +10,8 @@ import sglink.cli as cli
 import sglink.linking as linking
 import sglink.sgd as sgd
 from gen import random_canonical, random_diagram, random_spanning_tree, sign_delta
+from oracles import divisors_via_minors
+from shapes import grid, theta
 from sglink import (
     Cycle,
     DomainError,
@@ -21,6 +23,7 @@ from sglink import (
     linking_number,
     over_under_consistent,
     parse_sgd,
+    serialize_sgd,
 )
 from sglink.linking import matrix_from_pairs
 from sglink.smith import lk_invariant
@@ -110,10 +113,9 @@ class TestOverUnder:
     def test_realizable_examples(self):
         assert over_under_consistent(HOPF)
         assert over_under_consistent(canonical_diagram(3, 2, (2, 4)))
-        # m x 0 and 0 x n matrices compare with their swapped count's transpose
+        # m x 0 and 0 x n matrices: no pair of cycles to compare
         for m, n in ((2, 0), (0, 3), (0, 0)):
-            d = canonical_diagram(m, n, ())
-            assert over_under_consistent(d, linking_matrix(d))
+            assert over_under_consistent(canonical_diagram(m, n, ()))
 
     def test_single_crossing_is_inconsistent(self):
         d = parse_sgd(
@@ -123,7 +125,6 @@ class TestOverUnder:
         assert linking_number(d, Z, W) == 1
         assert linking_number(d, W, Z) == 0
         assert not over_under_consistent(d)
-        assert not over_under_consistent(d, linking_matrix(d))
 
     def test_delta_count_cancels_across_pairs(self):
         # Delta(a, b) = 1 from a over b alone, Delta(a, c) = 1 from c over a
@@ -182,9 +183,9 @@ class TestKernelAgainstDefinition:
                 over, under = brute_counts(d, b1, b2)
                 mat = matrix_from_pairs(d.sign_sums, b1, b2)
                 assert [list(r) for r in mat.entries] == over
-                assert over_under_consistent(d, mat) == (over == under)
-                if t1 is None:
-                    assert over_under_consistent(d) == (over == under)
+                # the count is bilinear: the check, over the default bases,
+                # answers for the random-tree bases too
+                assert over_under_consistent(d) == (over == under)
                 cases.add((bool(sign_delta(d)), over == under))
         # the sample must exercise both answers of the over/under check, and
         # the count over Delta both when it is skipped and when it runs: a
@@ -204,9 +205,9 @@ class TestKernelAgainstDefinition:
         rng = random.Random(43)
         seen = set()
         for d in two_component_diagrams(rng, 30):
-            mat, nonzero = linking_matrix(d), bool(sign_delta(d))
+            nonzero = bool(sign_delta(d))
             calls.clear()
-            consistent = over_under_consistent(d, mat)
+            consistent = over_under_consistent(d)
             assert len(calls) == nonzero
             assert consistent or nonzero
             seen.add(nonzero)
@@ -230,11 +231,13 @@ DATA = Path(__file__).parent / "data"
 
 
 class TestInvariantCommand:
-    def test_builds_bases_and_matrix_once(self, monkeypatch, capsys):
+    def test_builds_bases_and_matrix_once(self, monkeypatch, capsys, tmp_path):
         # one pass over the crossings too: the matrix and the over/under
         # check share the diagram's sign sums; the matrix makes one
         # incidence per basis, and the check, on a walked canonical diagram
-        # whose Delta = S - S^T is zero, makes none
+        # whose Delta = S - S^T is zero, makes no basis and no incidence.
+        # Where Delta is nonzero the check makes the two default bases
+        # itself, and one incidence of each.
         calls = {"cycle_basis": 0, "linking_matrix": 0, "pair_signs": 0, "_incidence": 0}
 
         def counted(name, fn):
@@ -254,8 +257,55 @@ class TestInvariantCommand:
         assert json.loads(capsys.readouterr().out)["over_under_consistent"] is True
         assert calls == {"cycle_basis": 2, "linking_matrix": 1, "pair_signs": 1, "_incidence": 2}
 
+        one_crossing = tmp_path / "one_crossing.sgd"
+        one_crossing.write_text("sgd 1\nvertex v1\nvertex v2\nedge e1 v1 v1\nedge e2 v2 v2\n"
+                                "crossing x1 over e1 0 under e2 0 sign +\n")
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(["invariant", str(one_crossing), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["over_under_consistent"] is False
+        assert calls == {"cycle_basis": 4, "linking_matrix": 1, "pair_signs": 1, "_incidence": 4}
+
     def test_show_basis_json_matches_golden(self, capsys):
         # walked_8_8.sgd: canonical 8 8 1 1 2 2 4 4 8 8 after 200 perturb steps
         assert cli.main(["invariant", str(DATA / "walked_8_8.sgd"), "--json", "--show-basis"]) == 0
         golden = (DATA / "walked_8_8.show_basis.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == golden
+
+
+# (family, size, rows of the matrix): theta L is L x 1, the n x n grid
+# (n - 1)^2 x 1
+SHAPES = [(theta, L, L) for L in (4, 8, 16)] + [(grid, n, (n - 1) ** 2) for n in (3, 4)]
+
+
+class TestShapes:
+    """Long fundamental cycles, which random draws, canonical bouquets and
+    walks never make, against the oracles; each shape's unmatched variant
+    fails the over/under check, so the check makes its bases over those
+    cycles."""
+
+    @pytest.mark.parametrize("family,size,rows", SHAPES,
+                             ids=[f"{f.__name__}{n}" for f, n, _ in SHAPES])
+    def test_divisors_walk_and_check_match_the_oracles(self, family, size, rows, tmp_path, capsys):
+        for unmatched in (False, True):
+            d = family(size, unmatched)
+            src = tmp_path / "shape.sgd"
+            src.write_text(serialize_sgd(d))
+            assert cli.main(["invariant", str(src), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["ranks"] == [rows, 1]
+            assert payload["divisors"] == divisors_via_minors(payload["matrix"]) == [1]
+            b1, b2 = cycle_basis(d, 1), cycle_basis(d, 2)
+            if family is theta:
+                assert sum(len(z.coeffs) for z in b1.cycles) == size * (2 * size + 1)
+            over, under = brute_counts(d, b1, b2)
+            assert over_under_consistent(d) == (over == under) == (not unmatched)
+            assert payload["over_under_consistent"] == (not unmatched)
+            # the walk checks the chain after every move; an inconsistent
+            # diagram is refused before it starts
+            code = cli.main(["perturb", str(src), "--steps", "30", "--seed", "36", "--json"])
+            out = capsys.readouterr().out
+            if unmatched:
+                assert code == 2 and out == ""
+            else:
+                walked = json.loads(out)
+                assert code == 0 and len(walked["moves"]) == 30 and walked["invariant"] == "1"

@@ -1002,7 +1002,8 @@ def test_invariant_and_walk_keep_only_rows():
     for path in sorted(DATA.glob("*.sgd")):
         d = parse_sgd(path.read_text(encoding="utf-8"))
         if len(d.components) == 2:
-            over_under_consistent(d, linking_matrix(d))
+            linking_matrix(d)
+            over_under_consistent(d)
         state = WalkState(d)
         for _, state in walk_steps(state, 30, 5):
             pass

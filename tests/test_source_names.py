@@ -11,7 +11,10 @@ public names to re-export them, so only its ``__all__``, if any, is
 checked.  A private name (``_x``, not ``__x__``) bound at module level or
 in a class body, a method included, counts as used when some module of
 the package reads it, as a name, an attribute or an imported name;
-comments and docstrings do not count.
+comments and docstrings do not count.  A private instance attribute a
+class assigns (``self._x = ...``) counts as used when some module reads
+it as an attribute, so a cache or set whose readers went does not leave
+its store behind.
 """
 
 import ast
@@ -120,6 +123,37 @@ def unread_private_names(trees: dict[str, ast.Module]) -> dict[str, int]:
             for name, line in private_definitions(tree).items() if name not in read}
 
 
+def instance_attributes(tree: ast.Module) -> dict[str, int]:
+    """Each private attribute a method of a class in the module assigns on
+    ``self``, as ``Class._x`` -> line."""
+    names = {}
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                for a in ast.walk(t):
+                    if (isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name)
+                            and a.value.id == "self" and a.attr.startswith("_")
+                            and not a.attr.endswith("__")):
+                        names.setdefault(f"{cls.name}.{a.attr}", node.lineno)
+    return names
+
+
+def unread_instance_attributes(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """Private instance attributes a class assigns that no module reads as
+    an attribute, as ``module:Class._x`` -> line."""
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return {f"{module}:{name}": line for module, tree in trees.items()
+            for name, line in instance_attributes(tree).items()
+            if name.split(".", 1)[1] not in read}
+
+
 def test_every_module_is_checked():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "homology.py", "linking.py",
                                          "moves.py", "sgd.py", "smith.py"}
@@ -138,6 +172,11 @@ def test_every_exported_name_is_bound(path):
 def test_every_private_name_is_read():
     trees = {p.name: parse(p) for p in MODULES}
     assert unread_private_names(trees) == {}, "defined, never read (module:name: line)"
+
+
+def test_every_instance_attribute_is_read():
+    trees = {p.name: parse(p) for p in MODULES}
+    assert unread_instance_attributes(trees) == {}, "assigned, never read (module:attribute: line)"
 
 
 def test_the_checks_find_what_they_look_for():
@@ -160,3 +199,10 @@ def test_the_checks_find_what_they_look_for():
                                           "_used": 5, "_unused": 8, "_f": 12}
     assert unread_private_names({"a.py": other, "b.py": ast.parse("from a import _C, _f\n")}) == {
         "a.py:_DEAD": 1, "a.py:_X": 2, "a.py:_flag": 4, "a.py:_unused": 8}
+    state = ast.parse("class S:\n    def __init__(self):\n"
+                      "        self._kept, self._gone = [], 0\n        self.public = 1\n"
+                      "        self._bumped: int = 0\n        self._bumped += 1\n"
+                      "    def read(self):\n        return self._kept\n")
+    assert instance_attributes(state) == {"S._kept": 3, "S._gone": 3, "S._bumped": 5}
+    assert unread_instance_attributes({"s.py": state}) == {"s.py:S._gone": 3, "s.py:S._bumped": 5}
+    assert unread_instance_attributes({"a.py": other}) == {"a.py:_C._dead": 6}
