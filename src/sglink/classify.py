@@ -61,11 +61,10 @@ class Verdict(Value):
         )
 
 
-def _profile(d: Diagram) -> tuple[tuple[int, int], LkInvariant, bool]:
-    """Ranks and invariant of a diagram, both read off its linking matrix,
-    and whether it passes the over/under check."""
+def _profile(d: Diagram) -> tuple[tuple[int, int], LkInvariant]:
+    """Ranks and invariant of a diagram, both read off its linking matrix."""
     mat = linking_matrix(d)
-    return (mat.rows, mat.cols), lk_invariant(mat), over_under_consistent(d)
+    return (mat.rows, mat.cols), lk_invariant(mat)
 
 
 def classify(d: Diagram, d2: Diagram, ordered: bool = False) -> Verdict:
@@ -78,13 +77,16 @@ def classify(d: Diagram, d2: Diagram, ordered: bool = False) -> Verdict:
     pairing and the invariants are equal; otherwise the verdict reports the
     obstruction, "rank" or "divisors".  A diagram that fails the over/under
     check is no spatial graph's diagram, and its invariant depends on how
-    its vertices are named, so it raises ``DomainError`` instead.
+    its vertices are named, so it raises ``DomainError`` instead, before
+    either matrix is made.
     """
-    (m, n), inv, consistent = _profile(d)
-    (m2, n2), inv2, consistent2 = _profile(d2)
-    for name, ok in (("A", consistent), ("B", consistent2)):
+    # both checks run before either raises, so B's component count is
+    # reported before A's failed check
+    for name, ok in zip("AB", [over_under_consistent(d), over_under_consistent(d2)]):
         if not ok:
             raise DomainError(f"diagram {name} {UNREALIZABLE}")
+    (m, n), inv = _profile(d)
+    (m2, n2), inv2 = _profile(d2)
     pairings = [("ordered", (m2, n2))]
     if not ordered:
         pairings.append(("swapped", (n2, m2)))

@@ -142,18 +142,6 @@ def cmd_canonical(args) -> int:
     return EXIT_OK
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise DomainError("seed must fit in 64 unsigned bits")
-    return seed
-
-
-def _check_steps(steps: int) -> int:
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    return steps
-
-
 def _write_moves(path: str, move_lines: list[str]) -> None:
     Path(path).write_text("".join(f"{ln}\n" for ln in move_lines), encoding="utf-8")
 
@@ -171,25 +159,28 @@ def cmd_perturb(args) -> int:
     # check.  A failed self-check still writes --moves-out, so the failing
     # walk can be replayed.
     d = _read_diagram(args.path)
-    start = WalkState(d)
-    mat = linking_matrix(start)
     # the moves keep a consistent diagram consistent; an inconsistent one
     # would fail a self-check at the first move that renumbers components
     if not over_under_consistent(d):
         raise DomainError(f"diagram {UNREALIZABLE}")
+    start = WalkState(d)
+    mat = linking_matrix(start)
     entries, inv = mat.entries, lk_invariant(mat)
 
     if args.replay:
         walk = replay_steps(start, _read_text(args.replay))
+    elif args.steps < 0:
+        raise DomainError("steps must be nonnegative")
+    elif not 0 <= args.seed < 2**64:
+        raise DomainError("seed must fit in 64 unsigned bits")
     else:
-        walk = walk_steps(start, _check_steps(args.steps), _check_seed(args.seed))
+        walk = walk_steps(start, args.steps, args.seed)
 
     records: list[MoveRecord] = []
-    state = None
     try:
-        for rec, state in walk:
+        for rec, _ in walk:  # every step yields start, updated in place
             records.append(rec)
-            new_entries = state.linking_entries()
+            new_entries = start.linking_entries()
             if new_entries == entries:  # the invariant too is as it was
                 continue
             # a renumbering transposes the entries, so the shape is theirs
@@ -201,8 +192,8 @@ def cmd_perturb(args) -> int:
                     f"after homotopy-preserving move {format_move(rec)}"
                 )
             entries, inv = new_entries, new_inv
-        mat = linking_matrix(start)  # the walk updated start in place
-        final = d if state is None else state.diagram()
+        mat = linking_matrix(start)
+        final = start.diagram()
         rebuilt = matrix_from_pairs(final.sign_sums, mat.basis1, mat.basis2)
         if rebuilt.entries != mat.entries:
             raise SelfCheckError(

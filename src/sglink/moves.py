@@ -9,11 +9,13 @@ is unchanged by every such move, which the random walk exercises.
 
 Every move has one implementation, a method of :class:`WalkState`: a
 mutable working copy of a diagram, built once, that each move updates in
-time proportional to what the move touches.  Edges hold their crossing
-passages as ordered lists of crossing ends, so a clasp is two list
-inserts; the state also keeps the sign sums of the inter-component
-(over edge, under edge) pairs, which determine the linking matrix, so a
-walk can read the matrix off running sums.  One move on an immutable
+time proportional to what the move touches.  Building it runs
+``sgd.validate`` on the diagram, in time linear in its size, whether the
+parser or a caller made it.  Edges hold their crossing passages as
+ordered lists of crossing ends, so a clasp is two list inserts; the
+state also keeps the sign sums of the inter-component (over edge, under
+edge) pairs, which determine the linking matrix, so a walk can read the
+matrix off running sums.  One move on an immutable
 ``Diagram`` is ``WalkState(d)``, then the move's method, then
 :meth:`WalkState.diagram`; ``walk_steps`` and ``replay_steps`` drive one
 state through a whole walk and build a ``Diagram`` only when asked.
@@ -156,9 +158,8 @@ class _FreshIds:
 
 class WalkState:
     """A valid diagram as a mutable working state that moves update in place;
-    building one from a diagram that fails ``sgd.validate`` raises
-    ``DomainError``.  A diagram ``parse_sgd`` has checked is not validated
-    again.
+    building one runs ``sgd.validate`` on the diagram it is given, parsed
+    or built by hand, and raises ``DomainError`` when it fails.
 
     - Each edge keeps its ends as a mutable ``[tail, head]`` pair, which
       splits and contractions re-attach in place; ``Edge`` values are built
@@ -203,10 +204,9 @@ class WalkState:
     """
 
     def __init__(self, d: Diagram):
-        if not d._checked:
-            problems = validate(d)
-            if problems:
-                raise DomainError("invalid diagram: " + "; ".join(v.message for v in problems))
+        problems = validate(d)
+        if problems:
+            raise DomainError("invalid diagram: " + "; ".join(v.message for v in problems))
         self._comp_of: dict[str, int] = {}  # vertex -> component key
         self._comp_vertices: list[list[str]] = []
         self._comp_edges: list[list[str]] = []
@@ -436,10 +436,13 @@ class WalkState:
             raise DomainError(f"vertex id {new_vid!r} already in use")
         if new_eid in self._edges:
             raise DomainError(f"edge id {new_eid!r} already in use")
-        ends, away = self._ends[vid], set(moved)
+        ends, away = self._ends[vid], set()
         # ends at vid only, each listed once; the ends not listed stay
-        if len(away) != len(moved) or not away <= ends:
-            raise DomainError("partition must cover the incident edge-ends exactly once")
+        for end in moved:
+            if end not in ends or end in away:
+                fault = "is listed twice" if end in ends else f"is not at vertex {vid!r}"
+                raise DomainError(f"split end {'.'.join(end)!r} {fault}")
+            away.add(end)
         key = self._comp_of[vid]
         self._trees[key][new_eid] = None
         self._comp_of[new_vid] = key
@@ -509,8 +512,9 @@ class WalkState:
         """A move given as tokens, as :func:`format_move` writes them: its
         record, with whether it preserves the invariant here, and the
         arguments of its method.  Rejects, in this order, an unknown kind, a
-        wrong parameter count, an unknown crossing or clasp edge and clasp
-        integers that are not ASCII decimals; the method checks the rest."""
+        wrong parameter count, an unknown crossing or clasp edge, clasp
+        integers that are not ASCII decimals and split ends that are not
+        ``<edge>.tail`` or ``<edge>.head``; the method checks the rest."""
         arity = _ARITY.get(kind)
         if arity is None:
             raise DomainError(f"unknown move kind {kind!r}")
@@ -537,7 +541,11 @@ class WalkState:
         elif kind == "contract_edge":
             args = p
         else:
-            args = (p[0], [tuple(tok.split(".", 1)) for tok in p[3:]], p[1], p[2])
+            moved = [tok.partition(".")[::2] for tok in p[3:]]  # (edge, side) pairs
+            for tok, (_, side) in zip(p[3:], moved):
+                if side not in ("tail", "head"):
+                    raise DomainError(f"split end {tok!r} is not <edge>.tail or <edge>.head")
+            args = (p[0], moved, p[1], p[2])
         return MoveRecord(kind, p, preserving), args
 
     def apply(self, move: MoveRecord) -> None:

@@ -33,7 +33,11 @@ parser checks each line from its whitespace-split tokens as it reads it,
 in a fixed order, and raises the first check that fails, naming its line
 and column.  The line checks rule out every violation but the degenerate
 crossings and passage indices; the parser tests those on the indices it
-collected, and calls :func:`validate` only to word that error.
+collected, and calls :func:`validate` only to word that error.  It
+leaves nothing on the diagram it returns: a ``Diagram`` is its fields and
+the caches its properties make, so a parsed diagram and one built by hand
+with the same fields are the same value, and a ``moves.WalkState``
+validates either.
 
 A passage index is read with a lookup, not a conversion: ``_INDEX`` maps
 the decimal tokens "0" ... "1023" to their ints, so every index of an edge
@@ -172,10 +176,6 @@ class Diagram(Value):
     """
 
     _fields = ("vertices", "edges", "rows")
-
-    # set by parse_sgd(check=True) on a diagram it returns: such a diagram
-    # has passed every check validate() runs
-    _checked = False
 
     def __init__(self, vertices, edges=(), rows=()):
         held = self.__dict__
@@ -364,8 +364,7 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
     each reference is one lookup among the ids declared, and a crossing's
     indices and sign are lookups in ``_INDEX`` and ``_SIGN``; only a
     lookup that misses calls a function, which words the error or converts
-    an index past the table.  A checked diagram is marked, so a
-    ``moves.WalkState`` built on it does not run :func:`validate` again.
+    an index past the table.
     """
     index, signs = _INDEX.get, _SIGN.get
     lines = enumerate(text.splitlines(), start=1)
@@ -457,7 +456,6 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
                for idx in passages.values()):
             detail = "; ".join(v.message for v in validate(d))
             raise SgdParseError(f"invalid diagram: {detail}")
-        d.__dict__["_checked"] = True
     return d
 
 

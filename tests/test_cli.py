@@ -17,6 +17,7 @@ from gen import (
     random_diagram,
     walk_to_first_split,
 )
+from shapes import theta
 
 import sglink.cli as cli
 import sglink.linking as linking
@@ -868,6 +869,35 @@ class TestUnrealizable:
             assert cli.main(["classify", *map(str, pair)]) == 2
             assert capsys.readouterr() == ("", f"error: diagram {name} {UNREALIZABLE_ERROR}\n")
 
+    def test_refused_before_any_matrix(self, tmp_path, capsys, monkeypatch):
+        # classify runs the check on A and on B before either matrix, and
+        # perturb runs it before it builds a walk state, so theta 16's
+        # unmatched variant has its default bases made once, by the check;
+        # theta 16 itself passes the check with no basis made
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(d, k, *args, **kwargs):
+                calls[type(d).__name__] += 1
+                return fn(d, k, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(linking, "cycle_basis", counted(linking.cycle_basis))
+        monkeypatch.setattr(moves, "cycle_basis", counted(moves.cycle_basis))
+        good, bad = tmp_path / "theta.sgd", tmp_path / "unmatched.sgd"
+        good.write_text(serialize_sgd(theta(16)))
+        bad.write_text(serialize_sgd(theta(16, unmatched=True)))
+        for pair, name, made in (((bad, bad), "A", 4), ((bad, good), "A", 2),
+                                 ((good, bad), "B", 2)):
+            calls.clear()
+            assert cli.main(["classify", *map(str, pair)]) == 2
+            assert capsys.readouterr() == ("", f"error: diagram {name} {UNREALIZABLE_ERROR}\n")
+            assert calls == {"Diagram": made}, pair
+        calls.clear()
+        assert cli.main(["perturb", str(bad), "--steps", "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: diagram {UNREALIZABLE_ERROR}\n")
+        assert calls == {"Diagram": 2}
+
     def test_random_draws_exit_2_never_1_or_4(self, tmp_path, capsys):
         # every valid two-component draw: a consistent one walks and matches
         # itself with its components swapped, an inconsistent one exits 2
@@ -1084,8 +1114,24 @@ class TestExitContract:
         replay.write_text(line + "\n", encoding="utf-8")
         assert cli.main(["perturb", str(src), "--replay", str(replay), "--out", str(out),
                          "--moves-out", str(tmp_path / "m.txt")]) == 2
-        assert capsys.readouterr() == (
-            "", "error: partition must cover the incident edge-ends exactly once\n")
+        ends = line.split()[4:]
+        twice = next(end for k, end in enumerate(ends) if end in ends[:k])
+        assert capsys.readouterr() == ("", f"error: split end {twice!r} is listed twice\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ends, error", [
+        ("a1", "split end 'a1' is not <edge>.tail or <edge>.head"),
+        ("a1.side", "split end 'a1.side' is not <edge>.tail or <edge>.head"),
+        ("b1.tail", "split end 'b1.tail' is not at vertex 'u1'"),
+        ("a1.tail a1.tail", "split end 'a1.tail' is listed twice"),
+    ])
+    def test_replayed_split_names_the_end_at_fault_exit_2(self, tmp_path, capsys, ends, error):
+        # four faults of a moved end, each worded apart
+        src, replay, out = tmp_path / "c.sgd", tmp_path / "moves.txt", tmp_path / "out.sgd"
+        assert cli.main(["canonical", "2", "2", "1", "3", "--out", str(src)]) == 0
+        replay.write_text(f"split_vertex u1 v9 e9 {ends}\n", encoding="utf-8")
+        assert cli.main(["perturb", str(src), "--replay", str(replay), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("line, error", [

@@ -19,6 +19,7 @@ from gen import (
     sign_delta,
     walk_to_first_split,
 )
+from shapes import grid, theta
 from sglink import (
     Cycle,
     Diagram,
@@ -51,6 +52,7 @@ from test_walk_reference import _sample_move as reference_sample_move
 from test_walk_reference import apply_move as reference_apply_move
 from test_walk_reference import assert_state_matches
 from test_walk_reference import walk_steps as reference_walk_steps
+from timing import ratio
 
 HOPF = canonical_diagram(1, 1, (1,))
 
@@ -103,20 +105,20 @@ class TestCrossingChange:
         with pytest.raises(DomainError, match="invalid diagram"):
             next(walk_steps(gap, 1, 1))
 
-    def test_state_validates_what_the_parser_has_not_checked(self, monkeypatch):
-        # parse_sgd(check=True) has run every check validate runs, so a
-        # state skips validate for the diagram it returned, and only that
+    def test_state_validates_every_diagram_once(self, monkeypatch):
+        # the parser leaves no mark on a diagram: a state runs validate once
+        # on what it is given, parsed checked, parsed unchecked or built by
+        # hand
         calls = []
         monkeypatch.setattr(moves, "validate", lambda d: calls.append(d) or validate(d))
         text = serialize_sgd(canonical_diagram(2, 2, (1, 2)))
         checked = parse_sgd(text)
-        moves.WalkState(checked)
-        assert calls == []
-        for d in (parse_sgd(text, check=False),
-                  Diagram(checked.vertices, checked.edges, checked.rows)):
-            assert d == checked
+        diagrams = (checked, parse_sgd(text, check=False),
+                    Diagram(checked.vertices, checked.edges, checked.rows))
+        for k, d in enumerate(diagrams, start=1):
+            assert d == checked and vars(d).keys() == {"vertices", "edges", "rows"}
             moves.WalkState(d)
-            assert calls[-1] is d
+            assert len(calls) == k and calls[-1] is d
         # a diagram built by hand, or parsed unchecked, that fails validate
         x1 = HOPF.rows[0]
         degenerate = Diagram(HOPF.vertices, HOPF.edges, (x1, ("x2", *x1[1:3], *x1[1:3], 1)))
@@ -124,6 +126,13 @@ class TestCrossingChange:
         for d in (degenerate, unchecked):
             with pytest.raises(DomainError, match="over and under reference the same passage"):
                 moves.WalkState(d)
+
+    def test_building_a_state_is_linear_in_the_diagram(self):
+        # validating the diagram, indexing its ends and passages and taking
+        # its spanning trees: 4x the edges takes about 4-5x the time, where
+        # a step quadratic in the vertices or edges would take about 16x
+        for family, small, large in ((grid, 30, 60), (theta, 250, 1000)):
+            assert ratio(moves.WalkState, family(small), family(large)) < 8, family.__name__
 
     def test_inter_component_change_alters_linking(self):
         z, w = Cycle(1, {"a1": 1}), Cycle(2, {"b1": 1})
@@ -257,12 +266,17 @@ class TestContractSplit:
             moved(d, "split_vertex", "a", ends_at_a, "w1", "e2")
         # an end listed twice, an end at another vertex, an unknown edge and
         # a side that is not one: the moved ends and the rest no longer
-        # cover the ends at the vertex exactly once
-        for away in (ends_at_a[2:] + [("l1", "head")], ends_at_a[:1] * 2,
-                     [("e2", "tail")], ends_at_a[:1] + [("zz", "tail")], [("e1", "side")],
-                     ends_at_a + ends_at_a[:1]):
-            with pytest.raises(DomainError, match="exactly once"):
+        # cover the ends at the vertex exactly once, and the first end at
+        # fault is named
+        for away, error in ((ends_at_a[2:] + [("l1", "head")], "'l1.head' is listed twice"),
+                            (ends_at_a[:1] * 2, "'e1.tail' is listed twice"),
+                            ([("e2", "tail")], "'e2.tail' is not at vertex 'a'"),
+                            (ends_at_a[:1] + [("zz", "tail")], "'zz.tail' is not at vertex 'a'"),
+                            ([("e1", "side")], "'e1.side' is not at vertex 'a'"),
+                            (ends_at_a + ends_at_a[:1], "'e1.tail' is listed twice")):
+            with pytest.raises(DomainError) as caught:
                 moved(d, "split_vertex", "a", away, "w1", "f1")
+            assert str(caught.value) == f"split end {error}"
         # new ids that SGD cannot write
         for new_vid, new_eid in (("v-1", "f1"), ("w1", "é"), ("w1", "f.x"), ("", "f1"),
                                  ("w1\n", "f1")):

@@ -994,11 +994,9 @@ def test_validate_lists_what_the_reference_lists_on_hand_built_diagrams():
 
 def test_invariant_and_walk_keep_only_rows():
     # the rows are the one crossing form: what the pipeline and a walk
-    # leave on a diagram is its fields, the parser's mark and the caches
-    # the counts read, the breadth-first forest among them, and no crossing
-    # objects
-    kept = {"vertices", "edges", "rows", "_checked", "edge_map", "sign_sums", "components",
-            "_forest"}
+    # leave on a diagram is its fields and the caches the counts read, the
+    # breadth-first forest among them, and no crossing objects
+    kept = {"vertices", "edges", "rows", "edge_map", "sign_sums", "components", "_forest"}
     for path in sorted(DATA.glob("*.sgd")):
         d = parse_sgd(path.read_text(encoding="utf-8"))
         if len(d.components) == 2:
@@ -1016,8 +1014,8 @@ def test_invariant_and_walk_keep_only_rows():
 def test_constructor_takes_vertices_edges_and_rows_out_of_id_order(monkeypatch):
     # Diagram(vertices, edges, rows) sorts each part by id and keeps the
     # rows as given: it equals and hashes like the diagram its text parses
-    # to, and shows its rows in repr; as the parser has not checked it, a
-    # walk state built on it runs validate
+    # to, and shows its rows in repr; a walk state runs validate once on
+    # each, as on every diagram it is given
     d = parse_sgd(serialize_sgd(canonical_diagram(2, 2, (1, 5))))  # x10 < x2
     vertices, edges, rows = d.vertices[::-1], d.edges[::-1], d.rows[::-1]
     assert [r[0] for r in rows][-3:] == ["x11", "x10", "x1"]
@@ -1030,8 +1028,8 @@ def test_constructor_takes_vertices_edges_and_rows_out_of_id_order(monkeypatch):
     calls = []
     monkeypatch.setattr(moves, "validate", lambda x: calls.append(x) or validate(x))
     WalkState(parsed)
-    assert calls == []
-    assert WalkState(built).diagram() == built and calls == [built]
+    assert calls == [parsed]
+    assert WalkState(built).diagram() == built and calls == [parsed, built]
 
 
 def immutable(value, names) -> None:

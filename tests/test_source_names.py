@@ -14,7 +14,10 @@ the package reads it, as a name, an attribute or an imported name;
 comments and docstrings do not count.  A private instance attribute a
 class assigns (``self._x = ...``) counts as used when some module reads
 it as an attribute, so a cache or set whose readers went does not leave
-its store behind.
+its store behind.  Only a class's own ``__init__`` writes into a
+``__dict__``, its own, so a value holds what its constructor put there
+and the caches its properties make, and no function marks a value after
+it was built.
 """
 
 import ast
@@ -154,6 +157,70 @@ def unread_instance_attributes(trees: dict[str, ast.Module]) -> dict[str, int]:
             if name.split(".", 1)[1] not in read}
 
 
+# the dict methods that change a dict in place
+_DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def dict_writes(tree: ast.Module) -> list[int]:
+    """The lines that write into an object's ``__dict__``, save where a
+    class's own ``__init__`` writes into ``self``'s: an item of
+    ``x.__dict__`` or ``vars(x)``, or of a name bound to one in the same
+    function, assigned or deleted, a dict method that changes it called,
+    or ``object.__setattr__`` / ``__delattr__`` called on ``x``."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def scope(node):
+        while not isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            node = parents[node]
+        return node
+
+    def owner(expr):
+        """The ``x`` whose ``__dict__`` ``expr`` is, or None."""
+        if isinstance(expr, ast.Attribute) and expr.attr == "__dict__":
+            return expr.value
+        if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
+                and expr.func.id == "vars" and len(expr.args) == 1):
+            return expr.args[0]
+        return None
+
+    bound_to = {}  # (scope, name) -> the x whose __dict__ the name holds
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and owner(node.value) is not None:
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    bound_to[scope(node), t.id] = owner(node.value)
+
+    def written(node):
+        """The ``x`` whose ``__dict__`` ``node`` writes into, or None."""
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            held = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            if (f.attr in ("__setattr__", "__delattr__") and isinstance(f.value, ast.Name)
+                    and f.value.id == "object"):
+                return node.args[0] if node.args else None
+            if f.attr not in _DICT_WRITERS:
+                return None
+            held = f.value
+        else:
+            return None
+        if isinstance(held, ast.Name):
+            return bound_to.get((scope(node), held.id))
+        return owner(held)
+
+    lines = set()
+    for node in ast.walk(tree):
+        x = written(node)
+        if x is None:
+            continue
+        where = scope(node)
+        if not (isinstance(x, ast.Name) and x.id == "self"
+                and getattr(where, "name", None) == "__init__"
+                and isinstance(parents.get(where), ast.ClassDef)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def test_every_module_is_checked():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "homology.py", "linking.py",
                                          "moves.py", "sgd.py", "smith.py"}
@@ -177,6 +244,12 @@ def test_every_private_name_is_read():
 def test_every_instance_attribute_is_read():
     trees = {p.name: parse(p) for p in MODULES}
     assert unread_instance_attributes(trees) == {}, "assigned, never read (module:attribute: line)"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_an_init_writes_into_a_dict(path):
+    assert dict_writes(parse(path)) == [], \
+        f"{path.name}: writes into a __dict__ outside its class's own __init__ (lines)"
 
 
 def test_the_checks_find_what_they_look_for():
@@ -206,3 +279,12 @@ def test_the_checks_find_what_they_look_for():
     assert instance_attributes(state) == {"S._kept": 3, "S._gone": 3, "S._bumped": 5}
     assert unread_instance_attributes({"s.py": state}) == {"s.py:S._gone": 3, "s.py:S._bumped": 5}
     assert unread_instance_attributes({"a.py": other}) == {"a.py:_C._dead": 6}
+    marks = ast.parse("class V:\n    def __init__(self, a):\n        held = self.__dict__\n"
+                      "        held['a'] = a\n        vars(self)['b'] = 1\n"
+                      "    def mark(self):\n        self.__dict__['c'] = 1\n"
+                      "def f(d, held):\n    d.__dict__['_checked'] = True\n"
+                      "    held['x'] = 1\n    kept = vars(d)\n    kept.update(x=1)\n"
+                      "    object.__setattr__(d, 'y', 1)\n    del d.__dict__['y']\n"
+                      "class W:\n    def __init__(self, other):\n        other.__dict__['a'] = 1\n"
+                      "        object.__setattr__(self, 'a', 1)\n")
+    assert dict_writes(marks) == [7, 9, 12, 13, 14, 17]
