@@ -9,8 +9,10 @@ matrices, not errors.
 
 Every count is a matrix made by one kernel in two parts.
 ``sgd.pair_signs`` makes one pass over the crossings and sums their signs
-per (over edge, under edge) pair; a diagram makes these sums once
-(``Diagram.sign_sums``), and every count over it shares them.  The second
+per (over edge, under edge) pair; a diagram makes these sums once, over
+the pairs whose edges lie in distinct components (``Diagram.sign_sums``),
+and every count over it shares them.  A pair within one component adds
+nothing to a count between two, so it is not summed.  The second
 part turns each list of cycles into a sparse incidence, edge id ->
 [(cycle index, coefficient)], and adds each pair's sign sum times the
 outer product of the two edges' incidence entries.  The cost is linear in
@@ -21,12 +23,14 @@ over a diagram's default bases, and :func:`linking_number`, the pairing of
 two arbitrary cycles, the 1 x 1 count, after it checks that each cycle
 lies in its component.  :func:`over_under_consistent` takes only the
 diagram, and counts the differences Delta(e, f) = S(e, f) - S(f, e) of
-the sums S: over minus under, zero everywhere when the check holds.  The
-count is bilinear, so any pair of bases decides it; the check makes the
-default bases only when some Delta is nonzero.  Every move keeps Delta as
+the sums S, inter-component pairs only: over minus under, zero everywhere
+when the check holds.  The count is bilinear, so any pair of bases
+decides it; the check makes the default bases only when some
+inter-component Delta is nonzero.  Every move keeps Delta as
 it is, so a diagram a walk reaches from a canonical one, where Delta is
 zero, passes the check with no basis made and no count at all.  A walk's
-working state (``moves.WalkState``) keeps its own running pair sums and a
+working state (``moves.WalkState``) starts its running pair sums as a copy
+of ``Diagram.sign_sums``, keeps them through its moves, and keeps a
 spanning tree per component, and :func:`linking_matrix` given such a state
 returns the matrix over the fundamental bases of those trees, made at that
 read: the entries the state keeps, or, when a move dropped them, those
@@ -146,8 +150,9 @@ def linking_matrix(d: Diagram | WalkState) -> LinkingMatrix:
 def matrix_from_pairs(pairs, basis1: CycleBasis, basis2: CycleBasis) -> LinkingMatrix:
     """Linking matrix over two bases, read off per-pair sign sums as
     ``sgd.pair_signs`` makes them.  Pairs whose edges lie outside the two
-    bases' supports add nothing, so sums kept for inter-component pairs
-    only give the same matrix."""
+    bases' supports add nothing, so the inter-component sums of
+    ``Diagram.sign_sums`` give the matrix of two bases in distinct
+    components, and 0 over two bases of one component."""
     rows, cols = len(basis1.cycles), len(basis2.cycles)
     over = _counts(pairs.items(), _incidence(basis1.cycles), _incidence(basis2.cycles), rows, cols)
     return LinkingMatrix(rows, cols, tuple(map(tuple, over)), basis1, basis2)
@@ -162,10 +167,11 @@ def over_under_consistent(d: Diagram) -> bool:
     sign sum per (over edge, under edge) pair, over minus under is the
     count of Delta(e, f) = S(e, f) - S(f, e), and the check holds when
     that count is zero.  The count is bilinear, so it is zero over one
-    pair of bases exactly when it is zero over every pair.  One pass over
-    the sums finds the pairs where Delta is nonzero; when there are none,
-    nothing more is counted, and otherwise the count runs over the default
-    bases, made here.
+    pair of bases exactly when it is zero over every pair.  ``S`` is
+    ``Diagram.sign_sums``, which holds the inter-component pairs only, as
+    only they can count.  One pass over those sums finds the pairs where
+    Delta is nonzero; when there are none, nothing more is counted, and
+    otherwise the count runs over the default bases, made here.
     """
     require_two_components(d)
     sums = d.sign_sums

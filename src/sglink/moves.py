@@ -15,8 +15,9 @@ parser or a caller made it.  Edges hold their crossing passages as
 ordered lists of crossing ends, so a clasp is two list inserts; the
 state also keeps the sign sums of the inter-component (over edge, under
 edge) pairs, which determine the linking matrix, so a walk can read the
-matrix off running sums.  One move on an immutable
-``Diagram`` is ``WalkState(d)``, then the move's method, then
+matrix off running sums.  They start as a copy of the diagram's own
+``Diagram.sign_sums``, which holds those pairs only.  One move on an
+immutable ``Diagram`` is ``WalkState(d)``, then the move's method, then
 :meth:`WalkState.diagram`; ``walk_steps`` and ``replay_steps`` drive one
 state through a whole walk and build a ``Diagram`` only when asked.
 Walks, replays and :func:`apply_move` run every move the same way: the
@@ -57,7 +58,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError, SelfCheckError
 from .homology import CycleBasis, cycle_basis, spanning_tree
 from .linking import LinkingMatrix, matrix_from_pairs
-from .sgd import Component, Diagram, Edge, _is_id, pair_signs, validate
+from .sgd import Component, Diagram, Edge, _is_id, validate
 from .value import Value
 
 __all__ = [
@@ -170,7 +171,8 @@ class WalkState:
       its sign; a crossing change flips the over end and negates the sign.
     - ``pair_signs`` sums the signs per (over edge, under edge) pair, for
       pairs in distinct components only: the others add nothing to a
-      linking matrix.
+      linking matrix.  It starts as a copy of ``Diagram.sign_sums``,
+      which holds the same pairs, and the moves keep it current.
     - The intra-component crossings and the contractible edges (crossing
       free, not loops) are kept in id order, as the walk draws from them.
     - Each vertex keeps its incident edge ends; each component keeps its
@@ -226,18 +228,14 @@ class WalkState:
         for e in d.edges:
             self._ends[e.tail].add((e.id, "tail"))
             self._ends[e.head].add((e.id, "head"))
-        inter = []
-        for row in d.rows:
-            xid, over, over_idx, under, under_idx, sign = row
+        for xid, over, over_idx, under, under_idx, sign in d.rows:
             self._crossings[xid] = [over, under, 0, sign]
             slots[over].append((over_idx, (xid, 0)))
             slots[under].append((under_idx, (xid, 1)))
             if self._comp(over) == self._comp(under):
                 self._intra.append(xid)
-            else:
-                inter.append(row)
         self._passages = {eid: [end for _, end in sorted(s)] for eid, s in slots.items()}
-        self.pair_signs = pair_signs(inter)
+        self.pair_signs = dict(d.sign_sums)
         self._contractible = [e.id for e in d.edges
                               if e.tail != e.head and not self._passages[e.id]]
         self._xids = _FreshIds("x", self._crossings)

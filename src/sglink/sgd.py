@@ -114,7 +114,9 @@ class Violation(Value):
 
 def pair_signs(rows) -> dict[tuple[str, str], int]:
     """Sum of the crossing signs per (over edge, under edge) pair, over
-    crossing rows as :attr:`Diagram.rows` holds them."""
+    crossing rows as :attr:`Diagram.rows` holds them; every row given
+    counts (:attr:`Diagram.sign_sums` gives it the inter-component rows
+    only)."""
     sums: dict[tuple[str, str], int] = {}
     for _, over, _, under, _, sign in rows:
         key = (over, under)
@@ -189,9 +191,14 @@ class Diagram(Value):
 
     @cached_property
     def sign_sums(self) -> dict[tuple[str, str], int]:
-        """:func:`pair_signs` of the crossings, made once and shared by every
-        count over this diagram; read it, never change it."""
-        return pair_signs(self.rows)
+        """:func:`pair_signs` of the crossings whose over and under edges
+        lie in distinct components, made once and shared by every count
+        over this diagram; read it, never change it.  A pair within one
+        component adds nothing to a count between two components, so it is
+        left out."""
+        comp = {eid: k for k, (c, _, _) in enumerate(self._forest) for eid in c.edge_ids}
+        at = comp.get  # an edge no component holds, only hand-built, reads None
+        return pair_signs([row for row in self.rows if at(row[1]) != at(row[3])])
 
     @cached_property
     def _forest(self) -> tuple[tuple[Component, list[str], dict], ...]:
@@ -391,12 +398,15 @@ def parse_sgd(text: str, check: bool = True) -> Diagram:
             continue  # blank or comment only
         kind = words[0]
         if kind == "crossing":
-            if len(words) != 10 or words[2] != "over" or words[5] != "under" or words[8] != "sign":
+            try:
+                _, xid, kw_o, o_eid, o_idx, kw_u, u_eid, u_idx, kw_s, sign = words
+            except ValueError:  # not ten tokens
+                kw_o = None  # fails the keyword check below
+            if kw_o != "over" or kw_u != "under" or kw_s != "sign":
                 raise _error(
                     "expected: crossing <xid> over <eid> <idx> under <eid> <idx> sign <+|->",
                     raw, lineno, 0,
                 )
-            _, xid, _, o_eid, o_idx, _, u_eid, u_idx, _, sign = words
             # _is_id, inlined on the path every crossing takes; a miss
             # raises through _check_id
             if not (xid.isascii() and (xid.isalnum() or "_" in xid

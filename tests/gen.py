@@ -196,7 +196,8 @@ def passage_counts(d: Diagram) -> dict[str, int]:
 
 def sign_delta(d: Diagram) -> dict[tuple[str, str], int]:
     """(e, f) -> Delta(e, f) = S(e, f) - S(f, e) where it is nonzero, S
-    being ``d.sign_sums``, the sign sum per (over edge, under edge) pair."""
+    being ``d.sign_sums``, the sign sum per (over edge, under edge) pair
+    whose edges lie in distinct components."""
     sums = d.sign_sums
     out = {(o, u): s - sums.get((u, o), 0) for (o, u), s in sums.items()}
     out.update({(u, o): -t for (o, u), t in out.items()})

@@ -8,6 +8,7 @@ import pytest
 
 import sglink.cli as cli
 import sglink.linking as linking
+import sglink.moves as moves
 import sglink.sgd as sgd
 from gen import random_canonical, random_diagram, random_spanning_tree, sign_delta
 from oracles import divisors_via_minors
@@ -26,6 +27,7 @@ from sglink import (
     serialize_sgd,
 )
 from sglink.linking import matrix_from_pairs
+from sglink.moves import WalkState
 from sglink.smith import lk_invariant
 
 HOPF = parse_sgd(
@@ -142,6 +144,52 @@ class TestOverUnder:
         assert linking_number(d, z, w) == linking_number(d, w, z) == -1
         assert sign_delta(d) == {("a", "b"): 1, ("b", "a"): -1, ("a", "c"): 1, ("c", "a"): -1}
         assert over_under_consistent(d)
+
+    # two loops at u1 with one crossing between them, which nothing
+    # matches, and a loop at u2 clasped to one of them
+    INTRA_UNMATCHED = ("sgd 1\nvertex u1\nvertex u2\n"
+                       "edge a u1 u1\nedge b u1 u1\nedge c u2 u2\n"
+                       "crossing x1 over a 0 under b 0 sign +\n"
+                       "crossing x2 over a 1 under c 0 sign +\n"
+                       "crossing x3 over c 1 under a 2 sign +\n")
+
+    def test_an_intra_component_delta_makes_no_basis(self, monkeypatch):
+        # Delta(a, b) = 1 lies within component 1, where no count between
+        # the components reads it: the check sees a zero Delta, makes no
+        # basis and holds
+        calls = []
+        monkeypatch.setattr(linking, "cycle_basis",
+                            lambda *args, **kw: calls.append(args) or cycle_basis(*args, **kw))
+        d = parse_sgd(self.INTRA_UNMATCHED)
+        assert over_under_consistent(d)
+        assert calls == []
+        assert d.sign_sums == {("a", "c"): 1, ("c", "a"): 1}
+        assert sign_delta(d) == {}
+        b1, b2 = cycle_basis(d, 1), cycle_basis(d, 2)
+        over, under = brute_counts(d, b1, b2)
+        assert over == under == [[1], [0]]
+
+    def test_a_walk_state_copies_the_diagram_sums(self, monkeypatch):
+        # the check and a walk state over one diagram sum its crossings once;
+        # the state's running sums start as a copy of the diagram's.  A
+        # module holding its own binding of pair_signs would call through
+        # it, so that binding is counted too.
+        calls, real = [], sgd.pair_signs
+
+        def pair_signs(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(sgd, "pair_signs", pair_signs)
+        monkeypatch.setattr(moves, "pair_signs", pair_signs, raising=False)
+        rng = random.Random(47)
+        walked = random_canonical(rng, max_rank=3, walk_steps=30)
+        for d in (parse_sgd(self.INTRA_UNMATCHED), walked):
+            calls.clear()
+            assert over_under_consistent(d)
+            state = WalkState(d)
+            assert len(calls) == 1
+            assert state.pair_signs == d.sign_sums and state.pair_signs is not d.sign_sums
 
 
 def brute_counts(d, basis1, basis2):

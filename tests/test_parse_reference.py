@@ -730,6 +730,17 @@ TRAPS = [
     (6, "crossing x2 over f 1 under e 1 sign +#x3", "crossing x2 over f 1 under e 1 sign#+",
      "expected: crossing"),
     (3, "edge e a a#", "edge# e a a", "expected: edge"),
+    # a crossing line of 9 and of 11 tokens, and each inner keyword misspelt
+    (5, "crossing x1 over e 0 under f 0 sign\t+", "crossing x1 over e 0 under f 0 sign",
+     "expected: crossing"),
+    (6, "crossing x2 over f 1 under e 1 sign + #", "crossing x2 over f 1 under e 1 sign + +",
+     "expected: crossing"),
+    (5, "crossing x1  over e 0 under f 0 sign +", "crossing x1 ovr e 0 under f 0 sign +",
+     "expected: crossing"),
+    (5, "crossing x1 over e 0\x1funder f 0 sign +", "crossing x1 over e 0 Under f 0 sign +",
+     "expected: crossing"),
+    (6, "crossing x2 over f 1 under e 1\u3000sign +", "crossing x2 over f 1 under e 1 signs +",
+     "expected: crossing"),
 ]
 
 
@@ -848,7 +859,11 @@ def assert_same_storage(text):
         built = Diagram(want.vertices, want.edges, rows)
         assert got == built and hash(got) == hash(built)
         assert (got.vertices, got.edges, got.rows) == (want.vertices, want.edges, rows)
-        assert list(got.sign_sums.items()) == list(want.sign_sums.items())
+        # today's sums keep only the pairs whose edges lie in distinct
+        # components, the only pairs a count between components reads
+        comp = {eid: c.index for c in want.components for eid in c.edge_ids}
+        assert list(got.sign_sums.items()) == [
+            ((o, u), s) for (o, u), s in want.sign_sums.items() if comp[o] != comp[u]]
         assert passage_counts(got) == want.passage_counts
         assert {c.id: c for c in crossings_of(got)} == want.crossing_map
         assert got.components == want.components

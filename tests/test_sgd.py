@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import passage_counts, random_diagram
+from gen import edge_components, passage_counts, random_canonical, random_diagram
 from sglink import (
     Diagram,
     DomainError,
@@ -18,7 +18,7 @@ from sglink import (
     serialize_sgd,
     validate,
 )
-from sglink.moves import WalkState
+from sglink.moves import WalkState, random_homotopy_walk
 from timing import ratio
 
 HOPF_TEXT = """\
@@ -336,3 +336,38 @@ class TestComponents:
         )
         assert len(d.components) == 2
         assert d.components[0].vertices == ("a", "b", "c")
+
+
+def inter_component_sums(d):
+    """The sign sum of each (over edge, under edge) pair whose edges lie in
+    distinct components, pair by pair over ``d.rows``, and whether ``d``
+    has a crossing within one component."""
+    comp = edge_components(d)
+    pairs = {(over, under) for _, over, _, under, _, _ in d.rows}
+    inter = {(e, f) for e, f in pairs if comp[e] != comp[f]}
+    return ({(e, f): sum(r[5] for r in d.rows if r[1] == e and r[3] == f) for e, f in inter},
+            inter != pairs)
+
+
+class TestSignSums:
+    def test_sums_hold_the_inter_component_pairs_only(self):
+        # random draws, canonical diagrams with a clasp inside component 1,
+        # and walked canonical diagrams, each kind with crossings inside one
+        # component that the sums leave out
+        rng = random.Random(73)
+        drawn = [random_diagram(rng, max_vertices=6, max_edges=12, max_crossings=24)
+                 for _ in range(60)]
+        clasped = []
+        for m, n, chain in ((2, 2, (1, 2)), (3, 1, (3,)), (4, 3, (1, 1, 2))):
+            state = WalkState(canonical_diagram(m, n, chain))
+            e, f = state.component(1).edge_ids[:2]
+            state.clasp(e, 0, f, 0, -1)
+            clasped.append(state.diagram())
+        walked = [random_homotopy_walk(random_canonical(rng), 30, seed)[0] for seed in range(20)]
+        for kind in (drawn, clasped, walked):
+            saw_intra = False
+            for d in kind:
+                sums, intra = inter_component_sums(d)
+                assert d.sign_sums == sums
+                saw_intra |= intra
+            assert saw_intra
